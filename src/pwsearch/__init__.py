@@ -14,7 +14,6 @@ from .detectors import (
 )
 from .harness import (
     CostModel,
-    Experiment,
     Metrics,
     SceneParams,
     cost_estimate,
@@ -29,8 +28,6 @@ from .proposal import (
     GaussianComponent,
     MixtureWeights,
     mixture_weights,
-    sample_dented_gaussian,
-    sample_dented_uniform,
 )
 from .regions import (
     RadiusInterval,
@@ -38,10 +35,8 @@ from .regions import (
     RegionBook,
     RegionKind,
     ScalePropagation,
-    classify_cell,
     mark_acceptance,
     mark_rejection,
-    radius_lookup,
 )
 from .scoring import (
     CascadeScorer,
@@ -62,7 +57,6 @@ __all__ = [
     "DentedUniform",
     "DetectionSet",
     "DetectorConfig",
-    "Experiment",
     "GaussianComponent",
     "Metrics",
     "MixtureWeights",
@@ -79,7 +73,6 @@ __all__ = [
     "SyntheticScorer",
     "TraceRecord",
     "Window",
-    "classify_cell",
     "cost_estimate",
     "evaluate",
     "extract_curves",
@@ -92,11 +85,8 @@ __all__ = [
     "nms",
     "normalize_weights",
     "overlap",
-    "radius_lookup",
     "run_ipw",
     "run_mpw",
     "run_sipw",
     "run_sw",
-    "sample_dented_gaussian",
-    "sample_dented_uniform",
 ]

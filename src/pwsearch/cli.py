@@ -16,24 +16,22 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, LoadedConfig, load_config
-from .detectors import RunTrace, TraceRecord, detections_from_trace
 from .harness import (
-    Experiment,
-    cost_estimate,
+    Metrics,
+    TraceFormatError,
     derive_seed,
-    evaluate,
     extract_curves,
-    run_detector,
+    parallel_map,
+    read_trace_jsonl,
+    run_cell,
     run_experiment,
     summarize_rates,
     summarize_ratios,
-    build_scorer,
     write_csv,
     write_curves_csv,
     write_results_jsonl,
     write_trace_jsonl,
 )
-from .space import Window
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,10 +49,14 @@ def _parser() -> argparse.ArgumentParser:
         ("validate-config", "parse and validate a config, then exit"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=(name != "curves"), help="path to a JSON config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override the experiment seed")
-        cmd.add_argument("--out", default="out", help="output directory")
-        cmd.add_argument("--jobs", type=int, default=1, help="worker processes for scene batches")
+        if name != "curves":
+            cmd.add_argument("--config", required=True, help="path to a JSON config file")
+        if name in ("run", "compare", "sweep"):
+            cmd.add_argument("--seed", type=int, default=None, help="override the experiment seed")
+        if name != "validate-config":
+            cmd.add_argument("--out", default="out", help="output directory")
+        if name in ("compare", "sweep"):
+            cmd.add_argument("--jobs", type=int, default=1, help="worker processes for the runs")
         cmd.add_argument("--quiet", action="store_true", help="suppress progress output")
         if name == "run":
             cmd.add_argument("--detector", default=None, help="detector name (default: first)")
@@ -97,13 +99,8 @@ def cmd_run(args) -> int:
     scenes = cfg.load_scenes(Path(args.config).parent)
     if not 0 <= args.scene < len(scenes):
         raise ConfigError("--scene", f"scene index {args.scene} outside 0..{len(scenes) - 1}")
-    scene = scenes[args.scene]
-    scorer = build_scorer(scene, cfg.scorer_kind, cfg.cascade_stages)
-    space = cfg.space.at_stride(cfg.sw_stride) if detector.algorithm == "sw" else cfg.space
     seed = derive_seed(cfg.seed, args.scene)
-    trace = run_detector(space, scorer, detector, seed)
-    detections = detections_from_trace(space, trace, cfg.nms_iou)
-    metrics = evaluate(detections, [b for b, _ in scene.objects], cfg.match_iou)
+    trace, detections, metrics = run_cell(cfg, scenes[args.scene], detector, seed)
 
     out = _outdir(args)
     write_trace_jsonl(out / "trace.jsonl", trace)
@@ -113,16 +110,16 @@ def cmd_run(args) -> int:
         "algorithm": detector.algorithm,
         "scene": args.scene,
         "seed": seed,
-        "windows_used": len(trace.records),
+        "windows_used": metrics.windows_used,
         "accepted": len(trace.accepted),
         "detections": len(detections.boxes),
         "detection_rate": metrics.detection_rate,
         "fppi": metrics.fppi,
-        "cost": cost_estimate(trace, cfg.cost_model),
+        "cost": metrics.cost,
         "complete": trace.complete,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    _say(args, f"run: {detector.name} scored {len(trace.records)} windows, "
+    _say(args, f"run: {detector.name} scored {metrics.windows_used} windows, "
                f"rate={metrics.detection_rate:.3f} -> {out}")
     return EXIT_OK
 
@@ -130,20 +127,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load(args)
     scenes = cfg.load_scenes(Path(args.config).parent)
-    experiment = Experiment(
-        space=cfg.space,
-        sw_stride=cfg.sw_stride,
-        detectors=cfg.detectors,
-        scenes=tuple(scenes),
-        budgets=cfg.budgets,
-        seed=cfg.seed,
-        match_iou=cfg.match_iou,
-        nms_iou=cfg.nms_iou,
-        scorer_kind=cfg.scorer_kind,
-        cascade_stages=cfg.cascade_stages,
-        cost_model=cfg.cost_model,
-    )
-    results = run_experiment(experiment, jobs=args.jobs)
+    results = run_experiment(cfg, scenes, jobs=args.jobs)
     names = [d.name for d in cfg.detectors]
     budgets = list(cfg.budgets)
     out = _outdir(args)
@@ -154,31 +138,33 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _sweep_metrics(task) -> Metrics:
+    return run_cell(*task)[2]
+
+
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     if not cfg.sweep_t_h:
         raise ConfigError("experiment.sweep_t_h", "sweep requires a sweep_t_h list")
     scenes = cfg.load_scenes(Path(args.config).parent)
     detector = cfg.detectors[0]
-    rows = []
     for t_h in cfg.sweep_t_h:
         if t_h <= detector.t_l:
             raise ConfigError("experiment.sweep_t_h", f"sweep point {t_h} not above t_l")
-        swept = replace(detector, t_h=t_h)
-        rates, fppis = [], []
-        for index, scene in enumerate(scenes):
-            scorer = build_scorer(scene, cfg.scorer_kind, cfg.cascade_stages)
-            space = cfg.space.at_stride(cfg.sw_stride) if swept.algorithm == "sw" else cfg.space
-            trace = run_detector(space, scorer, swept, derive_seed(cfg.seed, index))
-            detections = detections_from_trace(space, trace, cfg.nms_iou)
-            metrics = evaluate(detections, [b for b, _ in scene.objects], cfg.match_iou)
-            rates.append(metrics.detection_rate)
-            fppis.append(metrics.fppi)
+    tasks = [
+        (cfg, scene, replace(detector, t_h=t_h), derive_seed(cfg.seed, index))
+        for t_h in cfg.sweep_t_h
+        for index, scene in enumerate(scenes)
+    ]
+    metrics = parallel_map(_sweep_metrics, tasks, args.jobs)
+    rows = []
+    for point, t_h in enumerate(cfg.sweep_t_h):
+        cells = metrics[point * len(scenes) : (point + 1) * len(scenes)]
         rows.append(
             {
                 "t_h": t_h,
-                "detection_rate": sum(rates) / len(rates),
-                "fppi": sum(fppis) / len(fppis),
+                "detection_rate": sum(m.detection_rate for m in cells) / len(cells),
+                "fppi": sum(m.fppi for m in cells) / len(cells),
             }
         )
     out = _outdir(args)
@@ -188,38 +174,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    trace_path = Path(args.trace)
-    if not trace_path.exists():
-        raise ConfigError("--trace", f"no such trace file: {trace_path}")
-    lines = trace_path.read_text().splitlines()
-    if len(lines) < 2:
-        raise ConfigError("--trace", "trace file has no records")
-    header = json.loads(lines[0])
-    footer = json.loads(lines[-1])
-    trace = RunTrace(
-        detector=header["detector"],
-        algorithm=header["algorithm"],
-        seed=header["seed"],
-        window_count=header["window_count"],
-        complete=footer.get("complete", False),
-        rebuilds=footer.get("rebuilds", []),
-    )
-    for line in lines[1:-1]:
-        rec = json.loads(line)
-        trace.records.append(
-            TraceRecord(
-                rec["i"],
-                Window(rec["x"], rec["y"], rec["s"]),
-                rec["response"],
-                rec["kind"],
-                rec["source"],
-                rec["n_rejected"],
-                rec["n_accepted"],
-                rec["n_ambiguous"],
-                rec["p_uniform"],
-                rec["stages_evaluated"],
-            )
-        )
+    try:
+        trace = read_trace_jsonl(args.trace)
+    except TraceFormatError as exc:
+        raise ConfigError("--trace", str(exc)) from exc
     out = _outdir(args)
     write_curves_csv(out / "curves.csv", extract_curves(trace))
     _say(args, f"curves: {len(trace.records)} iterations -> {out}")

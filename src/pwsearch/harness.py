@@ -12,13 +12,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .detectors import (
+    DetectionSet,
     DetectorConfig,
     RunTrace,
     TraceRecord,
@@ -29,7 +32,10 @@ from .detectors import (
     run_sw,
 )
 from .scoring import CascadeScorer, Scorer, SyntheticScene, SyntheticScorer
-from .space import Box, SearchSpace, overlap
+from .space import Box, SearchSpace, Window, overlap
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import LoadedConfig
 
 
 def hit_probability(total: int, target_cells: int, draws: int) -> float:
@@ -255,21 +261,28 @@ def run_detector(
     return _RUNNERS[config.algorithm](space, scorer, config, seed)
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """A detector grid evaluated over a shared scene set."""
+def run_cell(
+    cfg: LoadedConfig,
+    scene: SyntheticScene,
+    detector: DetectorConfig,
+    seed: int,
+) -> tuple[RunTrace, DetectionSet, Metrics]:
+    """Run one detector on one scene and score it: the single run path.
 
-    space: SearchSpace
-    sw_stride: int
-    detectors: tuple[DetectorConfig, ...]
-    scenes: tuple[SyntheticScene, ...]
-    budgets: tuple[int, ...]
-    seed: int
-    match_iou: float = 0.5
-    nms_iou: float = 0.5
-    scorer_kind: str = "synthetic"
-    cascade_stages: int = 10
-    cost_model: CostModel = CostModel()
+    ``sw`` scans the grid at ``cfg.sw_stride``; every other detector samples
+    ``cfg.space``.  Metrics carry the windows used and the modelled cost.
+    """
+    space = cfg.space.at_stride(cfg.sw_stride) if detector.algorithm == "sw" else cfg.space
+    scorer = build_scorer(scene, cfg.scorer_kind, cfg.cascade_stages)
+    trace = run_detector(space, scorer, detector, seed)
+    detections = detections_from_trace(space, trace, cfg.nms_iou)
+    metrics = evaluate(detections, [box for box, _ in scene.objects], cfg.match_iou)
+    metrics = replace(
+        metrics,
+        windows_used=len(trace.records),
+        cost=cost_estimate(trace, cfg.cost_model),
+    )
+    return trace, detections, metrics
 
 
 @dataclass(frozen=True)
@@ -308,49 +321,47 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _run_cell(args) -> RunResult:
-    experiment, scene_index, detector_index, budget = args
-    scene = experiment.scenes[scene_index]
-    detector = experiment.detectors[detector_index]
-    scorer = build_scorer(scene, experiment.scorer_kind, experiment.cascade_stages)
-    budget_index = experiment.budgets.index(budget)
-    seed = derive_seed(experiment.seed, scene_index, budget_index)
+def parallel_map(fn: Callable, tasks: Sequence, jobs: int = 1) -> list:
+    """``[fn(task) for task in tasks]``, over ``jobs`` processes when ``jobs > 1``.
 
-    if detector.algorithm == "sw":
-        space = experiment.space.at_stride(experiment.sw_stride)
-        config = detector
-    else:
-        space = experiment.space
-        config = replace(detector, budget=budget)
-    trace = run_detector(space, scorer, config, seed)
-    detections = detections_from_trace(space, trace, experiment.nms_iou)
-    metrics = evaluate(detections, [box for box, _ in scene.objects], experiment.match_iou)
-    metrics = replace(
-        metrics,
-        windows_used=len(trace.records),
-        cost=cost_estimate(trace, experiment.cost_model),
-    )
+    Results come back in task order, so parallelism never changes the output.
+    Workers are spawned, not forked, so ``fn`` must be a module-level function
+    that they can import.
+    """
+    if jobs <= 1:
+        return [fn(task) for task in tasks]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (jobs * 4))))
+
+
+def _compare_cell(task) -> RunResult:
+    cfg, scene_index, scene, detector, budget, seed = task
+    if detector.algorithm != "sw":
+        detector = replace(detector, budget=budget)
+    trace, _, metrics = run_cell(cfg, scene, detector, seed)
     return RunResult(
         scene_index, detector.name, detector.algorithm, budget, seed, metrics, trace.complete
     )
 
 
-def run_experiment(experiment: Experiment, jobs: int = 1) -> list[RunResult]:
+def run_experiment(
+    cfg: LoadedConfig,
+    scenes: Sequence[SyntheticScene],
+    jobs: int = 1,
+) -> list[RunResult]:
     """Every (scene, detector, budget) cell, in deterministic order.
 
-    ``jobs > 1`` fans scenes out to processes; results are collected in task
-    order so parallelism never changes the output.
+    Each cell is seeded from (seed, scene index, budget index), so all
+    detectors of a cell see the same seed.
     """
     tasks = [
-        (experiment, scene_index, detector_index, budget)
-        for scene_index in range(len(experiment.scenes))
-        for detector_index in range(len(experiment.detectors))
-        for budget in experiment.budgets
+        (cfg, scene_index, scene, detector, budget, derive_seed(cfg.seed, scene_index, budget_index))
+        for scene_index, scene in enumerate(scenes)
+        for detector in cfg.detectors
+        for budget_index, budget in enumerate(cfg.budgets)
     ]
-    if jobs <= 1:
-        return [_run_cell(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (jobs * 4) or 1)))
+    return parallel_map(_compare_cell, tasks, jobs)
 
 
 def summarize_rates(results: list[RunResult], detectors: list[str], budgets: list[int]) -> list[dict]:
@@ -438,6 +449,47 @@ def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
         )
     )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+class TraceFormatError(ValueError):
+    """A trace file that is missing or holds no records."""
+
+
+def read_trace_jsonl(path: str | Path) -> RunTrace:
+    """The trace that :func:`write_trace_jsonl` wrote, minus its accepted list."""
+    path = Path(path)
+    if not path.exists():
+        raise TraceFormatError(f"no such trace file: {path}")
+    lines = path.read_text().splitlines()
+    if len(lines) < 2:
+        raise TraceFormatError("trace file has no records")
+    header = json.loads(lines[0])
+    footer = json.loads(lines[-1])
+    trace = RunTrace(
+        detector=header["detector"],
+        algorithm=header["algorithm"],
+        seed=header["seed"],
+        window_count=header["window_count"],
+        complete=footer.get("complete", False),
+        rebuilds=footer.get("rebuilds", []),
+    )
+    for line in lines[1:-1]:
+        rec = json.loads(line)
+        trace.records.append(
+            TraceRecord(
+                rec["i"],
+                Window(rec["x"], rec["y"], rec["s"]),
+                rec["response"],
+                rec["kind"],
+                rec["source"],
+                rec["n_rejected"],
+                rec["n_accepted"],
+                rec["n_ambiguous"],
+                rec["p_uniform"],
+                rec["stages_evaluated"],
+            )
+        )
+    return trace
 
 
 def write_results_jsonl(path: str | Path, results: list[RunResult]) -> None:

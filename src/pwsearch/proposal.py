@@ -272,20 +272,3 @@ class DentedGaussianMixture:
                 j = int(hits[0])
                 return Window(int(x[j]), int(y[j]), int(s[j]))
         return None
-
-
-def sample_dented_uniform(
-    book: RegionBook,
-    space: SearchSpace,
-    rng: np.random.Generator,
-    n_max: int = 1000,
-) -> Window | None:
-    return DentedUniform(book, space).sample(rng, n_max)
-
-
-def sample_dented_gaussian(
-    mixture: DentedGaussianMixture,
-    rng: np.random.Generator,
-    n_max: int = 1000,
-) -> Window | None:
-    return mixture.sample(rng, n_max)

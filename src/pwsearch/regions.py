@@ -190,14 +190,6 @@ class RegionBook:
         return self.mark_rect(w.s, w.x, w.y, 0, 0, kind)
 
 
-def classify_cell(book: RegionBook, w: Window) -> RegionKind:
-    return book.state_at(w)
-
-
-def radius_lookup(table: RadiusTable, response: float, obj_w: int, obj_h: int) -> tuple[int, int] | None:
-    return table.lookup(response, obj_w, obj_h)
-
-
 def _mark_region(
     book: RegionBook,
     space: SearchSpace,

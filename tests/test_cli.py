@@ -170,13 +170,16 @@ def test_compare_outputs(config_path, tmp_path):
 
 
 def test_compare_parallel_is_byte_identical(config_path, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["compare", "--config", str(config_path), "--out", str(a), "--quiet"]) == EXIT_OK
-    assert (
-        main(["compare", "--config", str(config_path), "--out", str(b), "--jobs", "2", "--quiet"])
-        == EXIT_OK
-    )
-    assert (a / "results.jsonl").read_bytes() == (b / "results.jsonl").read_bytes()
+    """``--jobs 2`` writes the same bytes as ``--jobs 1``, for compare and sweep."""
+    for subcommand in ("compare", "sweep"):
+        outs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / subcommand / jobs
+            argv = [subcommand, "--config", str(config_path), "--out", str(out), "--jobs", jobs]
+            assert main([*argv, "--quiet"]) == EXIT_OK
+            outs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert outs["1"], subcommand
+        assert outs["1"] == outs["2"], subcommand
 
 
 def test_compare_pairs_identical_detectors(tmp_path):
@@ -275,6 +278,12 @@ def test_semantic_config_errors(tmp_path):
     path.write_text(json.dumps(cfg))
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
+    cfg = tiny_config()
+    cfg["experiment"]["budgets"] = [40, 80, 40]  # duplicate budget
+    path = tmp_path / "budgets.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+
 
 def test_broken_scene_file_is_runtime_error(tmp_path):
     cfg = tiny_config()
@@ -314,6 +323,20 @@ def test_config_file_not_mutated(config_path, tmp_path):
     before = config_path.read_bytes()
     main(["compare", "--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet"])
     assert config_path.read_bytes() == before
+
+
+def test_flags_only_on_subcommands_that_read_them(config_path, tmp_path):
+    trace = str(tmp_path / "trace.jsonl")
+    for argv in (
+        ["run", "--config", str(config_path), "--jobs", "2"],
+        ["curves", "--trace", trace, "--config", str(config_path)],
+        ["curves", "--trace", trace, "--seed", "3"],
+        ["validate-config", "--config", str(config_path), "--out", str(tmp_path)],
+        ["validate-config", "--config", str(config_path), "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--quiet"])
+        assert exc.value.code == 2, argv  # argparse usage error
 
 
 def test_quiet_suppresses_progress(config_path, tmp_path, capsys):

@@ -24,12 +24,13 @@ from pwsearch import (
     overlap,
     run_ipw,
 )
+from pwsearch.config import LoadedConfig
 from pwsearch.harness import (
-    Experiment,
     SceneGenerationError,
     SceneParams,
     build_scorer,
     derive_seed,
+    read_trace_jsonl,
     run_experiment,
     summarize_rates,
     summarize_ratios,
@@ -254,28 +255,36 @@ def test_extract_curves_identities(bench_space, bench_scenes, bench_table):
 # --- experiment grid ---------------------------------------------------------
 
 
-def small_experiment(jobs_scenes=2):
+def small_experiment():
+    """A two-detector, two-budget config and its scenes."""
     space = SearchSpace(80, 60, 16, 24, stride=1, scale_factor=1.25, scale_count=3)
     table = make_radius_table()
     params = SceneParams(space=space, object_count=1, distractor_count=1, scale_indices=(0, 1))
-    scenes = tuple(generate_scenes(params, master_seed=11, count=jobs_scenes))
-    detectors = (
-        make_detector("ipw", 60, table, name="ipw"),
-        make_detector("mpw", 60, table, name="mpw", gamma=0.44),
-    )
-    return Experiment(
+    cfg = LoadedConfig(
         space=space,
         sw_stride=4,
-        detectors=detectors,
-        scenes=scenes,
+        detectors=(
+            make_detector("ipw", 60, table, name="ipw"),
+            make_detector("mpw", 60, table, name="mpw", gamma=0.44),
+        ),
+        scene_params=params,
+        scene_files=(),
+        scene_count=2,
+        scene_seed=11,
         budgets=(30, 60),
         seed=99,
+        match_iou=0.5,
+        nms_iou=0.5,
+        sweep_t_h=(),
+        scorer_kind="synthetic",
+        cascade_stages=10,
+        cost_model=CostModel(),
     )
+    return cfg, cfg.load_scenes()
 
 
 def test_run_experiment_grid_shape_and_order():
-    exp = small_experiment()
-    results = run_experiment(exp)
+    results = run_experiment(*small_experiment())
     assert len(results) == 2 * 2 * 2
     key = [(r.scene_index, r.detector, r.budget) for r in results]
     assert key == sorted(key, key=lambda k: (k[0], ["ipw", "mpw"].index(k[1]), k[2]))
@@ -286,12 +295,12 @@ def test_run_experiment_grid_shape_and_order():
 
 
 def test_run_experiment_parallel_matches_serial():
-    exp = small_experiment()
-    assert run_experiment(exp, jobs=2) == run_experiment(exp, jobs=1)
+    cfg, scenes = small_experiment()
+    assert run_experiment(cfg, scenes, jobs=2) == run_experiment(cfg, scenes, jobs=1)
 
 
 def test_paired_seeds_shared_across_detectors():
-    results = run_experiment(small_experiment())
+    results = run_experiment(*small_experiment())
     by_cell = {}
     for r in results:
         by_cell.setdefault((r.scene_index, r.budget), set()).add(r.seed)
@@ -307,7 +316,7 @@ def test_derive_seed_is_stable():
 
 
 def test_summaries_shape():
-    results = run_experiment(small_experiment())
+    results = run_experiment(*small_experiment())
     rates = summarize_rates(results, ["ipw", "mpw"], [30, 60])
     assert [row["budget"] for row in rates] == [30, 60]
     for row in rates:
@@ -339,9 +348,17 @@ def test_trace_jsonl_round_trip(tmp_path, bench_space, bench_scenes, bench_table
     assert footer["complete"] == trace.complete
     assert len(footer["accepted"]) == len(trace.accepted)
 
+    back = read_trace_jsonl(path)
+    assert (back.detector, back.algorithm, back.seed, back.window_count) == (
+        trace.detector, trace.algorithm, trace.seed, trace.window_count
+    )
+    assert back.records == trace.records
+    assert back.complete == trace.complete
+    assert back.rebuilds == trace.rebuilds
+
 
 def test_results_jsonl_and_csv(tmp_path):
-    results = run_experiment(small_experiment())
+    results = run_experiment(*small_experiment())
     jsonl_path = tmp_path / "results.jsonl"
     write_results_jsonl(jsonl_path, results)
     parsed = [json.loads(line) for line in jsonl_path.read_text().splitlines()]

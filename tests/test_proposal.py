@@ -13,8 +13,6 @@ from pwsearch import (
     SearchSpace,
     Window,
     mixture_weights,
-    sample_dented_gaussian,
-    sample_dented_uniform,
 )
 from pwsearch.proposal import default_sigma, draw_gaussian_window
 
@@ -123,11 +121,6 @@ def test_uniform_deterministic_under_seed(flat_space):
     seq1 = np.random.default_rng(11)
     seq2 = np.random.default_rng(11)
     assert [sampler.sample(seq1) for _ in range(20)] == [sampler.sample(seq2) for _ in range(20)]
-
-
-def test_module_level_wrappers(flat_space, rng):
-    book = RegionBook(flat_space)
-    assert sample_dented_uniform(book, flat_space, rng) is not None
 
 
 # --- quantized Gaussian draws ---------------------------------------------
@@ -282,6 +275,4 @@ def test_mixture_sample_deterministic(flat_space):
     mixture = DentedGaussianMixture(comps, book, flat_space)
     r1, r2 = np.random.default_rng(99), np.random.default_rng(99)
     assert [mixture.sample(r1) for _ in range(50)] == [mixture.sample(r2) for _ in range(50)]
-    assert sample_dented_gaussian(mixture, np.random.default_rng(3)) == sample_dented_gaussian(
-        mixture, np.random.default_rng(3)
-    )
+    assert mixture.sample(np.random.default_rng(3)) == mixture.sample(np.random.default_rng(3))

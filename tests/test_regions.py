@@ -11,10 +11,8 @@ from pwsearch import (
     ScalePropagation,
     SearchSpace,
     Window,
-    classify_cell,
     mark_acceptance,
     mark_rejection,
-    radius_lookup,
 )
 from pwsearch.regions import ContractViolation
 
@@ -212,7 +210,7 @@ def test_mark_rejection_own_scale_extent(pyramid):
     table = table_from([(NEG_INF, 1 / 3, 1 / 3)], active=1)  # 4px radius on a 12px template
     n = mark_rejection(book, pyramid, Window(6, 6, 1), -9.0, table, t_l=-2.0)
     assert n == 9 * 9
-    assert classify_cell(book, Window(6, 6, 1)) is RegionKind.REJECTED
+    assert book.state_at(Window(6, 6, 1)) is RegionKind.REJECTED
     assert book.is_free(Window(6, 6, 0))  # no propagation by default
 
 
@@ -268,11 +266,6 @@ def test_mark_acceptance_propagates(pyramid):
     )
     assert n == 81 + 25 + 1
     assert book.state_at(Window(18, 18, 0)) is RegionKind.ACCEPTED
-
-
-def test_radius_lookup_helper_matches_method():
-    table = table_from([(NEG_INF, 0.22, 0.22)], active=1)
-    assert radius_lookup(table, -5.0, 64, 128) == table.lookup(-5.0, 64, 128)
 
 
 def test_propagation_validation():
