@@ -30,7 +30,6 @@ import numpy as np
 from .proposal import (
     DentedGaussianMixture,
     DentedUniform,
-    GaussianComponent,
     default_sigma,
     draw_gaussian_window,
     mixture_weights,
@@ -223,14 +222,15 @@ def _mixture_from_batch(
     book: RegionBook,
     space: SearchSpace,
 ) -> DentedGaussianMixture:
+    """The dented mixture of an ambiguity batch: one component per window,
+    weighted by its normalized response, with the default spread."""
     if not batch:
         return DentedGaussianMixture.empty(book, space)
+    windows = [w for w, _ in batch]
+    means = np.array([[w.x for w in windows], [w.y for w in windows], [w.s for w in windows]], dtype=np.int64)
     weights = normalize_weights([resp for _, resp in batch])
-    components = tuple(
-        GaussianComponent(w, float(weight), default_sigma(space, w.s))
-        for (w, _), weight in zip(batch, weights)
-    )
-    return DentedGaussianMixture(components, book, space)
+    sigma = default_sigma(space, 0)  # the same spread at every scale
+    return DentedGaussianMixture.from_arrays(means, weights, sigma, book, space)
 
 
 def run_mpw(

@@ -353,15 +353,31 @@ def run_experiment(
     """Every (scene, detector, budget) cell, in deterministic order.
 
     Each cell is seeded from (seed, scene index, budget index), so all
-    detectors of a cell see the same seed.
+    detectors of a cell see the same seed.  ``sw`` ignores budget and seed,
+    so it scans each scene once: its first budget row runs, and each later
+    row copies the row before it with its own budget and seed.
     """
-    tasks = [
-        (cfg, scene_index, scene, detector, budget, derive_seed(cfg.seed, scene_index, budget_index))
+    cells = [
+        (scene_index, scene, detector, budget_index, budget)
         for scene_index, scene in enumerate(scenes)
         for detector in cfg.detectors
         for budget_index, budget in enumerate(cfg.budgets)
     ]
-    return parallel_map(_compare_cell, tasks, jobs)
+    runs = [detector.algorithm != "sw" or budget_index == 0 for _, _, detector, budget_index, _ in cells]
+    tasks = [
+        (cfg, scene_index, scene, detector, budget, derive_seed(cfg.seed, scene_index, budget_index))
+        for (scene_index, scene, detector, budget_index, budget), run in zip(cells, runs)
+        if run
+    ]
+    ran = iter(parallel_map(_compare_cell, tasks, jobs))
+    results: list[RunResult] = []
+    for (scene_index, _, _, budget_index, budget), run in zip(cells, runs):
+        if run:
+            results.append(next(ran))
+        else:
+            seed = derive_seed(cfg.seed, scene_index, budget_index)
+            results.append(replace(results[-1], budget=budget, seed=seed))
+    return results
 
 
 def summarize_rates(results: list[RunResult], detectors: list[str], budgets: list[int]) -> list[dict]:
@@ -452,7 +468,7 @@ def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
 
 
 class TraceFormatError(ValueError):
-    """A trace file that is missing or holds no records."""
+    """A trace file that is missing, holds no records or ends without its footer."""
 
 
 def read_trace_jsonl(path: str | Path) -> RunTrace:
@@ -465,6 +481,8 @@ def read_trace_jsonl(path: str | Path) -> RunTrace:
         raise TraceFormatError("trace file has no records")
     header = json.loads(lines[0])
     footer = json.loads(lines[-1])
+    if "complete" not in footer:
+        raise TraceFormatError("trace file ends without its footer line; it was cut short")
     trace = RunTrace(
         detector=header["detector"],
         algorithm=header["algorithm"],

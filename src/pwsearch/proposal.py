@@ -1,20 +1,26 @@
 """Sampling distributions with holes: dented uniform and dented Gaussians.
 
-"Dented" means zero mass on every cell the region book has claimed.  Draws
-use plain rejection sampling (up to ``n_max`` proposals from the undented
-base distribution, returning the first FREE hit), so the samplers never need
-the dent's normalizer; densities renormalize analytically over free cells and
-are only exact where that matters, in tests and diagnostics.
+"Dented" means zero mass on every cell the region book has claimed.  Both
+samplers draw by rejection: up to ``n_max`` proposals from the undented base
+distribution, made in batches of 64, and the first FREE one wins, so they
+never need the dent's normalizer.  The mixture evaluates its proposals in
+groups of 1, 2, 4, ... batches; when the hit comes before a group's last
+batch, the generator is rewound and the batches up to the hit are drawn
+again, so the random stream, and with it every draw, is that of a
+batch-at-a-time loop.
 
-Mixture components are centered on previously drawn ambiguity windows.  The
-per-component spread follows the window's own scale: one eighth of the
-template extent in grid cells per spatial axis and one pyramid step on the
-scale axis.
+``density_at`` serves tests and diagnostics.  The uniform's is exact.  The
+mixture's renormalizes each component over the free cells and uses the
+unclamped point density, so near grid borders, or when components are dented
+unevenly, it is not yet exactly the distribution ``sample`` draws.
+
+Mixture components are centered on previously drawn ambiguity windows and
+share one spread: one eighth of the template extent in grid cells per spatial
+axis and one pyramid step on the scale axis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +96,42 @@ def draw_gaussian_window(
     return Window(x, y, s)
 
 
-_BATCH = 64  # rejection-loop proposals drawn per vectorized step
+_BATCH = 64  # proposals per batch: the unit of the generator-call sequence
+_GROUP_CAP = 16 * _BATCH  # proposals evaluated together at most
+
+
+def _rejection_sample(rng: np.random.Generator, n_max: int, draw, locate):
+    """First accepted proposal among up to ``n_max``, or None.
+
+    Proposals come in batches of ``_BATCH``: ``draw(rng, lo, hi)`` makes one
+    batch's generator calls and stores its proposals at positions ``lo:hi``
+    of the current group, and ``locate(count)`` returns ``(position,
+    result)`` for the first acceptable one among the group's first ``count``,
+    or None.  Groups hold 1, 2, 4, ... batches (at most ``_GROUP_CAP``
+    proposals), so a long search costs few vectorized passes.  When the hit
+    falls before a group's last batch, the generator is restored to the
+    group's start and the batches up to the hit's are drawn again, so it ends
+    exactly where a batch-at-a-time loop would have stopped.
+    """
+    start = 0
+    size = _BATCH
+    while start < n_max:
+        count = min(size, n_max - start)
+        state = rng.bit_generator.state if count > _BATCH else None
+        for lo in range(0, count, _BATCH):
+            draw(rng, lo, min(lo + _BATCH, count))
+        found = locate(count)
+        if found is not None:
+            position, result = found
+            hit_end = (position // _BATCH + 1) * _BATCH
+            if hit_end < count:
+                rng.bit_generator.state = state
+                for lo in range(0, hit_end, _BATCH):
+                    draw(rng, lo, lo + _BATCH)
+            return result
+        start += count
+        size = min(2 * size, _GROUP_CAP)
+    return None
 
 
 class DentedUniform:
@@ -110,11 +151,13 @@ class DentedUniform:
     def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
         """A FREE cell drawn uniformly, or None once the space is exhausted.
 
-        Up to ``n_max`` rejection proposals are tried first, in fixed-size
-        batches (a speed matter only: the accepted cell is still the first
-        free proposal in order).  When the loop comes up empty but free cells
-        remain, one is drawn from the explicit free set, so None strictly
-        means ``free_count == 0``.
+        Up to ``n_max`` rejection proposals are tried first, one batch at a
+        time, and the accepted cell is the first free proposal in order.  A
+        batch costs far more to draw than to check, so unlike the mixture's
+        proposals these are not grouped: a group would only waste the draws
+        after the hit.  When the loop comes up empty but free cells remain,
+        one is drawn from the explicit free set, so None strictly means
+        ``free_count == 0``.
         """
         if self.book.free_count == 0:
             return None
@@ -135,10 +178,12 @@ class DentedUniform:
 class DentedGaussianMixture:
     """Weighted Gaussians around ambiguity windows, zeroed on claimed cells.
 
-    An empty mixture is a valid zero density; sampling from it is a caller
-    bug.  ``density_at`` renormalizes each component over the free cells of
-    the current book state (cached until the book changes), so densities over
-    the whole grid sum to one whenever the mixture is nonempty.
+    Components live in arrays: cumulative weights, integer means, sigmas and
+    each mean's grid centre projected onto every scale.  An empty mixture is
+    a valid zero density; sampling from it is a caller bug.  ``density_at``
+    renormalizes each component over the free cells of the current book
+    state (cached until the book changes), so densities over the whole grid
+    sum to one whenever the mixture is nonempty.
     """
 
     def __init__(
@@ -147,50 +192,79 @@ class DentedGaussianMixture:
         book: RegionBook,
         space: SearchSpace,
     ):
-        self.components = components
+        self._setup(
+            book,
+            space,
+            np.array([(c.mean.x, c.mean.y, c.mean.s) for c in components], dtype=np.int64).reshape(-1, 3).T,
+            np.array([c.weight for c in components], dtype=float),
+            np.array([c.sigma for c in components], dtype=float).reshape(-1, 3).T,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        means: np.ndarray,
+        weights: np.ndarray,
+        sigma: np.ndarray,
+        book: RegionBook,
+        space: SearchSpace,
+    ) -> "DentedGaussianMixture":
+        """A mixture from ``(3, n)`` integer means (rows x, y, s), ``n``
+        weights, and sigmas (x, y, s) per component ``(3, n)`` or shared ``(3,)``."""
+        mixture = cls.__new__(cls)
+        mixture._setup(book, space, means, weights, np.asarray(sigma, dtype=float).reshape(3, -1))
+        return mixture
+
+    def _setup(
+        self,
+        book: RegionBook,
+        space: SearchSpace,
+        means: np.ndarray,
+        weights: np.ndarray,
+        sigma: np.ndarray,
+    ) -> None:
         self.book = book
         self.space = space
-        if components:
-            weights = np.array([c.weight for c in components], dtype=float)
-            if np.any(weights < 0.0):
-                raise ValueError("component weights must be nonnegative")
-            total = weights.sum()
-            if total <= 0.0:
-                raise ValueError("component weights must not all be zero")
-            self._cumulative = np.cumsum(weights / total)
-            # Component parameters as arrays for the vectorized sampler; the
-            # means are kept as original-image centers so a draw landing on
-            # any scale can be projected with one zoom-table lookup.
-            zooms = np.array([space.zoom(c.mean.s) for c in components])
-            self._mean_cx = (
-                np.array([c.mean.x for c in components]) * space.stride + space.template_w * 0.5
-            ) * zooms
-            self._mean_cy = (
-                np.array([c.mean.y for c in components]) * space.stride + space.template_h * 0.5
-            ) * zooms
-            self._mean_s = np.array([c.mean.s for c in components], dtype=float)
-            self._sigma = np.array([c.sigma for c in components], dtype=float)
-        else:
-            self._cumulative = np.empty(0)
         self._norm_cache: tuple[int, np.ndarray] | None = None
+        self._size = means.shape[1]
+        if not self._size:
+            return
+        if np.any(weights < 0.0):
+            raise ValueError("component weights must be nonnegative")
+        total = weights.sum()
+        if total <= 0.0:
+            raise ValueError("component weights must not all be zero")
+        self._cumulative = np.cumsum(weights / total)
+        mean_x, mean_y, mean_s = means
+        self._mean_s = mean_s.astype(float)
+        self._sx, self._sy, self._ss = np.broadcast_to(sigma, means.shape).astype(float)
+        # Each mean's grid centre on every scale, (scale_count, n) per axis.
+        # The original-image centre uses the scalar ``space.zoom`` of the
+        # mean's own scale and is divided by the zoom table of the landing
+        # scale.  The two zooms can differ in the last bit, so changing
+        # either one moves the rounding of some draws.
+        zoom = np.array([space.zoom(s) for s in range(space.scale_count)])[mean_s]
+        to_scale = space._zoom_table[:, None]
+        centre_x = (mean_x * space.stride + space.template_w * 0.5) * zoom
+        centre_y = (mean_y * space.stride + space.template_h * 0.5) * zoom
+        self._gx = (centre_x / to_scale - space.template_w * 0.5) / space.stride
+        self._gy = (centre_y / to_scale - space.template_h * 0.5) / space.stride
 
     def __len__(self) -> int:
-        return len(self.components)
+        return self._size
 
     @classmethod
     def empty(cls, book: RegionBook, space: SearchSpace) -> "DentedGaussianMixture":
         return cls((), book, space)
 
-    def _component_scores(self, comp: GaussianComponent, s: int) -> np.ndarray:
-        """Unnormalized component density over every cell of scale s."""
+    def _component_scores(self, i: int, s: int) -> np.ndarray:
+        """Unnormalized density of component i over every cell of scale s."""
         nx, ny = self.space.grid_size(s)
         if nx == 0:
             return np.zeros((0, 0))
-        sx, sy, ss = comp.sigma
-        gx, gy = self.space.project(comp.mean, s)
-        xs = (np.arange(nx) - gx) / sx
-        ys = (np.arange(ny) - gy) / sy
-        ds = (s - comp.mean.s) / ss
+        xs = (np.arange(nx) - self._gx[s, i]) / self._sx[i]
+        ys = (np.arange(ny) - self._gy[s, i]) / self._sy[i]
+        ds = (s - self._mean_s[i]) / self._ss[i]
         return np.exp(-0.5 * (xs[None, :] ** 2 + ys[:, None] ** 2 + ds**2))
 
     def _normalizers(self) -> np.ndarray:
@@ -198,11 +272,11 @@ class DentedGaussianMixture:
         cached = self._norm_cache
         if cached is not None and cached[0] == self.book.version:
             return cached[1]
-        norms = np.zeros(len(self.components))
-        for i, comp in enumerate(self.components):
+        norms = np.zeros(len(self))
+        for i in range(len(self)):
             total = 0.0
             for s in range(self.space.scale_count):
-                scores = self._component_scores(comp, s)
+                scores = self._component_scores(i, s)
                 if scores.size:
                     total += float(scores[self.book.free_mask(s)].sum())
             norms[i] = total
@@ -210,65 +284,69 @@ class DentedGaussianMixture:
         return norms
 
     def density_at(self, w: Window) -> float:
-        if not self.components:
+        if not len(self):
             return 0.0
         if self.book.state_at(w) != RegionKind.FREE:
             return 0.0
         norms = self._normalizers()
-        weights = np.diff(np.concatenate(([0.0], self._cumulative)))
-        density = 0.0
-        for comp, weight, norm in zip(self.components, weights, norms):
-            if norm <= 0.0:
-                continue
-            sx, sy, ss = comp.sigma
-            gx, gy = self.space.project(comp.mean, w.s)
-            score = math.exp(
-                -0.5
-                * (
-                    ((w.x - gx) / sx) ** 2
-                    + ((w.y - gy) / sy) ** 2
-                    + ((w.s - comp.mean.s) / ss) ** 2
-                )
+        live = norms > 0.0
+        weights = np.diff(self._cumulative, prepend=0.0)
+        score = np.exp(
+            -0.5
+            * (
+                ((w.x - self._gx[w.s]) / self._sx) ** 2
+                + ((w.y - self._gy[w.s]) / self._sy) ** 2
+                + ((w.s - self._mean_s) / self._ss) ** 2
             )
-            density += weight * score / norm
-        return density
+        )
+        return float(np.sum(weights[live] * score[live] / norms[live]))
 
     def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
-        """Component choice, then Gaussian draws until a FREE cell or ``n_max``.
+        """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.
 
-        Each proposal picks a component by weight and quantizes a 3-D
-        Gaussian draw around its mean exactly like
-        :func:`draw_gaussian_window`; proposals run in fixed-size batches and
-        the first free one wins.
+        Every proposal picks its own component by weight and quantizes a 3-D
+        Gaussian draw around that component's mean exactly like
+        :func:`draw_gaussian_window`: the scale first, then the position in
+        that scale's grid, each rounded and clamped.  The first free proposal
+        wins; evaluating proposals in groups is a speed matter only.
         """
-        if not self.components:
+        if not len(self):
             raise ValueError("cannot sample from an empty mixture")
         space = self.space
         flat = self.book.flat
-        last = len(self.components) - 1
-        remaining = n_max
-        while remaining > 0:
-            k = min(_BATCH, remaining)
-            remaining -= k
-            comp = np.searchsorted(self._cumulative, rng.random(k), side="right")
-            np.minimum(comp, last, out=comp)
-            z = rng.standard_normal((k, 3))
-            s = np.rint(self._mean_s[comp] + z[:, 2] * self._sigma[comp, 2]).astype(np.int64)
-            np.clip(s, 0, space.scale_count - 1, out=s)
-            nx = space._nx_table[s]
-            ny = space._ny_table[s]
-            zoom = space._zoom_table[s]
-            gx = (self._mean_cx[comp] / zoom - space.template_w * 0.5) / space.stride
-            gy = (self._mean_cy[comp] / zoom - space.template_h * 0.5) / space.stride
-            x = np.rint(gx + z[:, 0] * self._sigma[comp, 0]).astype(np.int64)
-            y = np.rint(gy + z[:, 1] * self._sigma[comp, 1]).astype(np.int64)
-            np.clip(x, 0, np.maximum(nx - 1, 0), out=x)
-            np.clip(y, 0, np.maximum(ny - 1, 0), out=y)
-            valid = nx > 0
-            index = space._offsets[s] + y * nx + x
-            free = valid & (flat[np.where(valid, index, 0)] == 0)
-            hits = np.nonzero(free)[0]
-            if hits.size:
-                j = int(hits[0])
-                return Window(int(x[j]), int(y[j]), int(s[j]))
-        return None
+        n = len(self)
+        top = space.scale_count - 1
+        nx_table = space._nx_table
+        x_hi = np.maximum(nx_table - 1, 0)
+        y_hi = np.maximum(space._ny_table - 1, 0)
+        gx = self._gx.ravel()
+        gy = self._gy.ravel()
+        capacity = min(n_max, _GROUP_CAP)
+        u = np.empty(capacity)
+        z = np.empty((capacity, 3))
+
+        def draw(rng: np.random.Generator, lo: int, hi: int) -> None:
+            rng.random(out=u[lo:hi])
+            rng.standard_normal(out=z[lo:hi])
+
+        def locate(count: int) -> tuple[int, Window] | None:
+            comp = self._cumulative.searchsorted(u[:count], side="right")
+            np.minimum(comp, n - 1, out=comp)
+            s = np.rint(self._mean_s.take(comp) + z[:count, 2] * self._ss.take(comp)).astype(np.int64)
+            np.maximum(s, 0, out=s)
+            np.minimum(s, top, out=s)
+            cell = s * n + comp
+            x = np.rint(gx.take(cell) + z[:count, 0] * self._sx.take(comp)).astype(np.int64)
+            y = np.rint(gy.take(cell) + z[:count, 1] * self._sy.take(comp)).astype(np.int64)
+            np.maximum(x, 0, out=x)
+            np.minimum(x, x_hi.take(s), out=x)
+            np.maximum(y, 0, out=y)
+            np.minimum(y, y_hi.take(s), out=y)
+            nx = nx_table.take(s)
+            index = space._offsets.take(s) + y * nx + x
+            valid = nx > 0  # a scale past the last nonempty one has no cells
+            free = valid & (flat.take(np.where(valid, index, 0)) == 0)
+            j = int(free.argmax())
+            return (j, Window(int(x[j]), int(y[j]), int(s[j]))) if free[j] else None
+
+        return _rejection_sample(rng, n_max, draw, locate)

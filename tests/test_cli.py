@@ -244,6 +244,18 @@ def test_curves_missing_trace_is_config_error(tmp_path):
     )
 
 
+def test_curves_trace_cut_before_its_footer_is_config_error(config_path, tmp_path):
+    run_out = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(run_out), "--quiet"]) == EXIT_OK
+    lines = (run_out / "trace.jsonl").read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:-1]))
+    assert (
+        main(["curves", "--trace", str(cut), "--out", str(tmp_path / "curves"), "--quiet"])
+        == EXIT_CONFIG
+    )
+
+
 def test_missing_config_file(tmp_path):
     assert (
         main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path), "--quiet"])

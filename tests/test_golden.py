@@ -1,0 +1,32 @@
+"""Pinned trace digests: any change to the incremental samplers' random stream fails here.
+
+The digests are sha256 values of the ``trace.jsonl`` that ``run`` writes for
+``configs/synthetic.json``.  A speed-up of the samplers must reproduce them
+exactly.  A change that alters the draws on purpose updates them, and says so.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from pwsearch.cli import EXIT_OK, main
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synthetic.json"
+
+GOLDEN = {
+    ("ipw", 0): "bd08ee0deced6ec3a0d03b69d41b262c98a909c553cc1c1fa09a4b687e6fae69",
+    ("ipw", 1): "85eafcdd4b21ecf6c349e8b6d9fe669e0ebc8816fd404e3c9d4f2f547b2f74bd",
+    ("ipw", 2): "0ba337e55fe21b0b651c2ad8a1949bca8c12afa081e2a260108212052ddefef6",
+    ("sipw", 0): "1bea586e15e0c98e5f4376d1663aa973270ba3ca6a69860f0e29c9e3ebbe0413",
+    ("sipw", 1): "85db6fa99ded6cd762b71ed38d3d0bf7108df6c98c658af04a9e490e73ba93cd",
+    ("sipw", 2): "68a1834c17a61a8b1425f4f9f4cee99cdf4694bbe1163904341b7915c3df22bb",
+}
+
+
+@pytest.mark.parametrize(("detector", "scene"), sorted(GOLDEN))
+def test_run_trace_matches_pinned_digest(detector, scene, tmp_path):
+    args = ["run", "--config", str(CONFIG), "--detector", detector, "--scene", str(scene)]
+    assert main(args + ["--out", str(tmp_path), "--quiet"]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest()
+    assert digest == GOLDEN[(detector, scene)]

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pwsearch import (
     overlap,
     run_ipw,
 )
+from pwsearch import harness
 from pwsearch.config import LoadedConfig
 from pwsearch.harness import (
     SceneGenerationError,
@@ -307,6 +309,34 @@ def test_paired_seeds_shared_across_detectors():
     for seeds in by_cell.values():
         assert len(seeds) == 1  # both detectors saw the same seed
     assert len({next(iter(s)) for s in by_cell.values()}) == len(by_cell)
+
+
+def test_run_experiment_scans_sw_once_per_scene(monkeypatch):
+    """sw ignores budget and seed: one scan per scene fills all its budget rows."""
+    cfg, scenes = small_experiment()
+    cfg = replace(cfg, detectors=cfg.detectors + (make_detector("sw", 1, None),))
+    calls = []
+    real_run_cell = harness.run_cell
+
+    def counting_run_cell(cfg, scene, detector, seed):
+        calls.append((detector.algorithm, seed))
+        return real_run_cell(cfg, scene, detector, seed)
+
+    monkeypatch.setattr(harness, "run_cell", counting_run_cell)
+    results = run_experiment(cfg, scenes)
+    assert sum(1 for algorithm, _ in calls if algorithm == "sw") == len(scenes)
+    assert len(calls) == len(scenes) * (2 * len(cfg.budgets) + 1)
+
+    monkeypatch.setattr(harness, "run_cell", real_run_cell)
+    sw_rows = [r for r in results if r.algorithm == "sw"]
+    assert [(r.scene_index, r.budget) for r in sw_rows] == [
+        (scene_index, budget) for scene_index in range(len(scenes)) for budget in cfg.budgets
+    ]
+    for r in sw_rows:
+        budget_index = cfg.budgets.index(r.budget)
+        assert r.seed == derive_seed(cfg.seed, r.scene_index, budget_index)
+        _, _, metrics = real_run_cell(cfg, scenes[r.scene_index], cfg.detectors[-1], r.seed)
+        assert r.metrics == metrics
 
 
 def test_derive_seed_is_stable():

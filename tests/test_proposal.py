@@ -14,7 +14,9 @@ from pwsearch import (
     Window,
     mixture_weights,
 )
+from pwsearch.detectors import _mixture_from_batch
 from pwsearch.proposal import default_sigma, draw_gaussian_window
+from pwsearch.scoring import normalize_weights
 
 
 @pytest.fixture
@@ -276,3 +278,116 @@ def test_mixture_sample_deterministic(flat_space):
     r1, r2 = np.random.default_rng(99), np.random.default_rng(99)
     assert [mixture.sample(r1) for _ in range(50)] == [mixture.sample(r2) for _ in range(50)]
     assert mixture.sample(np.random.default_rng(3)) == mixture.sample(np.random.default_rng(3))
+
+
+# --- rejection loops against a batch-at-a-time reference -------------------
+
+
+def reference_uniform(book, space, rng, n_max):
+    """(window, used_fallback): one 64-proposal batch at a time, scalar checks."""
+    if book.free_count == 0:
+        return None, False
+    remaining = n_max
+    while remaining > 0:
+        k = min(64, remaining)
+        remaining -= k
+        for index in rng.integers(0, space.window_count, size=k):
+            if book.flat[index] == 0:
+                return space.window_at(int(index)), False
+    free = np.flatnonzero(book.flat == 0)
+    return space.window_at(int(rng.choice(free))), True
+
+
+def reference_mixture(components, book, space, rng, n_max):
+    """The mixture's draw rule, one 64-proposal batch at a time, one proposal at a time."""
+    weights = np.array([c.weight for c in components])
+    cumulative = np.cumsum(weights / weights.sum())
+    remaining = n_max
+    while remaining > 0:
+        k = min(64, remaining)
+        remaining -= k
+        u = rng.random(k)
+        z = rng.standard_normal((k, 3))
+        for j in range(k):
+            c = components[min(int(np.searchsorted(cumulative, u[j], side="right")), len(components) - 1)]
+            sx, sy, ss = c.sigma
+            s = min(max(round(c.mean.s + z[j, 2] * ss), 0), space.scale_count - 1)
+            nx, ny = space.grid_size(s)
+            if nx == 0:
+                continue
+            zoom = space.zoom(c.mean.s)
+            cx = (c.mean.x * space.stride + space.template_w * 0.5) * zoom
+            cy = (c.mean.y * space.stride + space.template_h * 0.5) * zoom
+            gx = (cx / space._zoom_table[s] - space.template_w * 0.5) / space.stride
+            gy = (cy / space._zoom_table[s] - space.template_h * 0.5) / space.stride
+            x = min(max(round(gx + z[j, 0] * sx), 0), nx - 1)
+            y = min(max(round(gy + z[j, 1] * sy), 0), ny - 1)
+            w = Window(x, y, s)
+            if book.is_free(w):
+                return w
+    return None
+
+
+# three scales with windows and a fourth whose grid is empty
+PYRAMID = SearchSpace(40, 40, 16, 16, stride=1, scale_factor=1.5, scale_count=4)
+FLAT = SearchSpace(84, 54, 6, 6, stride=2, scale_factor=2.0, scale_count=1)
+DENTS = {"none": 0.0, "half": 0.5, "heavy": None}  # heavy: all but three cells claimed
+
+
+@pytest.mark.parametrize("n_max", [1, 40, 63, 64, 65, 1000])
+@pytest.mark.parametrize("dent", sorted(DENTS))
+@pytest.mark.parametrize("space", [FLAT, PYRAMID], ids=["flat", "pyramid"])
+def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
+    """Same window and same generator state as a batch-at-a-time loop, call after call."""
+    assert PYRAMID.grid_size(3) == (0, 0)
+    nones = fallbacks = 0
+    for seed in range(8):
+        setup = np.random.default_rng(1000 + seed)
+        book = RegionBook(space)
+        n = space.window_count
+        claimed = n - 3 if DENTS[dent] is None else int(DENTS[dent] * n)
+        mark_cells(book, space, setup.choice(n, size=claimed, replace=False))
+        means = [space.window_at(int(i)) for i in setup.choice(n, size=3, replace=False)]
+        sigmas = [(1.0, 1.0, 0.5), (3.0, 2.0, 1.5), (0.5, 4.0, 1.0)]
+        components = tuple(
+            GaussianComponent(mean, float(weight), sigma)
+            for mean, weight, sigma in zip(means, setup.uniform(0.1, 2.0, size=3), sigmas)
+        )
+        mixture = DentedGaussianMixture(components, book, space)
+        uniform = DentedUniform(book, space)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            got = mixture.sample(rng, n_max)
+            assert got == reference_mixture(components, book, space, ref, n_max)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            nones += got is None
+            got = uniform.sample(rng, n_max)
+            expected, fell_back = reference_uniform(book, space, ref, n_max)
+            assert got == expected
+            assert rng.bit_generator.state == ref.bit_generator.state
+            fallbacks += fell_back
+    if dent == "heavy" and n_max <= 65:
+        assert nones > 0 and fallbacks > 0
+
+
+def test_mixture_from_batch_matches_the_component_constructor():
+    space = PYRAMID
+    book = RegionBook(space)
+    setup = np.random.default_rng(5)
+    mark_cells(book, space, setup.choice(space.window_count, size=400, replace=False))
+    batch = [(space.window_at(int(i)), float(r)) for i, r in zip(
+        setup.choice(space.window_count, size=6, replace=False), setup.uniform(-2.0, 0.0, size=6)
+    )]
+    weights = normalize_weights([r for _, r in batch])
+    built = _mixture_from_batch(batch, book, space)
+    constructed = DentedGaussianMixture(
+        tuple(GaussianComponent(w, float(weight), default_sigma(space, w.s)) for (w, _), weight in zip(batch, weights)),
+        book,
+        space,
+    )
+    assert len(built) == len(constructed) == 6
+    assert [built.density_at(w) for w in space.windows()] == [constructed.density_at(w) for w in space.windows()]
+    assert sum(built.density_at(w) for w in space.windows()) == pytest.approx(1.0, abs=1e-6)
+    r1, r2 = np.random.default_rng(8), np.random.default_rng(8)
+    assert [built.sample(r1, 40) for _ in range(30)] == [constructed.sample(r2, 40) for _ in range(30)]
+    assert r1.bit_generator.state == r2.bit_generator.state
