@@ -25,7 +25,6 @@ from .harness import (
 from .proposal import (
     DentedGaussianMixture,
     DentedUniform,
-    GaussianComponent,
     MixtureWeights,
     mixture_weights,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "DentedUniform",
     "DetectionSet",
     "DetectorConfig",
-    "GaussianComponent",
     "Metrics",
     "MixtureWeights",
     "RadiusInterval",

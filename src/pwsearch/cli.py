@@ -186,6 +186,7 @@ def cmd_curves(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
+    cfg.load_scenes(Path(args.config).parent)
     _say(args, f"ok: {len(cfg.detectors)} detectors, {cfg.space.window_count} windows, "
                f"budgets {list(cfg.budgets)}")
     return EXIT_OK

@@ -4,8 +4,9 @@ A config names the search space, one or more detectors, a scene source
 (generator parameters or scene files), the experiment grid, and the cost
 model.  Validation happens in two passes: structural (JSON Schema, shipped in
 ``pwsearch/schemas/``) and semantic (cross-field rules the schema cannot
-express).  All failures raise :class:`ConfigError` with the offending field's
-path, before anything runs.
+express).  Scene files are checked against their own schema and the space's
+image size when the scenes are loaded.  All failures raise
+:class:`ConfigError` with the offending field's path, before anything runs.
 """
 
 from __future__ import annotations
@@ -68,11 +69,35 @@ class LoadedConfig:
     cost_model: CostModel
 
     def load_scenes(self, base_dir: Path | None = None) -> list[SyntheticScene]:
+        """The config's scenes: its files, read relative to ``base_dir`` and
+        checked against the scene schema and the space's image size, or
+        else freshly generated."""
         if self.scene_files:
             base = base_dir or Path(".")
-            return [SyntheticScene.load(base / f) for f in self.scene_files]
+            return [self._load_scene_file(base / f) for f in self.scene_files]
         assert self.scene_params is not None
         return generate_scenes(self.scene_params, self.scene_seed, self.scene_count)
+
+    def _load_scene_file(self, path: Path) -> SyntheticScene:
+        data = _read_json(path, "scene")
+        validate_scene_dict(data, path.name)
+        space = self.space
+        if (data["image_w"], data["image_h"]) != (space.image_w, space.image_h):
+            raise ConfigError(
+                path.name,
+                f"scene image {data['image_w']}x{data['image_h']} differs from the space's "
+                f"{space.image_w}x{space.image_h}",
+            )
+        return SyntheticScene.from_dict(data)
+
+
+def _read_json(path: Path, kind: str):
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError as exc:
+        raise ConfigError(str(path), f"{kind} file not found") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
 
 
 def _build_radius_table(data: dict, where: str) -> RadiusTable:
@@ -129,13 +154,7 @@ def _build_detector(data: dict, index: int) -> DetectorConfig:
 
 def load_config(path: str | Path) -> LoadedConfig:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(str(path), "config file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
-
+    data = _read_json(path, "config")
     _schema_check(data, "config.schema.json", path.name)
 
     space_data = data["space"]

@@ -223,14 +223,13 @@ def _mixture_from_batch(
     space: SearchSpace,
 ) -> DentedGaussianMixture:
     """The dented mixture of an ambiguity batch: one component per window,
-    weighted by its normalized response, with the default spread."""
-    if not batch:
-        return DentedGaussianMixture.empty(book, space)
+    weighted by its normalized response, with the default spread.  An empty
+    batch gives the empty mixture."""
     windows = [w for w, _ in batch]
     means = np.array([[w.x for w in windows], [w.y for w in windows], [w.s for w in windows]], dtype=np.int64)
-    weights = normalize_weights([resp for _, resp in batch])
+    weights = normalize_weights([resp for _, resp in batch]) if batch else np.zeros(0)
     sigma = default_sigma(space, 0)  # the same spread at every scale
-    return DentedGaussianMixture.from_arrays(means, weights, sigma, book, space)
+    return DentedGaussianMixture(means, weights, sigma, book, space)
 
 
 def run_mpw(
@@ -396,7 +395,7 @@ def run_ipw(
     rng = _rng(seed)
     trace = RunTrace(config.name, "ipw", seed, space.window_count)
     book = RegionBook(space)
-    state = _IncrementalState(book, DentedUniform(book, space), DentedGaussianMixture.empty(book, space), [])
+    state = _IncrementalState(book, DentedUniform(book, space), _mixture_from_batch([], book, space), [])
 
     for i in range(1, config.budget + 1):
         weights = mixture_weights(config.alpha, book.n_rejected, book.n_accepted, space.window_count)
@@ -426,7 +425,7 @@ def run_sipw(
     rng = _rng(seed)
     trace = RunTrace(config.name, "sipw", seed, space.window_count)
     book = RegionBook(space)
-    state = _IncrementalState(book, DentedUniform(book, space), DentedGaussianMixture.empty(book, space), [])
+    state = _IncrementalState(book, DentedUniform(book, space), _mixture_from_batch([], book, space), [])
 
     rebuilt_once = False
     interval = config.n_c_star_init if config.n_c_star_init is not None else config.budget // 2

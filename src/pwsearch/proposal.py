@@ -9,10 +9,11 @@ batch, the generator is rewound and the batches up to the hit are drawn
 again, so the random stream, and with it every draw, is that of a
 batch-at-a-time loop.
 
-``density_at`` serves tests and diagnostics.  The uniform's is exact.  The
-mixture's renormalizes each component over the free cells and uses the
-unclamped point density, so near grid borders, or when components are dented
-unevenly, it is not yet exactly the distribution ``sample`` draws.
+``density_at`` serves tests and diagnostics, and it is exactly the law that
+``sample`` draws whenever it returns a window: the undented proposal law on
+the cell, divided by that law's mass on the free cells.  For the mixture the
+proposal law is the weighted sum of each component's rounded and clamped
+normal masses, computed as CDF differences per axis.
 
 Mixture components are centered on previously drawn ambiguity windows and
 share one spread: one eighth of the template extent in grid cells per spatial
@@ -21,6 +22,8 @@ axis and one pyramid step on the scale axis.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +66,6 @@ def default_sigma(space: SearchSpace, s: int) -> tuple[float, float, float]:
     )
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    mean: Window
-    weight: float
-    sigma: tuple[float, float, float]
-
-
 def draw_gaussian_window(
     space: SearchSpace,
     mean: Window,
@@ -94,6 +90,20 @@ def draw_gaussian_window(
     x = min(max(x, 0), nx - 1)
     y = min(max(y, 0), ny - 1)
     return Window(x, y, s)
+
+
+_erf = np.frompyfunc(math.erf, 1, 1)  # numpy has no erf, and scipy is for tests only
+
+
+def _rounded_normal_mass(centre: np.ndarray, sigma: np.ndarray, size: int) -> np.ndarray:
+    """``(size, n)``: the law of ``clamp(rint(centre + sigma * z), 0, size - 1)``
+    for a standard normal ``z``, one column per centre.  Each cell gets the
+    normal mass between its half-integer edges; the clamped tails fall into
+    the two edge cells."""
+    edges = np.arange(size + 1) - 0.5
+    edges[0], edges[-1] = -np.inf, np.inf
+    cdf = 0.5 * (1.0 + _erf((edges[:, None] - centre) / (sigma * math.sqrt(2.0))).astype(float))
+    return np.diff(cdf, axis=0)
 
 
 _BATCH = 64  # proposals per batch: the unit of the generator-call sequence
@@ -178,54 +188,24 @@ class DentedUniform:
 class DentedGaussianMixture:
     """Weighted Gaussians around ambiguity windows, zeroed on claimed cells.
 
-    Components live in arrays: cumulative weights, integer means, sigmas and
-    each mean's grid centre projected onto every scale.  An empty mixture is
-    a valid zero density; sampling from it is a caller bug.  ``density_at``
-    renormalizes each component over the free cells of the current book
-    state (cached until the book changes), so densities over the whole grid
-    sum to one whenever the mixture is nonempty.
+    Built from ``(3, n)`` integer means (rows x, y, s), ``n`` nonnegative
+    weights, and sigmas (x, y, s) per component ``(3, n)`` or shared
+    ``(3,)``.  Components live in arrays: cumulative weights, means, sigmas
+    and each mean's grid centre projected onto every scale.  With ``n = 0``
+    the mixture is a valid zero density; sampling from it is a caller bug.
     """
 
     def __init__(
         self,
-        components: tuple[GaussianComponent, ...],
+        means: np.ndarray,
+        weights: np.ndarray,
+        sigma: np.ndarray,
         book: RegionBook,
         space: SearchSpace,
     ):
-        self._setup(
-            book,
-            space,
-            np.array([(c.mean.x, c.mean.y, c.mean.s) for c in components], dtype=np.int64).reshape(-1, 3).T,
-            np.array([c.weight for c in components], dtype=float),
-            np.array([c.sigma for c in components], dtype=float).reshape(-1, 3).T,
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        means: np.ndarray,
-        weights: np.ndarray,
-        sigma: np.ndarray,
-        book: RegionBook,
-        space: SearchSpace,
-    ) -> "DentedGaussianMixture":
-        """A mixture from ``(3, n)`` integer means (rows x, y, s), ``n``
-        weights, and sigmas (x, y, s) per component ``(3, n)`` or shared ``(3,)``."""
-        mixture = cls.__new__(cls)
-        mixture._setup(book, space, means, weights, np.asarray(sigma, dtype=float).reshape(3, -1))
-        return mixture
-
-    def _setup(
-        self,
-        book: RegionBook,
-        space: SearchSpace,
-        means: np.ndarray,
-        weights: np.ndarray,
-        sigma: np.ndarray,
-    ) -> None:
         self.book = book
         self.space = space
-        self._norm_cache: tuple[int, np.ndarray] | None = None
+        self._free_mass = (-1, 0.0)  # (book.free_count, table mass on free cells)
         self._size = means.shape[1]
         if not self._size:
             return
@@ -237,6 +217,7 @@ class DentedGaussianMixture:
         self._cumulative = np.cumsum(weights / total)
         mean_x, mean_y, mean_s = means
         self._mean_s = mean_s.astype(float)
+        sigma = np.asarray(sigma, dtype=float).reshape(3, -1)
         self._sx, self._sy, self._ss = np.broadcast_to(sigma, means.shape).astype(float)
         # Each mean's grid centre on every scale, (scale_count, n) per axis.
         # The original-image centre uses the scalar ``space.zoom`` of the
@@ -253,53 +234,32 @@ class DentedGaussianMixture:
     def __len__(self) -> int:
         return self._size
 
-    @classmethod
-    def empty(cls, book: RegionBook, space: SearchSpace) -> "DentedGaussianMixture":
-        return cls((), book, space)
-
-    def _component_scores(self, i: int, s: int) -> np.ndarray:
-        """Unnormalized density of component i over every cell of scale s."""
-        nx, ny = self.space.grid_size(s)
-        if nx == 0:
-            return np.zeros((0, 0))
-        xs = (np.arange(nx) - self._gx[s, i]) / self._sx[i]
-        ys = (np.arange(ny) - self._gy[s, i]) / self._sy[i]
-        ds = (s - self._mean_s[i]) / self._ss[i]
-        return np.exp(-0.5 * (xs[None, :] ** 2 + ys[:, None] ** 2 + ds**2))
-
-    def _normalizers(self) -> np.ndarray:
-        """Per-component sums over currently free cells."""
-        cached = self._norm_cache
-        if cached is not None and cached[0] == self.book.version:
-            return cached[1]
-        norms = np.zeros(len(self))
-        for i in range(len(self)):
-            total = 0.0
-            for s in range(self.space.scale_count):
-                scores = self._component_scores(i, s)
-                if scores.size:
-                    total += float(scores[self.book.free_mask(s)].sum())
-            norms[i] = total
-        self._norm_cache = (self.book.version, norms)
-        return norms
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """Probability that one undented proposal lands on each cell, in
+        dense index order; proposals on an empty scale land nowhere."""
+        on_scale = _rounded_normal_mass(self._mean_s, self._ss, self.space.scale_count)
+        on_scale *= np.diff(self._cumulative, prepend=0.0)
+        parts = []
+        for s in range(self.space.scale_count):
+            nx, ny = self.space.grid_size(s)
+            px = _rounded_normal_mass(self._gx[s], self._sx, nx)
+            py = _rounded_normal_mass(self._gy[s], self._sy, ny)
+            parts.append(((py * on_scale[s]) @ px.T).ravel())
+        return np.concatenate(parts)
 
     def density_at(self, w: Window) -> float:
-        if not len(self):
+        """Probability that ``sample`` returns ``w``, given that it returns a
+        window: the proposal law at ``w`` over its mass on the free cells."""
+        if not len(self) or self.book.state_at(w) != RegionKind.FREE:
             return 0.0
-        if self.book.state_at(w) != RegionKind.FREE:
-            return 0.0
-        norms = self._normalizers()
-        live = norms > 0.0
-        weights = np.diff(self._cumulative, prepend=0.0)
-        score = np.exp(
-            -0.5
-            * (
-                ((w.x - self._gx[w.s]) / self._sx) ** 2
-                + ((w.y - self._gy[w.s]) / self._sy) ** 2
-                + ((w.s - self._mean_s) / self._ss) ** 2
-            )
-        )
-        return float(np.sum(weights[live] * score[live] / norms[live]))
+        table = self._table
+        # Claims are permanent, so the free set changes exactly when its size does.
+        count, mass = self._free_mass
+        if count != self.book.free_count:
+            mass = float(table[self.book.flat == 0].sum())
+            self._free_mass = (self.book.free_count, mass)
+        return float(table[self.space.index_of(w)] / mass) if mass > 0.0 else 0.0
 
     def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
         """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.

@@ -132,7 +132,6 @@ class RegionBook:
             offset += nx * ny
         self._n_rejected = 0
         self._n_accepted = 0
-        self.version = 0
 
     @property
     def n_rejected(self) -> int:
@@ -153,9 +152,6 @@ class RegionBook:
 
     def is_free(self, w: Window) -> bool:
         return self.grids[w.s][w.y, w.x] == 0
-
-    def free_mask(self, s: int) -> np.ndarray:
-        return self.grids[s] == RegionKind.FREE
 
     def mark_rect(
         self, s: int, cx: int, cy: int, rx: int, ry: int, kind: RegionKind = RegionKind.REJECTED
@@ -180,7 +176,6 @@ class RegionBook:
                 self._n_rejected += n
             else:
                 self._n_accepted += n
-        self.version += 1
         return n
 
     def claim_cell(self, w: Window, kind: RegionKind = RegionKind.REJECTED) -> int:

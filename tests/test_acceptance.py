@@ -18,7 +18,6 @@ from scipy import stats
 from pwsearch import (
     DentedGaussianMixture,
     DentedUniform,
-    GaussianComponent,
     RegionBook,
     RegionKind,
     RunTrace,
@@ -283,7 +282,7 @@ def mirrored_ipw(space, scorer, config, seed):
     trace = RunTrace(config.name, "ipw", seed, space.window_count)
     book = RegionBook(space)
     state = _IncrementalState(
-        book, DentedUniform(book, space), DentedGaussianMixture.empty(book, space), []
+        book, DentedUniform(book, space), _mixture_from_batch([], book, space), []
     )
     conserved = True
     for i in range(1, config.budget + 1):
@@ -414,10 +413,9 @@ def test_criterion_9_counter_and_density_oracles(small_space, report):
     means = [space.window_at(int(i)) for i in rng.choice(free, size=3, replace=False)]
     weights = normalize_weights([0.5, 1.0, 2.0])
     mixture = DentedGaussianMixture(
-        tuple(
-            GaussianComponent(mean, weight, default_sigma(space, mean.s))
-            for mean, weight in zip(means, weights)
-        ),
+        np.array([(mean.x, mean.y, mean.s) for mean in means]).T,
+        weights,
+        np.array([default_sigma(space, mean.s) for mean in means]).T,
         book,
         space,
     )

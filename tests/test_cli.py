@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pwsearch.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from pwsearch.cli import EXIT_CONFIG, EXIT_OK, main
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -297,7 +297,7 @@ def test_semantic_config_errors(tmp_path):
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
 
-def test_broken_scene_file_is_runtime_error(tmp_path):
+def test_broken_scene_file_is_config_error(tmp_path):
     cfg = tiny_config()
     cfg["scenes"] = {"files": ["scene.json"]}
     (tmp_path / "scene.json").write_text("{}")
@@ -305,8 +305,27 @@ def test_broken_scene_file_is_runtime_error(tmp_path):
     path.write_text(json.dumps(cfg))
     assert (
         main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
-        == EXIT_RUNTIME
+        == EXIT_CONFIG
     )
+
+
+def test_scene_files_are_validated_with_the_config(tmp_path, capsys):
+    """validate-config and run reject a missing, partial or wrongly sized scene file."""
+    from pwsearch import Box, SyntheticScene
+
+    objects = ((Box(40.0, 30.0, 16.0, 24.0), 2.0),)
+    SyntheticScene(80, 60, objects, (), floor=-5.0, sharpness=3.0).save(tmp_path / "good.json")
+    SyntheticScene(320, 240, objects, (), floor=-5.0, sharpness=3.0).save(tmp_path / "large.json")
+    (tmp_path / "partial.json").write_text(json.dumps({"image_w": 80}))
+    path = tmp_path / "config.json"
+    cases = {"good": EXIT_OK, "large": EXIT_CONFIG, "partial": EXIT_CONFIG, "missing": EXIT_CONFIG}
+    for name, code in cases.items():
+        cfg = tiny_config()
+        cfg["scenes"] = {"files": [f"{name}.json"]}
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == code, name
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == code, name
+    assert "scene image 320x240 differs from the space's 80x60" in capsys.readouterr().err
 
 
 def test_scene_files_round_trip(tmp_path):

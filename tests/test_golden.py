@@ -1,8 +1,9 @@
-"""Pinned trace digests: any change to the incremental samplers' random stream fails here.
+"""Pinned trace digests: any change to a detector's draws or scores fails here.
 
 The digests are sha256 values of the ``trace.jsonl`` that ``run`` writes for
-``configs/synthetic.json``.  A speed-up of the samplers must reproduce them
-exactly.  A change that alters the draws on purpose updates them, and says so.
+each detector of ``configs/synthetic.json`` on scenes 0-2.  A speed-up of the
+samplers or of scoring must reproduce them exactly.  A change that alters
+the draws on purpose updates them, and says so.
 """
 
 import hashlib
@@ -21,6 +22,12 @@ GOLDEN = {
     ("sipw", 0): "1bea586e15e0c98e5f4376d1663aa973270ba3ca6a69860f0e29c9e3ebbe0413",
     ("sipw", 1): "85db6fa99ded6cd762b71ed38d3d0bf7108df6c98c658af04a9e490e73ba93cd",
     ("sipw", 2): "68a1834c17a61a8b1425f4f9f4cee99cdf4694bbe1163904341b7915c3df22bb",
+    ("mpw", 0): "4c82b86c7f9fbac0ee030f6b36fffd86f59f51005f6c399a2b511fcd558b6f6f",
+    ("mpw", 1): "50639afbdfdd576924027c4f1b833215207f695d048ad25eb46052b1c12325c5",
+    ("mpw", 2): "98fe4838287e8344d4e74301bde3503f8dee01c19012dcdb86bd7cd093aba159",
+    ("sw", 0): "8c8b1340aee583cab953ea9588cd7923469451d53291760db2e367017f6530b7",
+    ("sw", 1): "0ba15eede48251099fad12d7512d8ee33d0936c6e765c683ec9d974ec054c62e",
+    ("sw", 2): "6855fc161c95ae1874579c20121d631c34fbd2fd0f2bef8614036e18d09dd3a2",
 }
 
 

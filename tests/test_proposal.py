@@ -7,7 +7,6 @@ from scipy import stats
 from pwsearch import (
     DentedGaussianMixture,
     DentedUniform,
-    GaussianComponent,
     RegionBook,
     RegionKind,
     SearchSpace,
@@ -154,15 +153,23 @@ def test_gaussian_draw_tiny_sigma_returns_mean(flat_space, rng):
 # --- dented mixture -------------------------------------------------------
 
 
+def mixture_of(components, book, space):
+    """The mixture of ``(mean, weight, (sx, sy, ss))`` triples."""
+    means = np.array([(m.x, m.y, m.s) for m, _, _ in components], dtype=np.int64).reshape(-1, 3).T
+    weights = np.array([weight for _, weight, _ in components], dtype=float)
+    sigmas = np.array([sigma for _, _, sigma in components], dtype=float).reshape(-1, 3).T
+    return DentedGaussianMixture(means, weights, sigmas, book, space)
+
+
 def narrow(mean, weight):
-    return GaussianComponent(mean, weight, (1.0, 1.0, 1e-9))
+    return (mean, weight, (1.0, 1.0, 1e-9))
 
 
 def test_mixture_respects_component_weights(flat_space, rng):
     book = RegionBook(flat_space)
     left = narrow(Window(5, 12, 0), 0.9)
     right = narrow(Window(34, 12, 0), 0.1)
-    mixture = DentedGaussianMixture((left, right), book, flat_space)
+    mixture = mixture_of((left, right), book, flat_space)
     picks = [mixture.sample(rng) for _ in range(5000)]
     frac_left = np.mean([w.x < 20 for w in picks])
     assert frac_left == pytest.approx(0.9, abs=0.03)
@@ -170,9 +177,9 @@ def test_mixture_respects_component_weights(flat_space, rng):
 
 def test_mixture_weights_are_renormalized(flat_space, rng):
     book = RegionBook(flat_space)
-    a = GaussianComponent(Window(5, 12, 0), 3.0, (1.0, 1.0, 1e-9))
-    b = GaussianComponent(Window(34, 12, 0), 1.0, (1.0, 1.0, 1e-9))
-    mixture = DentedGaussianMixture((a, b), book, flat_space)
+    a = (Window(5, 12, 0), 3.0, (1.0, 1.0, 1e-9))
+    b = (Window(34, 12, 0), 1.0, (1.0, 1.0, 1e-9))
+    mixture = mixture_of((a, b), book, flat_space)
     picks = [mixture.sample(rng) for _ in range(4000)]
     frac_a = np.mean([w.x < 20 for w in picks])
     assert frac_a == pytest.approx(0.75, abs=0.03)
@@ -186,7 +193,7 @@ def test_mixture_never_returns_marked(flat_space, rng):
         for y in range(8, 17):
             if (x, y) != (mean.x, mean.y):
                 book.claim_cell(Window(x, y, 0))
-    mixture = DentedGaussianMixture((narrow(mean, 1.0),), book, flat_space)
+    mixture = mixture_of((narrow(mean, 1.0),), book, flat_space)
     for _ in range(500):
         w = mixture.sample(rng)
         assert w is not None
@@ -198,13 +205,13 @@ def test_mixture_exhausts_to_none(rng):
     book = RegionBook(sp)
     for w in sp.windows():
         book.claim_cell(w)
-    mixture = DentedGaussianMixture((narrow(Window(0, 0, 0), 1.0),), book, sp)
+    mixture = mixture_of((narrow(Window(0, 0, 0), 1.0),), book, sp)
     assert mixture.sample(rng, n_max=100) is None
 
 
 def test_empty_mixture_refuses_to_sample(flat_space, rng):
     book = RegionBook(flat_space)
-    mixture = DentedGaussianMixture.empty(book, flat_space)
+    mixture = _mixture_from_batch([], book, flat_space)
     assert len(mixture) == 0
     with pytest.raises(ValueError):
         mixture.sample(rng)
@@ -213,21 +220,19 @@ def test_empty_mixture_refuses_to_sample(flat_space, rng):
 def test_mixture_validation(flat_space):
     book = RegionBook(flat_space)
     with pytest.raises(ValueError):
-        DentedGaussianMixture((narrow(Window(0, 0, 0), -1.0),), book, flat_space)
+        mixture_of((narrow(Window(0, 0, 0), -1.0),), book, flat_space)
     with pytest.raises(ValueError):
-        DentedGaussianMixture(
-            (narrow(Window(0, 0, 0), 0.0), narrow(Window(1, 0, 0), 0.0)), book, flat_space
-        )
+        mixture_of((narrow(Window(0, 0, 0), 0.0), narrow(Window(1, 0, 0), 0.0)), book, flat_space)
 
 
 def test_mixture_density_sums_to_one(flat_space, rng):
     book = RegionBook(flat_space)
     mark_cells(book, flat_space, rng.choice(flat_space.window_count, 250, replace=False))
     comps = (
-        GaussianComponent(Window(10, 10, 0), 0.6, (2.0, 2.0, 1.0)),
-        GaussianComponent(Window(30, 14, 0), 0.4, (3.0, 1.5, 1.0)),
+        (Window(10, 10, 0), 0.6, (2.0, 2.0, 1.0)),
+        (Window(30, 14, 0), 0.4, (3.0, 1.5, 1.0)),
     )
-    mixture = DentedGaussianMixture(comps, book, flat_space)
+    mixture = mixture_of(comps, book, flat_space)
     total = sum(mixture.density_at(w) for w in flat_space.windows())
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -235,14 +240,14 @@ def test_mixture_density_sums_to_one(flat_space, rng):
 def test_mixture_density_zero_on_marked(flat_space):
     book = RegionBook(flat_space)
     book.claim_cell(Window(10, 10, 0))
-    mixture = DentedGaussianMixture((narrow(Window(10, 10, 0), 1.0),), book, flat_space)
+    mixture = mixture_of((narrow(Window(10, 10, 0), 1.0),), book, flat_space)
     assert mixture.density_at(Window(10, 10, 0)) == 0.0
 
 
 def test_mixture_density_tracks_book_changes(flat_space):
     book = RegionBook(flat_space)
-    comps = (GaussianComponent(Window(20, 12, 0), 1.0, (2.0, 2.0, 1.0)),)
-    mixture = DentedGaussianMixture(comps, book, flat_space)
+    comps = ((Window(20, 12, 0), 1.0, (2.0, 2.0, 1.0)),)
+    mixture = mixture_of(comps, book, flat_space)
     before = mixture.density_at(Window(21, 12, 0))
     book.mark_rect(0, 20, 12, 0, 0)  # claim the mode
     after = mixture.density_at(Window(21, 12, 0))
@@ -255,8 +260,8 @@ def test_mixture_sampling_matches_density_frequencies(flat_space, rng):
     """Observed draw frequencies agree with density_at across free cells."""
     book = RegionBook(flat_space)
     mark_cells(book, flat_space, range(0, 1000, 7))
-    comps = (GaussianComponent(Window(20, 12, 0), 1.0, (3.0, 3.0, 1.0)),)
-    mixture = DentedGaussianMixture(comps, book, flat_space)
+    comps = ((Window(20, 12, 0), 1.0, (3.0, 3.0, 1.0)),)
+    mixture = mixture_of(comps, book, flat_space)
     n = 30000
     counts = np.zeros(flat_space.window_count)
     for _ in range(n):
@@ -268,13 +273,56 @@ def test_mixture_sampling_matches_density_frequencies(flat_space, rng):
     assert result.pvalue > 0.001
 
 
+def stress_case(name):
+    """(space, book, components) for one case the law must survive."""
+    setup = np.random.default_rng(77)
+    space = PYRAMID if name == "pyramid" else FLAT
+    book = RegionBook(space)
+    n = space.window_count
+    if name == "uneven-dents":  # three quarters of the left component's neighbourhood claimed
+        near_left = [i for i in range(n) if abs(space.window_at(i).x - 10) <= 6]
+        mark_cells(book, space, setup.choice(near_left, size=3 * len(near_left) // 4, replace=False))
+        components = ((Window(10, 12, 0), 0.5, (3.0, 3.0, 1.0)), (Window(30, 12, 0), 0.5, (3.0, 3.0, 1.0)))
+    elif name == "corner":
+        mark_cells(book, space, range(0, n, 7))
+        components = ((Window(0, 0, 0), 1.0, (3.0, 3.0, 1.0)),)
+    elif name == "pyramid":  # proposals also land on the empty top scale
+        mark_cells(book, space, setup.choice(n, size=n // 3, replace=False))
+        components = ((Window(5, 5, 1), 0.6, (1.5, 1.0, 0.8)), (Window(1, 0, 2), 0.4, (0.7, 1.2, 1.5)))
+    else:  # heavy: all but 60 cells claimed
+        mark_cells(book, space, setup.choice(n, size=n - 60, replace=False))
+        components = ((Window(12, 8, 0), 0.3, (4.0, 2.0, 1.0)), (Window(28, 18, 0), 0.7, (2.0, 5.0, 1.0)))
+    return space, book, components
+
+
+@pytest.mark.parametrize("case", ["uneven-dents", "corner", "pyramid", "heavy"])
+def test_mixture_sampling_matches_density_under_stress(case, rng):
+    """Draw frequencies agree with density_at where components are dented
+    unevenly, clamp at the grid border, span many scales, or are mostly claimed."""
+    space, book, components = stress_case(case)
+    mixture = mixture_of(components, book, space)
+    n = 40000
+    counts = np.zeros(space.window_count)
+    for _ in range(n):
+        counts[space.index_of(mixture.sample(rng))] += 1
+    density = np.array([mixture.density_at(w) for w in space.windows()])
+    assert density.sum() == pytest.approx(1.0, abs=1e-9)
+    expected = density * n
+    keep = expected > 5  # chi-square wants populated bins; the rest are pooled into one
+    observed = np.append(counts[keep], counts[~keep].sum())
+    wanted = np.append(expected[keep], expected[~keep].sum())
+    if wanted[-1] <= 5:
+        observed, wanted = observed[:-1], wanted[:-1] * observed[:-1].sum() / wanted[:-1].sum()
+    assert stats.chisquare(observed, wanted).pvalue > 0.001
+
+
 def test_mixture_sample_deterministic(flat_space):
     book = RegionBook(flat_space)
     comps = (
-        GaussianComponent(Window(10, 10, 0), 0.5, (2.0, 2.0, 1.0)),
-        GaussianComponent(Window(30, 14, 0), 0.5, (2.0, 2.0, 1.0)),
+        (Window(10, 10, 0), 0.5, (2.0, 2.0, 1.0)),
+        (Window(30, 14, 0), 0.5, (2.0, 2.0, 1.0)),
     )
-    mixture = DentedGaussianMixture(comps, book, flat_space)
+    mixture = mixture_of(comps, book, flat_space)
     r1, r2 = np.random.default_rng(99), np.random.default_rng(99)
     assert [mixture.sample(r1) for _ in range(50)] == [mixture.sample(r2) for _ in range(50)]
     assert mixture.sample(np.random.default_rng(3)) == mixture.sample(np.random.default_rng(3))
@@ -300,7 +348,7 @@ def reference_uniform(book, space, rng, n_max):
 
 def reference_mixture(components, book, space, rng, n_max):
     """The mixture's draw rule, one 64-proposal batch at a time, one proposal at a time."""
-    weights = np.array([c.weight for c in components])
+    weights = np.array([weight for _, weight, _ in components])
     cumulative = np.cumsum(weights / weights.sum())
     remaining = n_max
     while remaining > 0:
@@ -309,15 +357,16 @@ def reference_mixture(components, book, space, rng, n_max):
         u = rng.random(k)
         z = rng.standard_normal((k, 3))
         for j in range(k):
-            c = components[min(int(np.searchsorted(cumulative, u[j], side="right")), len(components) - 1)]
-            sx, sy, ss = c.sigma
-            s = min(max(round(c.mean.s + z[j, 2] * ss), 0), space.scale_count - 1)
+            mean, _, (sx, sy, ss) = components[
+                min(int(np.searchsorted(cumulative, u[j], side="right")), len(components) - 1)
+            ]
+            s = min(max(round(mean.s + z[j, 2] * ss), 0), space.scale_count - 1)
             nx, ny = space.grid_size(s)
             if nx == 0:
                 continue
-            zoom = space.zoom(c.mean.s)
-            cx = (c.mean.x * space.stride + space.template_w * 0.5) * zoom
-            cy = (c.mean.y * space.stride + space.template_h * 0.5) * zoom
+            zoom = space.zoom(mean.s)
+            cx = (mean.x * space.stride + space.template_w * 0.5) * zoom
+            cy = (mean.y * space.stride + space.template_h * 0.5) * zoom
             gx = (cx / space._zoom_table[s] - space.template_w * 0.5) / space.stride
             gy = (cy / space._zoom_table[s] - space.template_h * 0.5) / space.stride
             x = min(max(round(gx + z[j, 0] * sx), 0), nx - 1)
@@ -350,10 +399,10 @@ def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
         means = [space.window_at(int(i)) for i in setup.choice(n, size=3, replace=False)]
         sigmas = [(1.0, 1.0, 0.5), (3.0, 2.0, 1.5), (0.5, 4.0, 1.0)]
         components = tuple(
-            GaussianComponent(mean, float(weight), sigma)
+            (mean, float(weight), sigma)
             for mean, weight, sigma in zip(means, setup.uniform(0.1, 2.0, size=3), sigmas)
         )
-        mixture = DentedGaussianMixture(components, book, space)
+        mixture = mixture_of(components, book, space)
         uniform = DentedUniform(book, space)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(4):
@@ -380,8 +429,8 @@ def test_mixture_from_batch_matches_the_component_constructor():
     )]
     weights = normalize_weights([r for _, r in batch])
     built = _mixture_from_batch(batch, book, space)
-    constructed = DentedGaussianMixture(
-        tuple(GaussianComponent(w, float(weight), default_sigma(space, w.s)) for (w, _), weight in zip(batch, weights)),
+    constructed = mixture_of(
+        tuple((w, float(weight), default_sigma(space, w.s)) for (w, _), weight in zip(batch, weights)),
         book,
         space,
     )

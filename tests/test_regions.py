@@ -154,13 +154,6 @@ def test_claim_cell(pyramid):
         book.claim_cell(Window(50, 50, 1))
 
 
-def test_version_advances_on_marks(pyramid):
-    book = RegionBook(pyramid)
-    v0 = book.version
-    book.mark_rect(0, 5, 5, 1, 1)
-    assert book.version > v0
-
-
 def test_counters_match_brute_force(pyramid, rng):
     book = RegionBook(pyramid)
     for _ in range(60):
@@ -181,16 +174,6 @@ def test_counters_match_brute_force(pyramid, rng):
     assert book.n_rejected == sum(s is RegionKind.REJECTED for s in states)
     assert book.n_accepted == sum(s is RegionKind.ACCEPTED for s in states)
     assert book.free_count == sum(s is RegionKind.FREE for s in states)
-
-
-def test_free_mask_matches_states(pyramid):
-    book = RegionBook(pyramid)
-    book.mark_rect(1, 6, 6, 2, 1)
-    mask = book.free_mask(1)
-    nx, ny = pyramid.grid_size(1)
-    for y in range(ny):
-        for x in range(nx):
-            assert mask[y, x] == book.is_free(Window(x, y, 1))
 
 
 # --- marking helpers ------------------------------------------------------
