@@ -4,8 +4,10 @@ A config names the search space, one or more detectors, a scene source
 (generator parameters or scene files), the experiment grid, and the cost
 model.  Validation happens in two passes: structural (JSON Schema, shipped in
 ``pwsearch/schemas/``) and semantic (cross-field rules the schema cannot
-express).  Scene files are checked against their own schema and the space's
-image size when the scenes are loaded.  All failures raise
+express).  Scene files are checked when the scenes are loaded: against their
+own schema, the space's image size, the scene's own rules (every peak above
+the floor) and, under the synthetic scorer, every detector's ``t_l`` (the
+floor must lie below it, as for generated scenes).  All failures raise
 :class:`ConfigError` with the offending field's path, before anything runs.
 """
 
@@ -70,8 +72,7 @@ class LoadedConfig:
 
     def load_scenes(self, base_dir: Path | None = None) -> list[SyntheticScene]:
         """The config's scenes: its files, read relative to ``base_dir`` and
-        checked against the scene schema and the space's image size, or
-        else freshly generated."""
+        checked as the module docstring lists, or else freshly generated."""
         if self.scene_files:
             base = base_dir or Path(".")
             return [self._load_scene_file(base / f) for f in self.scene_files]
@@ -88,7 +89,13 @@ class LoadedConfig:
                 f"scene image {data['image_w']}x{data['image_h']} differs from the space's "
                 f"{space.image_w}x{space.image_h}",
             )
-        return SyntheticScene.from_dict(data)
+        try:
+            scene = SyntheticScene.from_dict(data)
+        except ValueError as exc:
+            raise ConfigError(path.name, str(exc)) from exc
+        if self.scorer_kind == "synthetic":
+            _check_floor(scene.floor, self.detectors, f"{path.name}:floor")
+        return scene
 
 
 def _read_json(path: Path, kind: str):
@@ -98,6 +105,18 @@ def _read_json(path: Path, kind: str):
         raise ConfigError(str(path), f"{kind} file not found") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+
+
+def _check_floor(floor: float, detectors: tuple[DetectorConfig, ...], field: str | None = None) -> None:
+    """Raise unless a synthetic scene's ``floor`` lies below every detector's
+    ``t_l``; otherwise no background window is ever rejected.  The error names
+    ``field``, or else the detector's ``t_l``."""
+    for i, det in enumerate(detectors):
+        if not floor < det.t_l:
+            raise ConfigError(
+                field or f"detectors[{i}].t_l",
+                f"scene floor {floor} must lie below detectors[{i}].t_l = {det.t_l}",
+            )
 
 
 def _build_radius_table(data: dict, where: str) -> RadiusTable:
@@ -208,12 +227,8 @@ def load_config(path: str | Path) -> LoadedConfig:
     scorer = data.get("scorer", {})
     scorer_kind = scorer.get("kind", "synthetic")
 
-    for i, det in enumerate(detectors):
-        if scene_params is not None and scorer_kind == "synthetic":
-            if not scene_params.floor < det.t_l:
-                raise ConfigError(
-                    f"detectors[{i}].t_l", f"scene floor {scene_params.floor} must lie below t_l"
-                )
+    if scene_params is not None and scorer_kind == "synthetic":
+        _check_floor(scene_params.floor, detectors)
 
     cost = data.get("cost_model", {})
     return LoadedConfig(

@@ -2,10 +2,13 @@
 
 Four detectors share a trace format:
 
-* ``run_sw`` scores every window of its (typically coarse-stride) space.
+* ``run_sw`` scores every window of its (typically coarse-stride) space, in
+  one batch.
 * ``run_mpw`` spends its budget in a fixed number of stages; each stage draws
   from Gaussians centered on the previous stage's windows, weighted by their
-  normalized responses, with stage sizes decaying geometrically.
+  normalized responses, with stage sizes decaying geometrically.  A stage's
+  windows are all drawn before the stage is scored in one batch: no draw
+  within a stage depends on a score from the same stage.
 * ``run_ipw`` draws one window at a time from a blend of a dented uniform and
   a dented Gaussian mixture, and feeds every draw straight back into the
   region book: confident negatives reject a neighborhood, positives claim an
@@ -22,7 +25,9 @@ accepted trace kinds (RPW / ABPW / APW).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,20 +204,37 @@ def _rng(seed: int | None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def run_sw(space: SearchSpace, scorer: Scorer, config: DetectorConfig) -> RunTrace:
-    """Score every window of the space in enumeration order."""
-    trace = RunTrace(config.name, "sw", None, space.window_count)
-    n_ab = 0
-    for i, w in enumerate(space.windows(), start=1):
-        result = scorer.score(space, w)
-        kind = _classify(result.response, config)
+def _record_batch(
+    trace: RunTrace,
+    config: DetectorConfig,
+    windows: list[Window],
+    sources: Iterable[str],
+    responses: np.ndarray,
+    stages: np.ndarray,
+    n_ab: int,
+) -> int:
+    """Classify a scored batch and append its records after the trace's last
+    one; returns the running count of ambiguous windows.  These detectors
+    mark nothing, so the claimed-cell counters stay 0."""
+    i = len(trace.records)
+    for w, source, response, n_stages in zip(windows, sources, responses.tolist(), stages.tolist()):
+        i += 1
+        kind = _classify(response, config)
         if kind == KIND_ACCEPTED:
-            trace.accepted.append((w, result.response))
+            trace.accepted.append((w, response))
         elif kind == KIND_AMBIGUOUS:
             n_ab += 1
-        trace.records.append(
-            TraceRecord(i, w, result.response, kind, SOURCE_SCAN, 0, 0, n_ab, None, result.stages_evaluated)
-        )
+        trace.records.append(TraceRecord(i, w, response, kind, source, 0, 0, n_ab, None, n_stages))
+    return n_ab
+
+
+def run_sw(space: SearchSpace, scorer: Scorer, config: DetectorConfig) -> RunTrace:
+    """Score every window of the space, recorded in enumeration order."""
+    trace = RunTrace(config.name, "sw", None, space.window_count)
+    x, y, s = space.grid_coordinates()
+    responses, stages = scorer.score_many(space, x, y, s)
+    windows = list(map(Window, x.tolist(), y.tolist(), s.tolist()))
+    _record_batch(trace, config, windows, itertools.repeat(SOURCE_SCAN), responses, stages, 0)
     trace.complete = True
     return trace
 
@@ -254,24 +276,13 @@ def run_mpw(
     # Completed stages as (windows, cumulative weights) for the blend switch.
     stage_proposals: list[tuple[list[Window], np.ndarray]] = []
     n_ab = 0
-    i = 0
     for n_draw in schedule:
-        drawn: list[tuple[Window, float]] = []
-        for _ in range(n_draw):
-            i += 1
-            w, source = _mpw_draw(space, stage_proposals, config, rng)
-            result = scorer.score(space, w)
-            kind = _classify(result.response, config)
-            if kind == KIND_ACCEPTED:
-                trace.accepted.append((w, result.response))
-            elif kind == KIND_AMBIGUOUS:
-                n_ab += 1
-            drawn.append((w, result.response))
-            trace.records.append(
-                TraceRecord(i, w, result.response, kind, source, 0, 0, n_ab, None, result.stages_evaluated)
-            )
-        weights = normalize_weights([resp for _, resp in drawn])
-        stage_proposals.append(([w for w, _ in drawn], np.cumsum(weights)))
+        drawn = [_mpw_draw(space, stage_proposals, config, rng) for _ in range(n_draw)]
+        windows = [w for w, _ in drawn]
+        x, y, s = np.array([(w.x, w.y, w.s) for w in windows], dtype=np.int64).T
+        responses, stages = scorer.score_many(space, x, y, s)
+        n_ab = _record_batch(trace, config, windows, [src for _, src in drawn], responses, stages, n_ab)
+        stage_proposals.append((windows, np.cumsum(normalize_weights(responses))))
     trace.complete = False
     return trace
 

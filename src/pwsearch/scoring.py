@@ -1,6 +1,13 @@
 """Classifier-response models over a window space.
 
-Two scorers share one interface (``score(space, w) -> ScoreResult``):
+Two scorers share one interface with two entry points that compute one
+formula: ``score(space, w) -> ScoreResult`` for a single window, and
+``score_many(space, x, y, s) -> (responses, stages)`` for equal-length integer
+coordinate arrays in one numpy pass over a (windows x targets) array.  The
+results agree bit for bit, window by window.  The sliding-window scan and the
+staged sampler, whose windows do not depend on each other's scores within a
+scan or a stage, score through ``score_many``; the incremental samplers, which
+update their regions between draws, score one window at a time.
 
 * :class:`SyntheticScorer` evaluates a closed-form response landscape built
   from planted objects and distractors.  The response at a window is
@@ -44,7 +51,32 @@ class ScoreResult:
 
 
 class Scorer(Protocol):
+    """A classifier over one search space's windows.
+
+    ``score_many`` returns a float array of responses and an int array of
+    stages evaluated, each entry equal to what ``score`` gives for the same
+    window.  Both raise ``ValueError`` for a window outside the space.
+    """
+
     def score(self, space: SearchSpace, w: Window) -> ScoreResult: ...
+
+    def score_many(
+        self, space: SearchSpace, x: np.ndarray, y: np.ndarray, s: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]: ...
+
+
+def _checked_coordinates(
+    space: SearchSpace, x, y, s
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coordinates as int64 arrays; ValueError unless every window lies in the space."""
+    x, y, s = (np.asarray(a, dtype=np.int64) for a in (x, y, s))
+    if x.ndim != 1 or not x.shape == y.shape == s.shape:
+        raise ValueError("x, y and s must be 1-D arrays of one length")
+    inside = space.contains_many(x, y, s)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ValueError(f"window {Window(int(x[k]), int(y[k]), int(s[k]))} outside search space")
+    return x, y, s
 
 
 @dataclass(frozen=True)
@@ -148,24 +180,35 @@ class SyntheticScorer:
     def score(self, space: SearchSpace, w: Window) -> ScoreResult:
         if not space.contains(w):
             raise ValueError(f"window {w} outside search space")
-        return ScoreResult(self._response(space, w), 0)
+        return ScoreResult(float(self._response(space, w.x, w.y, w.s, space.zoom(w.s))), 0)
 
-    def _response(self, space: SearchSpace, w: Window) -> float:
+    def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
+        x, y, s = _checked_coordinates(space, x, y, s)
+        # Python-pow zooms, as ``score`` uses: ``space._zoom_table`` may differ in the last bit.
+        zooms = np.array([space.zoom(k) for k in range(space.scale_count)])
+        responses = self._response(space, x[:, None], y[:, None], s[:, None], zooms[s][:, None])
+        return responses, np.zeros(x.size, dtype=np.int64)
+
+    def _response(self, space: SearchSpace, x, y, s, z):
+        """Response at windows (x, y, s) whose scale zooms the image by z.
+
+        Scalars give one response; (n, 1) columns broadcast against the
+        targets and give n, each computed by the same operations in the same
+        order as the scalar, so equal to it bit for bit.
+        """
         scene = self.scene
-        if self._peak.size == 0:
-            return scene.floor
-        z = space.zoom(w.s)
-        cx = (w.x * space.stride + space.template_w * 0.5) * z
-        cy = (w.y * space.stride + space.template_h * 0.5) * z
+        cx = (x * space.stride + space.template_w * 0.5) * z
+        cy = (y * space.stride + space.template_h * 0.5) * z
         log_sf = math.log(space.scale_factor)
         target_s = np.log(self._w / space.template_w) / log_sf
         d = (
             np.abs(cx - self._cx) / self._w
             + np.abs(cy - self._cy) / self._h
-            + np.abs(w.s - target_s)
+            + np.abs(s - target_s)
         )
         values = scene.floor + (self._peak - scene.floor) * np.exp(-scene.sharpness * d)
-        return float(values.max())
+        # No value falls below the floor, so ``initial`` only answers a scene without targets.
+        return values.max(axis=-1, initial=scene.floor)
 
 
 class CascadeScorer:
@@ -203,11 +246,21 @@ class CascadeScorer:
     def score(self, space: SearchSpace, w: Window) -> ScoreResult:
         if not space.contains(w):
             raise ValueError(f"window {w} outside search space")
-        raw = self._landscape._response(space, w)
+        raw = self._landscape._response(space, w.x, w.y, w.s, space.zoom(w.s))
+        response, stages = self._quantize(raw)
+        return ScoreResult(float(response), int(stages))
+
+    def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
+        raw, _ = self._landscape.score_many(space, x, y, s)
+        return self._quantize(raw)
+
+    def _quantize(self, raw):
+        """(response, stages evaluated) for a raw response, scalar or array."""
         u = (raw - self.scene.floor) / (self.full_pass_response - self.scene.floor)
-        u = min(max(u, 0.0), 1.0)
-        passed = min(self.stages, int(u * self.stages + 1e-9))
-        return ScoreResult(passed / self.stages, min(passed + 1, self.stages))
+        u = np.minimum(np.maximum(u, 0.0), 1.0)
+        # astype truncates toward zero, as int() does
+        passed = np.minimum((u * self.stages + 1e-9).astype(np.int64), self.stages)
+        return passed / self.stages, np.minimum(passed + 1, self.stages)
 
 
 def normalize_weights(responses) -> np.ndarray:

@@ -124,6 +124,21 @@ class SearchSpace:
         y, x = divmod(rem, nx)
         return Window(x, y, s)
 
+    def contains_many(self, x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """:meth:`contains` for equal-length integer coordinate arrays: one flag per window."""
+        inside = (s >= 0) & (s < self.scale_count)
+        scale = np.where(inside, s, 0)
+        return inside & (x >= 0) & (x < self._nx_table[scale]) & (y >= 0) & (y < self._ny_table[scale])
+
+    def grid_coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, s) arrays of every window, in the order of :meth:`windows`."""
+        xs, ys, ss = [], [], []
+        for s, (nx, ny) in enumerate(self._per_scale):
+            xs.append(np.tile(np.arange(nx, dtype=np.int64), ny))
+            ys.append(np.repeat(np.arange(ny, dtype=np.int64), nx))
+            ss.append(np.full(nx * ny, s, dtype=np.int64))
+        return np.concatenate(xs), np.concatenate(ys), np.concatenate(ss)
+
     def windows(self) -> Iterator[Window]:
         """Every window: rows top to bottom, cells left to right, scales small to large."""
         for s in range(self.scale_count):

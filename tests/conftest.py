@@ -9,8 +9,25 @@ from pwsearch import (
     RadiusTable,
     ScalePropagation,
     SearchSpace,
+    SyntheticScene,
+    Window,
 )
 from pwsearch.harness import SceneParams, generate_scenes
+
+# Four scales; the template no longer fits at the top one, so it has no windows.
+PYRAMID = SearchSpace(40, 40, 16, 16, stride=1, scale_factor=1.5, scale_count=4)
+
+
+def pyramid_scene():
+    """An object at scale 1 and distractors at scales 0 and 2 of ``PYRAMID``."""
+    box = PYRAMID.to_box
+    return SyntheticScene(
+        40, 40,
+        objects=((box(Window(5, 7, 1)), 2.0),),
+        distractors=((box(Window(20, 3, 0)), -0.8), (box(Window(1, 1, 2)), -1.1)),
+        floor=-5.0,
+        sharpness=3.0,
+    )
 
 
 @pytest.fixture

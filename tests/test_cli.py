@@ -328,6 +328,36 @@ def test_scene_files_are_validated_with_the_config(tmp_path, capsys):
     assert "scene image 320x240 differs from the space's 80x60" in capsys.readouterr().err
 
 
+def test_scene_file_floor_and_peaks_are_config_errors(tmp_path, capsys):
+    """A scene file's floor must lie below t_l under the synthetic scorer, and
+    its peaks above its floor, as for generated scenes: both exit 2."""
+    from pwsearch import Box, SyntheticScene
+
+    objects = ((Box(40.0, 30.0, 16.0, 24.0), 2.0),)
+    SyntheticScene(80, 60, objects, (), floor=-1.5, sharpness=3.0).save(tmp_path / "high_floor.json")
+    low_peak = SyntheticScene(80, 60, objects, (), floor=-5.0, sharpness=3.0).to_dict()
+    low_peak["objects"][0]["peak"] = -5.0  # at the floor
+    (tmp_path / "low_peak.json").write_text(json.dumps(low_peak))
+    path = tmp_path / "config.json"
+    for name in ("high_floor", "low_peak"):
+        cfg = tiny_config()
+        cfg["scenes"] = {"files": [f"{name}.json"]}
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, name
+        run = ["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+        assert main(run) == EXIT_CONFIG, name
+    err = capsys.readouterr().err
+    assert "high_floor.json:floor: scene floor -1.5 must lie below detectors[0].t_l = -2.0" in err
+    assert "low_peak.json: target peak -5.0 must exceed floor -5.0" in err
+
+    # the cascade scorer reads responses in [0, 1], so the raw floor is not held to t_l
+    cfg = tiny_config()
+    cfg["scorer"] = {"kind": "cascade"}
+    cfg["scenes"] = {"files": ["high_floor.json"]}
+    path.write_text(json.dumps(cfg))
+    assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_OK
+
+
 def test_scene_files_round_trip(tmp_path):
     """Scenes may come from explicit files instead of the generator."""
     from pwsearch import Box, SyntheticScene

@@ -1,8 +1,10 @@
 """Pinned trace digests: any change to a detector's draws or scores fails here.
 
-The digests are sha256 values of the ``trace.jsonl`` that ``run`` writes for
-each detector of ``configs/synthetic.json`` on scenes 0-2.  A speed-up of the
-samplers or of scoring must reproduce them exactly.  A change that alters
+The digests are sha256 values of the ``trace.jsonl`` that ``run`` writes on
+scenes 0-2 for each detector of ``configs/synthetic.json`` (synthetic scorer)
+and for ``mpw`` and ``ipw`` of ``configs/face.json`` (cascade scorer; ``mpw``
+scores a stage in one batch, ``ipw`` one window at a time).  A speed-up of
+the samplers or of scoring must reproduce them exactly.  A change that alters
 the draws on purpose updates them, and says so.
 """
 
@@ -13,7 +15,7 @@ import pytest
 
 from pwsearch.cli import EXIT_OK, main
 
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synthetic.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
     ("ipw", 0): "bd08ee0deced6ec3a0d03b69d41b262c98a909c553cc1c1fa09a4b687e6fae69",
@@ -30,10 +32,27 @@ GOLDEN = {
     ("sw", 2): "6855fc161c95ae1874579c20121d631c34fbd2fd0f2bef8614036e18d09dd3a2",
 }
 
+GOLDEN_CASCADE = {
+    ("ipw", 0): "4dd1a3e7862e4d5571881046f90c6b64fb5285e9a2f8ab66f5d997615074c0e5",
+    ("ipw", 1): "0e4ffbbad537f82348a33e3afa47360ae60cdbbf46c1a4afb84226c50b65eec3",
+    ("ipw", 2): "4535f35d3f75390ca944b4dd038faa7b59eaf748b661bc23f30797a57429377d",
+    ("mpw", 0): "68faccc5f0a36589766981354dc20f1c81cc8c5a4ae4cf33c23e6e101ea43157",
+    ("mpw", 1): "4ad7bc71ee6a50da9a0f849c4b6c25b409b06f6d49038528907836eab02a21b1",
+    ("mpw", 2): "3ef2285eb07012d7568b4a110eb2484de97f99ea1dc995ff5604e7123ab0dfde",
+}
+
+
+def trace_digest(config: str, detector: str, scene: int, out: Path) -> str:
+    args = ["run", "--config", str(CONFIGS / config), "--detector", detector, "--scene", str(scene)]
+    assert main(args + ["--out", str(out), "--quiet"]) == EXIT_OK
+    return hashlib.sha256((out / "trace.jsonl").read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize(("detector", "scene"), sorted(GOLDEN))
 def test_run_trace_matches_pinned_digest(detector, scene, tmp_path):
-    args = ["run", "--config", str(CONFIG), "--detector", detector, "--scene", str(scene)]
-    assert main(args + ["--out", str(tmp_path), "--quiet"]) == EXIT_OK
-    digest = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest()
-    assert digest == GOLDEN[(detector, scene)]
+    assert trace_digest("synthetic.json", detector, scene, tmp_path) == GOLDEN[(detector, scene)]
+
+
+@pytest.mark.parametrize(("detector", "scene"), sorted(GOLDEN_CASCADE))
+def test_cascade_trace_matches_pinned_digest(detector, scene, tmp_path):
+    assert trace_digest("face.json", detector, scene, tmp_path) == GOLDEN_CASCADE[(detector, scene)]

@@ -17,6 +17,8 @@ from pwsearch.detectors import _mixture_from_batch
 from pwsearch.proposal import default_sigma, draw_gaussian_window
 from pwsearch.scoring import normalize_weights
 
+from conftest import PYRAMID
+
 
 @pytest.fixture
 def flat_space():
@@ -378,7 +380,6 @@ def reference_mixture(components, book, space, rng, n_max):
 
 
 # three scales with windows and a fourth whose grid is empty
-PYRAMID = SearchSpace(40, 40, 16, 16, stride=1, scale_factor=1.5, scale_count=4)
 FLAT = SearchSpace(84, 54, 6, 6, stride=2, scale_factor=2.0, scale_count=1)
 DENTS = {"none": 0.0, "half": 0.5, "heavy": None}  # heavy: all but three cells claimed
 

@@ -1,6 +1,7 @@
 """Synthetic response fields, the staged scorer, and weight normalization."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from pwsearch import (
     Window,
     normalize_weights,
 )
+from pwsearch.config import load_config
+
+from conftest import PYRAMID, pyramid_scene
 
 
 def scene_with(objects=(), distractors=(), floor=-5.0, sharpness=3.0, size=(64, 48)):
@@ -182,6 +186,72 @@ def test_cascade_monotone_toward_target(space):
     scorer = CascadeScorer(scene, stages=10)
     rs = [scorer.score(space, Window(20 + dx, 15, 0)).response for dx in range(10)]
     assert all(a >= b for a, b in zip(rs, rs[1:]))
+
+
+# --- batch scoring -------------------------------------------------------
+
+PEDESTRIAN = Path(__file__).resolve().parent.parent / "configs" / "pedestrian.json"
+SCORERS = {"synthetic": SyntheticScorer, "cascade": CascadeScorer}
+
+
+def batch_case(name):
+    """(space, scene) for one batch-scoring case."""
+    if name == "pedestrian-stride-8":
+        cfg = load_config(PEDESTRIAN)
+        return cfg.space.at_stride(8), cfg.load_scenes()[0]
+    if name == "last-bit-zoom":  # numpy's power and Python's differ at scale 4
+        space = SearchSpace(96, 96, 12, 12, stride=2, scale_factor=1.2, scale_count=6)
+        assert space.zoom(4) != space._zoom_table[4]
+        objects = [(space.to_box(Window(7, 9, 4)), 2.0), (space.to_box(Window(30, 3, 0)), 1.5)]
+        return space, scene_with(objects, [(space.to_box(Window(10, 20, 2)), -0.8)], size=(96, 96))
+    if name == "no-targets":
+        return SearchSpace(64, 48, 12, 12, stride=1, scale_factor=1.25, scale_count=3), scene_with(floor=-3.5)
+    assert name == "pyramid"
+    assert PYRAMID.grid_size(3) == (0, 0)
+    return PYRAMID, pyramid_scene()
+
+
+@pytest.mark.parametrize("kind", sorted(SCORERS))
+@pytest.mark.parametrize("case", ["pedestrian-stride-8", "no-targets", "pyramid", "last-bit-zoom"])
+def test_score_many_equals_score_window_by_window(case, kind):
+    space, scene = batch_case(case)
+    scorer = SCORERS[kind](scene)
+    x, y, s = space.grid_coordinates()
+    assert len(x) == space.window_count
+    responses, stages = scorer.score_many(space, x, y, s)
+    assert responses.dtype == np.float64 and stages.dtype == np.int64
+    singles = [scorer.score(space, w) for w in space.windows()]
+    # exact equality: a batch must reproduce every trace bit for bit
+    assert responses.tolist() == [r.response for r in singles]
+    assert stages.tolist() == [r.stages_evaluated for r in singles]
+    # scattered windows, not just the enumeration order
+    order = np.random.default_rng(3).permutation(len(x))[:500]
+    again, again_stages = scorer.score_many(space, x[order], y[order], s[order])
+    assert again.tolist() == responses[order].tolist()
+    assert again_stages.tolist() == stages[order].tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(SCORERS))
+def test_score_many_of_nothing_is_empty(kind, space):
+    scene = scene_with(objects=[(Box(20.0, 20.0, 12.0, 12.0), 2.0)])
+    empty = np.zeros(0, dtype=np.int64)
+    responses, stages = SCORERS[kind](scene).score_many(space, empty, empty, empty)
+    assert responses.shape == (0,) and responses.dtype == np.float64
+    assert stages.shape == (0,) and stages.dtype == np.int64
+
+
+@pytest.mark.parametrize("kind", sorted(SCORERS))
+def test_score_many_rejects_windows_outside_the_space(kind):
+    scorer = SCORERS[kind](pyramid_scene())
+    nx, ny = PYRAMID.grid_size(0)
+    for bad in [(nx, 0, 0), (0, ny, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 3), (0, 0, 4)]:
+        x, y, s = zip((0, 0, 0), (3, 3, 1), bad)  # the bad window last, after two good ones
+        with pytest.raises(ValueError, match="outside search space"):
+            scorer.score_many(PYRAMID, x, y, s)
+        with pytest.raises(ValueError, match="outside search space"):
+            scorer.score(PYRAMID, Window(*bad))
+    with pytest.raises(ValueError):
+        scorer.score_many(PYRAMID, [0, 1], [0], [0])
 
 
 # --- weight normalization ------------------------------------------------
