@@ -228,8 +228,16 @@ def _record_batch(
     return n_ab
 
 
-def run_sw(space: SearchSpace, scorer: Scorer, config: DetectorConfig) -> RunTrace:
-    """Score every window of the space, recorded in enumeration order."""
+def run_sw(
+    space: SearchSpace,
+    scorer: Scorer,
+    config: DetectorConfig,
+    seed: int | None = None,
+) -> RunTrace:
+    """Score every window of the space, recorded in enumeration order.
+
+    A scan draws nothing, so ``seed`` is ignored; it is taken so that every
+    detector runs through the same call."""
     trace = RunTrace(config.name, "sw", None, space.window_count)
     x, y, s = space.grid_coordinates()
     responses, stages = scorer.score_many(space, x, y, s)
@@ -243,15 +251,31 @@ def _mixture_from_batch(
     batch: list[tuple[Window, float]],
     book: RegionBook,
     space: SearchSpace,
+    previous: DentedGaussianMixture | None = None,
 ) -> DentedGaussianMixture:
     """The dented mixture of an ambiguity batch: one component per window,
     weighted by its normalized response, with the default spread.  An empty
-    batch gives the empty mixture."""
-    windows = [w for w, _ in batch]
-    means = np.array([[w.x for w in windows], [w.y for w in windows], [w.s for w in windows]], dtype=np.int64)
-    weights = normalize_weights([resp for _, resp in batch]) if batch else np.zeros(0)
+    batch gives the empty mixture.
+
+    ``previous``, the mixture of all but the batch's last window, is extended
+    by that window instead of rebuilt: only the new mean is projected, and the
+    weights are renormalized from the responses ``previous`` carries.
+    """
+    if previous is not None:
+        if len(previous) != len(batch) - 1:
+            raise ValueError("previous must be the mixture of all but the last window")
+        w, response = batch[-1]
+        means = np.concatenate([previous.means, [[w.x], [w.y], [w.s]]], axis=1)
+        responses = np.append(previous.responses, response)
+    else:
+        windows = [w for w, _ in batch]
+        means = np.array([[w.x for w in windows], [w.y for w in windows], [w.s for w in windows]], dtype=np.int64)
+        responses = np.array([resp for _, resp in batch], dtype=float)
+    weights = normalize_weights(responses) if batch else np.zeros(0)
     sigma = default_sigma(space, 0)  # the same spread at every scale
-    return DentedGaussianMixture(means, weights, sigma, book, space)
+    mixture = DentedGaussianMixture(means, weights, sigma, book, space, extends=previous)
+    mixture.responses = responses  # what the next extension renormalizes
+    return mixture
 
 
 def run_mpw(
@@ -399,7 +423,11 @@ def run_ipw(
     config: DetectorConfig,
     seed: int | None = None,
 ) -> RunTrace:
-    """Incremental search: every draw updates the dent, ambiguity reshapes the mixture."""
+    """Incremental search: every draw updates the dent, ambiguity reshapes the mixture.
+
+    Each ambiguous window extends the mixture by one component, and the
+    weights of all components are renormalized from the batch's responses.
+    """
     if space.window_count == 0:
         raise ValueError("search space has no windows")
     seed = config.seed if seed is None else seed
@@ -414,7 +442,7 @@ def run_ipw(
         if trace.complete:
             break
         if new_ambiguous:
-            state.mixture = _mixture_from_batch(state.ambiguous, book, space)
+            state.mixture = _mixture_from_batch(state.ambiguous, book, space, state.mixture)
     return trace
 
 

@@ -239,7 +239,7 @@ def extract_curves(trace: RunTrace) -> dict[str, list]:
 
 # --- scorers and single runs -------------------------------------------------
 
-_RUNNERS = {"mpw": run_mpw, "ipw": run_ipw, "sipw": run_sipw}
+_RUNNERS = {"sw": run_sw, "mpw": run_mpw, "ipw": run_ipw, "sipw": run_sipw}
 
 
 def build_scorer(scene: SyntheticScene, kind: str = "synthetic", cascade_stages: int = 10) -> Scorer:
@@ -256,8 +256,6 @@ def run_detector(
     config: DetectorConfig,
     seed: int | None = None,
 ) -> RunTrace:
-    if config.algorithm == "sw":
-        return run_sw(space, scorer, config)
     return _RUNNERS[config.algorithm](space, scorer, config, seed)
 
 

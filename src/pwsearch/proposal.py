@@ -9,6 +9,12 @@ batch, the generator is rewound and the batches up to the hit are drawn
 again, so the random stream, and with it every draw, is that of a
 batch-at-a-time loop.
 
+When the uniform's proposals all miss, it draws from the explicit free set,
+which it keeps from one such fallback to the next.  Claims are permanent, so
+the free set changes exactly when its size does, and the new one is the kept
+one minus the cells claimed since: filtering the kept array gives the same
+sorted array a scan of the book would, so only the first fallback scans.
+
 ``density_at`` serves tests and diagnostics, and it is exactly the law that
 ``sample`` draws whenever it returns a window: the undented proposal law on
 the cell, divided by that law's mass on the free cells.  For the mixture the
@@ -17,7 +23,8 @@ normal masses, computed as CDF differences per axis.
 
 Mixture components are centered on previously drawn ambiguity windows and
 share one spread: one eighth of the template extent in grid cells per spatial
-axis and one pyramid step on the scale axis.
+axis and one pyramid step on the scale axis.  A mixture that adds components
+to another one reuses its projected centres and computes only the new ones.
 """
 
 from __future__ import annotations
@@ -152,6 +159,7 @@ class DentedUniform:
             raise ValueError("search space has no windows")
         self.book = book
         self.space = space
+        self._free = (-1, None)  # (book.free_count, sorted indices of the free cells)
 
     def density_at(self, w: Window) -> float:
         if self.book.state_at(w) != RegionKind.FREE:
@@ -168,6 +176,12 @@ class DentedUniform:
         after the hit.  When the loop comes up empty but free cells remain,
         one is drawn from the explicit free set, so None strictly means
         ``free_count == 0``.
+
+        The free set is kept from one fallback to the next.  Claims are
+        permanent, so the free set changes exactly when its size does, and
+        then the new one is the old one minus the cells claimed since: the
+        kept array is filtered, and only the first fallback scans the book.
+        It stays sorted, so the draw is the one a fresh scan would give.
         """
         if self.book.free_count == 0:
             return None
@@ -181,7 +195,10 @@ class DentedUniform:
             hits = np.nonzero(flat[indices] == 0)[0]
             if hits.size:
                 return self.space.window_at(int(indices[hits[0]]))
-        free = np.flatnonzero(flat == 0)
+        count, free = self._free
+        if count != self.book.free_count:
+            free = np.flatnonzero(flat == 0) if free is None else free[flat.take(free) == 0]
+            self._free = (self.book.free_count, free)
         return self.space.window_at(int(rng.choice(free)))
 
 
@@ -193,6 +210,11 @@ class DentedGaussianMixture:
     ``(3,)``.  Components live in arrays: cumulative weights, means, sigmas
     and each mean's grid centre projected onto every scale.  With ``n = 0``
     the mixture is a valid zero density; sampling from it is a caller bug.
+
+    ``extends`` may name a mixture over the same space whose means are the
+    leading columns of ``means``, a promise the caller keeps; its projected
+    centres are reused and only the new means are projected.  The result is
+    the same mixture either way.
     """
 
     def __init__(
@@ -202,9 +224,11 @@ class DentedGaussianMixture:
         sigma: np.ndarray,
         book: RegionBook,
         space: SearchSpace,
+        extends: DentedGaussianMixture | None = None,
     ):
         self.book = book
         self.space = space
+        self.means = means
         self._free_mass = (-1, 0.0)  # (book.free_count, table mass on free cells)
         self._size = means.shape[1]
         if not self._size:
@@ -215,21 +239,25 @@ class DentedGaussianMixture:
         if total <= 0.0:
             raise ValueError("component weights must not all be zero")
         self._cumulative = np.cumsum(weights / total)
-        mean_x, mean_y, mean_s = means
-        self._mean_s = mean_s.astype(float)
+        self._mean_s = means[2].astype(float)
         sigma = np.asarray(sigma, dtype=float).reshape(3, -1)
         self._sx, self._sy, self._ss = np.broadcast_to(sigma, means.shape).astype(float)
-        # Each mean's grid centre on every scale, (scale_count, n) per axis.
-        # The original-image centre uses the scalar ``space.zoom`` of the
-        # mean's own scale and is divided by the zoom table of the landing
-        # scale.  The two zooms can differ in the last bit, so changing
-        # either one moves the rounding of some draws.
+        known = len(extends) if extends is not None else 0
+        # Each new mean's grid centre on every scale, (scale_count, n) per
+        # axis.  The original-image centre uses the scalar ``space.zoom`` of
+        # the mean's own scale and is divided by the zoom table of the
+        # landing scale.  The two zooms can differ in the last bit, so
+        # changing either one moves the rounding of some draws.
+        mean_x, mean_y, mean_s = means[:, known:]
         zoom = np.array([space.zoom(s) for s in range(space.scale_count)])[mean_s]
         to_scale = space._zoom_table[:, None]
         centre_x = (mean_x * space.stride + space.template_w * 0.5) * zoom
         centre_y = (mean_y * space.stride + space.template_h * 0.5) * zoom
         self._gx = (centre_x / to_scale - space.template_w * 0.5) / space.stride
         self._gy = (centre_y / to_scale - space.template_h * 0.5) / space.stride
+        if known:
+            self._gx = np.concatenate([extends._gx, self._gx], axis=1)
+            self._gy = np.concatenate([extends._gy, self._gy], axis=1)
 
     def __len__(self) -> int:
         return self._size

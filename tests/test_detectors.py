@@ -20,7 +20,7 @@ from pwsearch import (
 )
 from pwsearch import detectors
 from pwsearch.detectors import TraceRecord, detections_from_trace, schedule_for_budget
-from pwsearch.harness import build_scorer
+from pwsearch.harness import build_scorer, run_detector
 from pwsearch.proposal import default_sigma, draw_gaussian_window
 from pwsearch.scoring import normalize_weights
 
@@ -103,6 +103,15 @@ def test_scan_marks_nothing(bench_space, bench_scenes):
     trace = run_sw(space, build_scorer(bench_scenes[0]), config)
     assert all(rec.n_rejected == 0 and rec.n_accepted == 0 for rec in trace.records)
     assert all(rec.source == "SCAN" for rec in trace.records)
+
+
+def test_scan_runs_through_the_common_call_and_ignores_the_seed(bench_space, bench_scenes):
+    space = bench_space.at_stride(8)
+    config = DetectorConfig(name="sw", algorithm="sw", t_l=-2.0, t_h=0.0)
+    scorer = build_scorer(bench_scenes[0])
+    trace = run_sw(space, scorer, config)
+    assert run_sw(space, scorer, config, 1) == run_detector(space, scorer, config, 2) == trace
+    assert trace.seed is None
 
 
 # --- staged mixture -------------------------------------------------------

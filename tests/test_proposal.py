@@ -441,3 +441,66 @@ def test_mixture_from_batch_matches_the_component_constructor():
     r1, r2 = np.random.default_rng(8), np.random.default_rng(8)
     assert [built.sample(r1, 40) for _ in range(30)] == [constructed.sample(r2, 40) for _ in range(30)]
     assert r1.bit_generator.state == r2.bit_generator.state
+
+
+@pytest.mark.parametrize("space", [FLAT, PYRAMID], ids=["flat", "pyramid"])
+def test_uniform_free_set_follows_the_book(space):
+    """A sampler kept while the book fills draws what a fresh scan would.
+
+    Every returned cell is claimed before the next call, and now and then a
+    rectangle around a random cell, so the free set the fallback keeps goes
+    stale between calls and has to shrink with the book, until None.
+    """
+    fallbacks = 0
+    for seed in range(4):
+        setup = np.random.default_rng(2000 + seed)
+        book = RegionBook(space)
+        n = space.window_count
+        mark_cells(book, space, setup.choice(n, size=n - 80, replace=False))
+        uniform = DentedUniform(book, space)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        while True:
+            got = uniform.sample(rng, 16)
+            expected, fell_back = reference_uniform(book, space, ref, 16)
+            assert got == expected
+            assert rng.bit_generator.state == ref.bit_generator.state
+            if got is None:
+                break
+            fallbacks += fell_back
+            book.claim_cell(got)
+            if setup.random() < 0.2:
+                w = space.window_at(int(setup.integers(n)))
+                book.mark_rect(w.s, w.x, w.y, 1, 1)
+        assert book.free_count == 0
+    assert fallbacks > 40
+
+
+def test_grown_mixture_equals_a_fresh_build():
+    """Extending the mixture by each new ambiguous window equals building it
+    from the whole batch: size, density on every cell, draws and generator
+    state, after every one of 30 extensions."""
+    space = PYRAMID
+    book = RegionBook(space)
+    setup = np.random.default_rng(11)
+    mark_cells(book, space, setup.choice(space.window_count, size=200, replace=False))
+    responses = setup.uniform(-1.9, -0.1, size=30)
+    responses[:3] = (0.5, 0.2, 0.9)  # no shift while the batch is nonnegative
+    responses[17] = -5.0  # lowers the batch minimum, so every weight moves
+    assert responses[17] < responses[:17].min()
+    batch = []
+    grown = _mixture_from_batch(batch, book, space)
+    for response in responses:
+        w = space.window_at(int(setup.choice(np.flatnonzero(book.flat == 0))))
+        batch.append((w, float(response)))
+        book.claim_cell(w)  # as the incremental loop does
+        if len(grown):  # fill the previous mixture's caches for the book as it now is
+            grown.density_at(space.window_at(int(np.flatnonzero(book.flat == 0)[0])))
+        grown = _mixture_from_batch(batch, book, space, grown)
+        fresh = _mixture_from_batch(batch, book, space)
+        assert len(grown) == len(fresh) == len(batch)
+        assert [grown.density_at(v) for v in space.windows()] == [fresh.density_at(v) for v in space.windows()]
+        r1, r2 = np.random.default_rng(len(batch)), np.random.default_rng(len(batch))
+        assert [grown.sample(r1, 40) for _ in range(30)] == [fresh.sample(r2, 40) for _ in range(30)]
+        assert r1.bit_generator.state == r2.bit_generator.state
+    with pytest.raises(ValueError):
+        _mixture_from_batch(batch, book, space, _mixture_from_batch(batch[:-2], book, space))
