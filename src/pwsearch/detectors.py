@@ -79,7 +79,6 @@ class DetectorConfig:
     r_a_y_ratio: float = 0.0
     reject_propagation: ScalePropagation = ScalePropagation(0, 1.0)
     accept_propagation: ScalePropagation = ScalePropagation(0, 1.0)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("sw", "mpw", "ipw", "sipw"):
@@ -200,7 +199,7 @@ def _classify(response: float, config: DetectorConfig) -> str:
     return KIND_AMBIGUOUS
 
 
-def _rng(seed: int | None) -> np.random.Generator:
+def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -282,7 +281,7 @@ def run_mpw(
     space: SearchSpace,
     scorer: Scorer,
     config: DetectorConfig,
-    seed: int | None = None,
+    seed: int,
 ) -> RunTrace:
     """Staged mixture search: uniform first stage, then response-weighted Gaussians.
 
@@ -292,7 +291,6 @@ def run_mpw(
     """
     if space.window_count == 0:
         raise ValueError("search space has no windows")
-    seed = config.seed if seed is None else seed
     rng = _rng(seed)
     trace = RunTrace(config.name, "mpw", seed, space.window_count)
     schedule = schedule_for_budget(config.budget, config.gamma, config.mpw_stage_count)
@@ -421,7 +419,7 @@ def run_ipw(
     space: SearchSpace,
     scorer: Scorer,
     config: DetectorConfig,
-    seed: int | None = None,
+    seed: int,
 ) -> RunTrace:
     """Incremental search: every draw updates the dent, ambiguity reshapes the mixture.
 
@@ -430,7 +428,6 @@ def run_ipw(
     """
     if space.window_count == 0:
         raise ValueError("search space has no windows")
-    seed = config.seed if seed is None else seed
     rng = _rng(seed)
     trace = RunTrace(config.name, "ipw", seed, space.window_count)
     book = RegionBook(space)
@@ -450,7 +447,7 @@ def run_sipw(
     space: SearchSpace,
     scorer: Scorer,
     config: DetectorConfig,
-    seed: int | None = None,
+    seed: int,
 ) -> RunTrace:
     """Staged incremental search: the mixture is frozen between rebuild points.
 
@@ -460,7 +457,6 @@ def run_sipw(
     """
     if space.window_count == 0:
         raise ValueError("search space has no windows")
-    seed = config.seed if seed is None else seed
     rng = _rng(seed)
     trace = RunTrace(config.name, "sipw", seed, space.window_count)
     book = RegionBook(space)

@@ -1,7 +1,7 @@
 """Experiment harness: scenes, metrics, cost accounting, curves, orchestration.
 
 Runs are deterministic functions of (config, master seed).  Paired
-comparisons give every detector the same scenes and the same per-trial seed,
+comparisons give every detector the same scenes and the same per-scene seed,
 so differences come from the algorithms alone.  Serialized outputs carry no
 wall-clock or environment state: rerunning a seed reproduces them byte for
 byte.
@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .detectors import (
+    KIND_ACCEPTED,
     DetectionSet,
     DetectorConfig,
     RunTrace,
@@ -254,7 +255,7 @@ def run_detector(
     space: SearchSpace,
     scorer: Scorer,
     config: DetectorConfig,
-    seed: int | None = None,
+    seed: int,
 ) -> RunTrace:
     return _RUNNERS[config.algorithm](space, scorer, config, seed)
 
@@ -265,22 +266,45 @@ def run_cell(
     detector: DetectorConfig,
     seed: int,
 ) -> tuple[RunTrace, DetectionSet, Metrics]:
-    """Run one detector on one scene and score it: the single run path.
-
-    ``sw`` scans the grid at ``cfg.sw_stride``; every other detector samples
-    ``cfg.space``.  Metrics carry the windows used and the modelled cost.
-    """
-    space = cfg.space.at_stride(cfg.sw_stride) if detector.algorithm == "sw" else cfg.space
+    """Run one detector on one scene and score it: the single run path."""
     scorer = build_scorer(scene, cfg.scorer_kind, cfg.cascade_stages)
-    trace = run_detector(space, scorer, detector, seed)
-    detections = detections_from_trace(space, trace, cfg.nms_iou)
+    trace = run_detector(_space_for(cfg, detector.algorithm), scorer, detector, seed)
+    return (trace, *_score_trace(cfg, scene, trace))
+
+
+def _space_for(cfg: LoadedConfig, algorithm: str) -> SearchSpace:
+    """``sw`` scans the grid at ``cfg.sw_stride``; every other detector samples ``cfg.space``."""
+    return cfg.space.at_stride(cfg.sw_stride) if algorithm == "sw" else cfg.space
+
+
+def _score_trace(cfg: LoadedConfig, scene: SyntheticScene, trace: RunTrace) -> tuple[DetectionSet, Metrics]:
+    """A run's detections and metrics; the metrics carry the windows used and the modelled cost."""
+    detections = detections_from_trace(_space_for(cfg, trace.algorithm), trace, cfg.nms_iou)
     metrics = evaluate(detections, [box for box, _ in scene.objects], cfg.match_iou)
     metrics = replace(
         metrics,
         windows_used=len(trace.records),
         cost=cost_estimate(trace, cfg.cost_model),
     )
-    return trace, detections, metrics
+    return detections, metrics
+
+
+NESTING = ("sw", "ipw")  # detectors whose run at a budget is cut from a longer run
+
+
+def trace_at_budget(trace: RunTrace, budget: int) -> RunTrace:
+    """The trace the same run would give at ``budget``, for a detector in ``NESTING``.
+
+    ``ipw``'s budget only stops its loop, so the run at a smaller budget is the
+    first ``budget`` records with the windows accepted among them, and it sees
+    the free space run out only if the longer run ended within ``budget``.
+    ``sw`` ignores the budget and keeps its whole scan.
+    """
+    if trace.algorithm == "sw" or len(trace.records) < budget:
+        return trace
+    records = trace.records[:budget]
+    accepted = sum(rec.kind == KIND_ACCEPTED for rec in records)
+    return replace(trace, records=records, accepted=trace.accepted[:accepted], complete=False)
 
 
 @dataclass(frozen=True)
@@ -313,9 +337,10 @@ class RunResult:
         }
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
-    """Stable per-trial seed from the master seed and grid coordinates."""
-    seq = np.random.SeedSequence([master_seed, *indices])
+def derive_seed(master_seed: int, scene: int) -> int:
+    """The seed of every run on scene ``scene``: the one rule of ``run``,
+    ``compare`` and ``sweep``, whatever the detector or budget."""
+    seq = np.random.SeedSequence([master_seed, scene])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -333,14 +358,20 @@ def parallel_map(fn: Callable, tasks: Sequence, jobs: int = 1) -> list:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (jobs * 4))))
 
 
-def _compare_cell(task) -> RunResult:
-    cfg, scene_index, scene, detector, budget, seed = task
-    if detector.algorithm != "sw":
-        detector = replace(detector, budget=budget)
-    trace, _, metrics = run_cell(cfg, scene, detector, seed)
-    return RunResult(
-        scene_index, detector.name, detector.algorithm, budget, seed, metrics, trace.complete
-    )
+def _compare_rows(task) -> list[RunResult]:
+    """One run of a detector on a scene at the largest of ``budgets``, and one
+    row per budget cut from it; ``budgets`` holds more than one budget only
+    for a detector in ``NESTING``."""
+    cfg, scene_index, scene, detector, budgets = task
+    seed = derive_seed(cfg.seed, scene_index)
+    top = max(budgets)
+    full, _, full_metrics = run_cell(cfg, scene, replace(detector, budget=top), seed)
+    rows = []
+    for budget in budgets:
+        trace = full if budget == top else trace_at_budget(full, budget)
+        metrics = full_metrics if trace is full else _score_trace(cfg, scene, trace)[1]
+        rows.append(RunResult(scene_index, detector.name, detector.algorithm, budget, seed, metrics, trace.complete))
+    return rows
 
 
 def run_experiment(
@@ -348,34 +379,22 @@ def run_experiment(
     scenes: Sequence[SyntheticScene],
     jobs: int = 1,
 ) -> list[RunResult]:
-    """Every (scene, detector, budget) cell, in deterministic order.
+    """Every (scene, detector, budget) row, in deterministic order.
 
-    Each cell is seeded from (seed, scene index, budget index), so all
-    detectors of a cell see the same seed.  ``sw`` ignores budget and seed,
-    so it scans each scene once: its first budget row runs, and each later
-    row copies the row before it with its own budget and seed.
+    Every row of a scene carries the seed ``run`` uses for that scene, so a
+    row replays as ``run`` with the detector's budget set to the row's.  A
+    detector in ``NESTING`` runs once per scene, at the largest budget, and
+    each budget's row is cut from that trace by :func:`trace_at_budget`.
+    ``mpw`` and ``sipw`` size their schedules from the budget, so they run
+    once per budget.
     """
-    cells = [
-        (scene_index, scene, detector, budget_index, budget)
+    tasks = [
+        (cfg, scene_index, scene, detector, budgets)
         for scene_index, scene in enumerate(scenes)
         for detector in cfg.detectors
-        for budget_index, budget in enumerate(cfg.budgets)
+        for budgets in ([cfg.budgets] if detector.algorithm in NESTING else [(b,) for b in cfg.budgets])
     ]
-    runs = [detector.algorithm != "sw" or budget_index == 0 for _, _, detector, budget_index, _ in cells]
-    tasks = [
-        (cfg, scene_index, scene, detector, budget, derive_seed(cfg.seed, scene_index, budget_index))
-        for (scene_index, scene, detector, budget_index, budget), run in zip(cells, runs)
-        if run
-    ]
-    ran = iter(parallel_map(_compare_cell, tasks, jobs))
-    results: list[RunResult] = []
-    for (scene_index, _, _, budget_index, budget), run in zip(cells, runs):
-        if run:
-            results.append(next(ran))
-        else:
-            seed = derive_seed(cfg.seed, scene_index, budget_index)
-            results.append(replace(results[-1], budget=budget, seed=seed))
-    return results
+    return [row for rows in parallel_map(_compare_rows, tasks, jobs) for row in rows]
 
 
 def summarize_rates(results: list[RunResult], detectors: list[str], budgets: list[int]) -> list[dict]:

@@ -241,7 +241,7 @@ class DentedGaussianMixture:
         self._cumulative = np.cumsum(weights / total)
         self._mean_s = means[2].astype(float)
         sigma = np.asarray(sigma, dtype=float).reshape(3, -1)
-        self._sx, self._sy, self._ss = np.broadcast_to(sigma, means.shape).astype(float)
+        self._sx, self._sy, self._ss = np.broadcast_to(sigma, means.shape)  # read-only views, not copies
         known = len(extends) if extends is not None else 0
         # Each new mean's grid centre on every scale, (scale_count, n) per
         # axis.  The original-image centre uses the scalar ``space.zoom`` of

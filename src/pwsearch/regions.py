@@ -150,9 +150,6 @@ class RegionBook:
             raise ValueError(f"window {w} outside search space")
         return RegionKind(self.grids[w.s][w.y, w.x])
 
-    def is_free(self, w: Window) -> bool:
-        return self.grids[w.s][w.y, w.x] == 0
-
     def mark_rect(
         self, s: int, cx: int, cy: int, rx: int, ry: int, kind: RegionKind = RegionKind.REJECTED
     ) -> int:

@@ -166,20 +166,6 @@ class SearchSpace:
         gy = ((w.y * self.stride + self.template_h * 0.5) * z - self.template_h * 0.5) / self.stride
         return (gx, gy)
 
-    def nearest_window(self, cx: float, cy: float, s: int) -> Window | None:
-        """Grid window at scale s whose center is nearest to original-image (cx, cy)."""
-        if not 0 <= s < self.scale_count:
-            return None
-        nx, ny = self._per_scale[s]
-        if nx == 0:
-            return None
-        z = self.zoom(s)
-        x = round((cx / z - self.template_w * 0.5) / self.stride)
-        y = round((cy / z - self.template_h * 0.5) / self.stride)
-        x = min(max(x, 0), nx - 1)
-        y = min(max(y, 0), ny - 1)
-        return Window(x, y, s)
-
     def at_stride(self, stride: int) -> "SearchSpace":
         return replace(self, stride=stride)
 

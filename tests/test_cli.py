@@ -200,6 +200,29 @@ def test_compare_pairs_identical_detectors(tmp_path):
     assert a == b
 
 
+def test_compare_rows_replay_as_runs(tmp_path):
+    """Each compare row is what ``run`` writes for its scene and detector on
+    the same config with that detector's budget set to the row's."""
+    cfg = tiny_config()
+    cfg["detectors"].append({"name": "sw", "algorithm": "sw", "t_l": -2.0, "t_h": 0.0})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert len(rows) == 3 * 3 * 2
+    keys = ("seed", "windows_used", "detection_rate", "cost", "complete")
+    for row in rows:
+        for detector in cfg["detectors"]:
+            detector["budget"] = row["budget"]
+        path.write_text(json.dumps(cfg))
+        run_out = tmp_path / "run"
+        argv = ["run", "--config", str(path), "--detector", row["detector"], "--scene", str(row["scene"])]
+        assert main([*argv, "--out", str(run_out), "--quiet"]) == EXIT_OK
+        summary = json.loads((run_out / "summary.json").read_text())
+        assert {k: summary[k] for k in keys} == {k: row[k] for k in keys}, row
+
+
 def test_sweep_outputs_operating_points(config_path, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(config_path), "--out", str(out), "--quiet"]) == EXIT_OK

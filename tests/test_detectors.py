@@ -314,14 +314,6 @@ def test_incremental_deterministic(bench_space, bench_scenes, table):
     assert c.records != a.records
 
 
-def test_incremental_uses_config_seed_when_unset(bench_space, bench_scenes, table):
-    config = make_detector("ipw", 50, table, seed=123)
-    scorer = build_scorer(bench_scenes[6])
-    assert run_ipw(bench_space, scorer, config).records == run_ipw(
-        bench_space, scorer, config, seed=123
-    ).records
-
-
 # --- staged incremental ---------------------------------------------------
 
 

@@ -33,9 +33,11 @@ from pwsearch.harness import (
     build_scorer,
     derive_seed,
     read_trace_jsonl,
+    run_cell,
     run_experiment,
     summarize_rates,
     summarize_ratios,
+    trace_at_budget,
     trace_record_to_dict,
     write_csv,
     write_curves_csv,
@@ -302,47 +304,65 @@ def test_run_experiment_parallel_matches_serial():
 
 
 def test_paired_seeds_shared_across_detectors():
-    results = run_experiment(*small_experiment())
-    by_cell = {}
+    """One seed per scene, the one ``run`` uses, for every detector and budget."""
+    cfg, scenes = small_experiment()
+    results = run_experiment(cfg, scenes)
     for r in results:
-        by_cell.setdefault((r.scene_index, r.budget), set()).add(r.seed)
-    for seeds in by_cell.values():
-        assert len(seeds) == 1  # both detectors saw the same seed
-    assert len({next(iter(s)) for s in by_cell.values()}) == len(by_cell)
+        assert r.seed == derive_seed(cfg.seed, r.scene_index)
+    assert len({r.seed for r in results}) == len(scenes)
 
 
 def test_run_experiment_scans_sw_once_per_scene(monkeypatch):
-    """sw ignores budget and seed: one scan per scene fills all its budget rows."""
+    """Nesting detectors (sw, ipw) run once per scene at the largest budget;
+    mpw sizes its schedule from the budget and runs once per budget."""
     cfg, scenes = small_experiment()
     cfg = replace(cfg, detectors=cfg.detectors + (make_detector("sw", 1, None),))
     calls = []
     real_run_cell = harness.run_cell
 
     def counting_run_cell(cfg, scene, detector, seed):
-        calls.append((detector.algorithm, seed))
+        calls.append((detector.algorithm, detector.budget))
         return real_run_cell(cfg, scene, detector, seed)
 
     monkeypatch.setattr(harness, "run_cell", counting_run_cell)
     results = run_experiment(cfg, scenes)
-    assert sum(1 for algorithm, _ in calls if algorithm == "sw") == len(scenes)
-    assert len(calls) == len(scenes) * (2 * len(cfg.budgets) + 1)
+    top = max(cfg.budgets)
+    per_scene = [("ipw", top), ("sw", top), *(("mpw", budget) for budget in cfg.budgets)]
+    assert sorted(calls) == sorted(per_scene * len(scenes))
+    assert len(results) == len(scenes) * len(cfg.detectors) * len(cfg.budgets)
 
-    monkeypatch.setattr(harness, "run_cell", real_run_cell)
-    sw_rows = [r for r in results if r.algorithm == "sw"]
-    assert [(r.scene_index, r.budget) for r in sw_rows] == [
-        (scene_index, budget) for scene_index in range(len(scenes)) for budget in cfg.budgets
-    ]
-    for r in sw_rows:
-        budget_index = cfg.budgets.index(r.budget)
-        assert r.seed == derive_seed(cfg.seed, r.scene_index, budget_index)
-        _, _, metrics = real_run_cell(cfg, scenes[r.scene_index], cfg.detectors[-1], r.seed)
-        assert r.metrics == metrics
+
+def test_nesting_rows_equal_direct_runs():
+    """Every budget row of ipw and sw, and the trace it is cut from, equals a
+    direct run at that budget and the scene's seed, also where ipw runs out
+    of free windows exactly at the budget."""
+    cfg, scenes = small_experiment()
+    ipw = replace(cfg.detectors[0], budget=100_000)
+    exhausted = len(run_cell(cfg, scenes[0], ipw, derive_seed(cfg.seed, 0))[0].records)
+    budgets = (30, exhausted, exhausted + 1, 100_000)
+    cfg = replace(cfg, detectors=(ipw, make_detector("sw", 1, None)), budgets=budgets)
+    results = run_experiment(cfg, scenes)
+    assert len(results) == len(scenes) * 2 * len(budgets)
+    detectors = {d.algorithm: d for d in cfg.detectors}
+    full = {
+        (index, algorithm): run_cell(cfg, scene, detector, derive_seed(cfg.seed, index))[0]
+        for index, scene in enumerate(scenes)
+        for algorithm, detector in detectors.items()
+    }
+    for r in results:
+        seed = derive_seed(cfg.seed, r.scene_index)
+        detector = replace(detectors[r.algorithm], budget=r.budget)
+        trace, _, metrics = run_cell(cfg, scenes[r.scene_index], detector, seed)
+        assert (r.seed, r.metrics, r.complete) == (seed, metrics, trace.complete)
+        assert trace_at_budget(full[r.scene_index, r.algorithm], r.budget) == trace
+    boundary = {r.budget: r.complete for r in results if r.algorithm == "ipw" and r.scene_index == 0}
+    assert boundary == {30: False, exhausted: False, exhausted + 1: True, 100_000: True}
 
 
 def test_derive_seed_is_stable():
-    assert derive_seed(99, 0, 1) == derive_seed(99, 0, 1)
-    assert derive_seed(99, 0, 1) != derive_seed(99, 1, 0)
-    assert derive_seed(98, 0, 1) != derive_seed(99, 0, 1)
+    assert derive_seed(99, 1) == derive_seed(99, 1)
+    assert derive_seed(99, 1) != derive_seed(99, 0)
+    assert derive_seed(98, 1) != derive_seed(99, 1)
 
 
 def test_summaries_shape():

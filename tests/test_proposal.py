@@ -199,7 +199,7 @@ def test_mixture_never_returns_marked(flat_space, rng):
     for _ in range(500):
         w = mixture.sample(rng)
         assert w is not None
-        assert book.is_free(w) or w == mean  # the returned cell was free when drawn
+        assert book.state_at(w) == RegionKind.FREE or w == mean  # the returned cell was free when drawn
 
 
 def test_mixture_exhausts_to_none(rng):
@@ -374,7 +374,7 @@ def reference_mixture(components, book, space, rng, n_max):
             x = min(max(round(gx + z[j, 0] * sx), 0), nx - 1)
             y = min(max(round(gy + z[j, 1] * sy), 0), ny - 1)
             w = Window(x, y, s)
-            if book.is_free(w):
+            if book.state_at(w) == RegionKind.FREE:
                 return w
     return None
 

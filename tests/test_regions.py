@@ -100,7 +100,6 @@ def test_fresh_book_is_all_free(pyramid):
     assert book.free_count == pyramid.window_count
     assert book.n_rejected == 0
     assert book.n_accepted == 0
-    assert book.is_free(Window(5, 5, 0))
     assert book.state_at(Window(5, 5, 0)) is RegionKind.FREE
 
 
@@ -111,7 +110,7 @@ def test_mark_rect_interior_count(pyramid):
     assert book.n_rejected == 35
     assert book.free_count == pyramid.window_count - 35
     assert book.state_at(Window(13, 12, 0)) is RegionKind.REJECTED
-    assert book.is_free(Window(14, 12, 0))
+    assert book.state_at(Window(14, 12, 0)) is RegionKind.FREE
 
 
 def test_mark_rect_clips_at_borders(pyramid):
@@ -194,7 +193,7 @@ def test_mark_rejection_own_scale_extent(pyramid):
     n = mark_rejection(book, pyramid, Window(6, 6, 1), -9.0, table, t_l=-2.0)
     assert n == 9 * 9
     assert book.state_at(Window(6, 6, 1)) is RegionKind.REJECTED
-    assert book.is_free(Window(6, 6, 0))  # no propagation by default
+    assert book.state_at(Window(6, 6, 0)) is RegionKind.FREE  # no propagation by default
 
 
 def test_mark_rejection_inactive_interval_claims_nothing(pyramid):

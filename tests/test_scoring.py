@@ -167,7 +167,7 @@ def test_cascade_midpoint_response(space):
     # raw halfway between floor and the full-pass level clears half the stages
     scene = scene_with(objects=[(Box(18.0, 14.5, 12.0, 12.0), 1.5)], floor=-5.0)
     scorer = CascadeScorer(scene, stages=10, full_pass_response=1.5)
-    w = space.nearest_window(18.0, 14.5, 0)
+    w = Window(12, 8, 0)  # centred at (18, 14), the grid cell nearest the object
     raw = SyntheticScorer(scene).score(space, w).response
     u = (raw - scene.floor) / (1.5 - scene.floor)
     got = scorer.score(space, w)

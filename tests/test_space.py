@@ -95,19 +95,6 @@ def test_project_preserves_center():
     assert dst.cy == pytest.approx(src.cy)
 
 
-def test_nearest_window_recovers_every_cell(small_space):
-    for w in small_space.windows():
-        box = small_space.to_box(w)
-        assert small_space.nearest_window(box.cx, box.cy, w.s) == w
-
-
-def test_nearest_window_clamps_and_handles_empty():
-    sp = SearchSpace(32, 32, 20, 20, stride=1, scale_factor=2.0, scale_count=2)
-    assert sp.nearest_window(-100.0, -100.0, 0) == Window(0, 0, 0)
-    assert sp.nearest_window(16.0, 16.0, 1) is None  # no window fits at scale 1
-    assert sp.nearest_window(16.0, 16.0, 5) is None
-
-
 def test_at_stride():
     sp = SearchSpace(160, 120, 24, 48, stride=1, scale_factor=1.2, scale_count=4)
     coarse = sp.at_stride(4)
