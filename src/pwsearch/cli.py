@@ -17,11 +17,9 @@ from pathlib import Path
 
 from .config import ConfigError, LoadedConfig, load_config
 from .harness import (
-    Metrics,
     TraceFormatError,
     derive_seed,
     extract_curves,
-    parallel_map,
     read_trace_jsonl,
     run_cell,
     run_experiment,
@@ -96,7 +94,7 @@ def _pick_detector(cfg: LoadedConfig, name: str | None):
 def cmd_run(args) -> int:
     cfg = _load(args)
     detector = _pick_detector(cfg, args.detector)
-    scenes = cfg.load_scenes(Path(args.config).parent)
+    scenes = cfg.load_scenes()
     if not 0 <= args.scene < len(scenes):
         raise ConfigError("--scene", f"scene index {args.scene} outside 0..{len(scenes) - 1}")
     seed = derive_seed(cfg.seed, args.scene)
@@ -126,7 +124,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load(args)
-    scenes = cfg.load_scenes(Path(args.config).parent)
+    scenes = cfg.load_scenes()
     results = run_experiment(cfg, scenes, jobs=args.jobs)
     names = [d.name for d in cfg.detectors]
     budgets = list(cfg.budgets)
@@ -138,31 +136,23 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _sweep_metrics(task) -> Metrics:
-    return run_cell(*task)[2]
-
-
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     if not cfg.sweep_t_h:
         raise ConfigError("experiment.sweep_t_h", "sweep requires a sweep_t_h list")
-    scenes = cfg.load_scenes(Path(args.config).parent)
+    scenes = cfg.load_scenes()
     detector = cfg.detectors[0]
     for t_h in cfg.sweep_t_h:
         if t_h <= detector.t_l:
             raise ConfigError("experiment.sweep_t_h", f"sweep point {t_h} not above t_l")
-    tasks = [
-        (cfg, scene, replace(detector, t_h=t_h), derive_seed(cfg.seed, index))
-        for t_h in cfg.sweep_t_h
-        for index, scene in enumerate(scenes)
-    ]
-    metrics = parallel_map(_sweep_metrics, tasks, args.jobs)
+    points = tuple(replace(detector, t_h=t_h) for t_h in cfg.sweep_t_h)
+    results = run_experiment(replace(cfg, detectors=points, budgets=(detector.budget,)), scenes, args.jobs)
     rows = []
-    for point, t_h in enumerate(cfg.sweep_t_h):
-        cells = metrics[point * len(scenes) : (point + 1) * len(scenes)]
+    for k, point in enumerate(points):
+        cells = [r.metrics for r in results[k :: len(points)]]
         rows.append(
             {
-                "t_h": t_h,
+                "t_h": point.t_h,
                 "detection_rate": sum(m.detection_rate for m in cells) / len(cells),
                 "fppi": sum(m.fppi for m in cells) / len(cells),
             }
@@ -186,7 +176,7 @@ def cmd_curves(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    cfg.load_scenes(Path(args.config).parent)
+    cfg.load_scenes()
     _say(args, f"ok: {len(cfg.detectors)} detectors, {cfg.space.window_count} windows, "
                f"budgets {list(cfg.budgets)}")
     return EXIT_OK

@@ -4,11 +4,12 @@ A config names the search space, one or more detectors, a scene source
 (generator parameters or scene files), the experiment grid, and the cost
 model.  Validation happens in two passes: structural (JSON Schema, shipped in
 ``pwsearch/schemas/``) and semantic (cross-field rules the schema cannot
-express).  Scene files are checked when the scenes are loaded: against their
-own schema, the space's image size, the scene's own rules (every peak above
-the floor) and, under the synthetic scorer, every detector's ``t_l`` (the
-floor must lie below it, as for generated scenes).  All failures raise
-:class:`ConfigError` with the offending field's path, before anything runs.
+express).  Scene files are read relative to the config file's directory and
+checked when the scenes are loaded: against their own schema, the space's
+image size, the scene's own rules (every peak above the floor) and, under the
+synthetic scorer, every detector's ``t_l`` (the floor must lie below it, as
+for generated scenes).  All failures raise :class:`ConfigError` with the
+offending field's path, before anything runs.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class LoadedConfig:
     sw_stride: int
     detectors: tuple[DetectorConfig, ...]
     scene_params: SceneParams | None
-    scene_files: tuple[str, ...]
+    scene_files: tuple[Path, ...]  # resolved against the config file's directory
     scene_count: int
     scene_seed: int
     budgets: tuple[int, ...]
@@ -70,18 +71,17 @@ class LoadedConfig:
     cascade_stages: int
     cost_model: CostModel
 
-    def load_scenes(self, base_dir: Path | None = None) -> list[SyntheticScene]:
-        """The config's scenes: its files, read relative to ``base_dir`` and
-        checked as the module docstring lists, or else freshly generated."""
+    def load_scenes(self) -> list[SyntheticScene]:
+        """The config's scenes: its files, checked as the module docstring
+        lists, or else freshly generated."""
         if self.scene_files:
-            base = base_dir or Path(".")
-            return [self._load_scene_file(base / f) for f in self.scene_files]
+            return [self._load_scene_file(path) for path in self.scene_files]
         assert self.scene_params is not None
         return generate_scenes(self.scene_params, self.scene_seed, self.scene_count)
 
     def _load_scene_file(self, path: Path) -> SyntheticScene:
         data = _read_json(path, "scene")
-        validate_scene_dict(data, path.name)
+        _schema_check(data, "scene.schema.json", path.name)
         space = self.space
         if (data["image_w"], data["image_h"]) != (space.image_w, space.image_h):
             raise ConfigError(
@@ -198,7 +198,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError("detectors", "detector names must be unique")
 
     scenes_data = data["scenes"]
-    scene_files: tuple[str, ...] = tuple(scenes_data.get("files", ()))
+    scene_files = tuple(path.parent / f for f in scenes_data.get("files", ()))
     scene_params = None
     scene_count = int(scenes_data.get("count", 1))
     scene_seed = int(scenes_data.get("master_seed", 0))
@@ -252,7 +252,3 @@ def load_config(path: str | Path) -> LoadedConfig:
             t_c=float(cost.get("t_c", 1.0)),
         ),
     )
-
-
-def validate_scene_dict(data: dict, source: str = "scene") -> None:
-    _schema_check(data, "scene.schema.json", source)

@@ -134,9 +134,13 @@ class RunTrace:
     seed: int | None
     window_count: int
     records: list[TraceRecord] = field(default_factory=list)
-    accepted: list[tuple[Window, float]] = field(default_factory=list)
     complete: bool = False  # free cells ran out before the budget did
     rebuilds: list[int] = field(default_factory=list)
+
+    @property
+    def accepted(self) -> list[tuple[Window, float]]:
+        """The accepted windows and their responses, in draw order."""
+        return [(r.window, r.response) for r in self.records if r.kind == KIND_ACCEPTED]
 
 
 @dataclass(frozen=True)
@@ -219,9 +223,7 @@ def _record_batch(
     for w, source, response, n_stages in zip(windows, sources, responses.tolist(), stages.tolist()):
         i += 1
         kind = _classify(response, config)
-        if kind == KIND_ACCEPTED:
-            trace.accepted.append((w, response))
-        elif kind == KIND_AMBIGUOUS:
+        if kind == KIND_AMBIGUOUS:
             n_ab += 1
         trace.records.append(TraceRecord(i, w, response, kind, source, 0, 0, n_ab, None, n_stages))
     return n_ab
@@ -271,7 +273,7 @@ def _mixture_from_batch(
         means = np.array([[w.x for w in windows], [w.y for w in windows], [w.s for w in windows]], dtype=np.int64)
         responses = np.array([resp for _, resp in batch], dtype=float)
     weights = normalize_weights(responses) if batch else np.zeros(0)
-    sigma = default_sigma(space, 0)  # the same spread at every scale
+    sigma = default_sigma(space)
     mixture = DentedGaussianMixture(means, weights, sigma, book, space, extends=previous)
     mixture.responses = responses  # what the next extension renormalizes
     return mixture
@@ -297,9 +299,10 @@ def run_mpw(
 
     # Completed stages as (windows, cumulative weights) for the blend switch.
     stage_proposals: list[tuple[list[Window], np.ndarray]] = []
+    sigma = default_sigma(space)
     n_ab = 0
     for n_draw in schedule:
-        drawn = [_mpw_draw(space, stage_proposals, config, rng) for _ in range(n_draw)]
+        drawn = [_mpw_draw(space, stage_proposals, sigma, config, rng) for _ in range(n_draw)]
         windows = [w for w, _ in drawn]
         x, y, s = np.array([(w.x, w.y, w.s) for w in windows], dtype=np.int64).T
         responses, stages = scorer.score_many(space, x, y, s)
@@ -312,6 +315,7 @@ def run_mpw(
 def _mpw_draw(
     space: SearchSpace,
     stage_proposals: list[tuple[list[Window], np.ndarray]],
+    sigma: tuple[float, float, float],
     config: DetectorConfig,
     rng: np.random.Generator,
 ) -> tuple[Window, str]:
@@ -332,8 +336,7 @@ def _mpw_draw(
     for _ in range(config.n_max):
         idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
         idx = min(idx, len(windows) - 1)
-        mean = windows[idx]
-        w = draw_gaussian_window(space, mean, default_sigma(space, mean.s), rng)
+        w = draw_gaussian_window(space, windows[idx], sigma, rng)
         if w is not None:
             return w, SOURCE_GAUSSIAN
     w = space.window_at(int(rng.integers(space.window_count)))
@@ -391,7 +394,6 @@ def _incremental_step(
         mark_acceptance(
             state.book, space, w, result.response, r_a_x, r_a_y, config.t_h, config.accept_propagation
         )
-        trace.accepted.append((w, result.response))
     else:
         state.ambiguous.append((w, result.response))
         # Claim the scored cell: its response is known to be below t_h, so

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .detectors import (
-    KIND_ACCEPTED,
     DetectionSet,
     DetectorConfig,
     RunTrace,
@@ -296,15 +295,13 @@ def trace_at_budget(trace: RunTrace, budget: int) -> RunTrace:
     """The trace the same run would give at ``budget``, for a detector in ``NESTING``.
 
     ``ipw``'s budget only stops its loop, so the run at a smaller budget is the
-    first ``budget`` records with the windows accepted among them, and it sees
-    the free space run out only if the longer run ended within ``budget``.
-    ``sw`` ignores the budget and keeps its whole scan.
+    first ``budget`` records, and it sees the free space run out only if the
+    longer run ended within ``budget``.  ``sw`` ignores the budget and keeps
+    its whole scan.
     """
     if trace.algorithm == "sw" or len(trace.records) < budget:
         return trace
-    records = trace.records[:budget]
-    accepted = sum(rec.kind == KIND_ACCEPTED for rec in records)
-    return replace(trace, records=records, accepted=trace.accepted[:accepted], complete=False)
+    return replace(trace, records=trace.records[:budget], complete=False)
 
 
 @dataclass(frozen=True)
@@ -489,7 +486,7 @@ class TraceFormatError(ValueError):
 
 
 def read_trace_jsonl(path: str | Path) -> RunTrace:
-    """The trace that :func:`write_trace_jsonl` wrote, minus its accepted list."""
+    """The trace that :func:`write_trace_jsonl` wrote."""
     path = Path(path)
     if not path.exists():
         raise TraceFormatError(f"no such trace file: {path}")

@@ -64,8 +64,8 @@ def mixture_weights(alpha: float, n_rejected: int, n_accepted: int, total: int) 
     return MixtureWeights(p_u, 1.0 - p_u)
 
 
-def default_sigma(space: SearchSpace, s: int) -> tuple[float, float, float]:
-    """Gaussian spread for a component at scale s, in grid-cell / scale-step units."""
+def default_sigma(space: SearchSpace) -> tuple[float, float, float]:
+    """Gaussian spread of a component at any scale, in grid-cell / scale-step units."""
     return (
         space.template_w / (8.0 * space.stride),
         space.template_h / (8.0 * space.stride),

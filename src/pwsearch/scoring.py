@@ -153,10 +153,6 @@ class SyntheticScene:
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "SyntheticScene":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 class SyntheticScorer:
     """Closed-form response landscape for a :class:`SyntheticScene`.

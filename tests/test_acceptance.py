@@ -415,7 +415,7 @@ def test_criterion_9_counter_and_density_oracles(small_space, report):
     mixture = DentedGaussianMixture(
         np.array([(mean.x, mean.y, mean.s) for mean in means]).T,
         weights,
-        np.array([default_sigma(space, mean.s) for mean in means]).T,
+        np.array([default_sigma(space) for mean in means]).T,
         book,
         space,
     )

@@ -403,6 +403,22 @@ def test_scene_files_round_trip(tmp_path):
     assert summary["detection_rate"] == 1.0
 
 
+def test_scene_files_are_read_relative_to_the_config(tmp_path, monkeypatch):
+    """``load_scenes`` finds a config's scene files next to the config, from any directory."""
+    from pwsearch import Box, SyntheticScene
+    from pwsearch.config import load_config
+
+    scene = SyntheticScene(80, 60, ((Box(40.0, 30.0, 16.0, 24.0), 2.0),), (), floor=-5.0, sharpness=3.0)
+    config_dir = tmp_path / "cfgs" / "c"
+    config_dir.mkdir(parents=True)
+    scene.save(config_dir / "scene_0.json")
+    cfg = tiny_config()
+    cfg["scenes"] = {"files": ["scene_0.json"]}
+    (config_dir / "cfg.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert load_config("cfgs/c/cfg.json").load_scenes() == [scene]
+
+
 def test_config_file_not_mutated(config_path, tmp_path):
     before = config_path.read_bytes()
     main(["compare", "--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet"])

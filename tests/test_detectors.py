@@ -182,7 +182,7 @@ def reference_mpw(space, scorer, config, seed):
                 for _ in range(config.n_max):
                     idx = min(int(np.searchsorted(cumulative, rng.random(), side="right")), len(windows) - 1)
                     mean = windows[idx]
-                    w = draw_gaussian_window(space, mean, default_sigma(space, mean.s), rng)
+                    w = draw_gaussian_window(space, mean, default_sigma(space), rng)
                     if w is not None:
                         source = "GAUSSIAN"
                         break
@@ -409,7 +409,8 @@ def test_detections_from_trace_applies_suppression(bench_space):
     w2 = Window(11, 10, 0)  # IoU with w1 far above 0.5
     w3 = Window(60, 30, 0)
     trace = RunTrace("t", "ipw", 0, bench_space.window_count)
-    trace.accepted = [(w1, 1.2), (w2, 2.0), (w3, 0.8)]
+    for i, (w, response) in enumerate([(w1, 1.2), (w2, 2.0), (w3, 0.8)], start=1):
+        trace.records.append(TraceRecord(i, w, response, "APW", "UNIFORM", 0, i, 0, 1.0, 0))
     got = detections_from_trace(bench_space, trace, nms_threshold=0.5)
     assert got.boxes == (
         (bench_space.to_box(w2), 2.0),

@@ -14,6 +14,11 @@ uniform's free-set fallback 58 (``ipw``) and 407 (``sipw``) times, so their
 digests pin the fallback and the late, nearly exhausted part of a run.
 They were computed before the fallback kept its free set from one call to
 the next.
+
+``GOLDEN_GRID`` pins the files ``compare`` and ``sweep`` write for
+``configs/synthetic.json``: every row of the experiment grid, its summaries
+and the operating points, so a change to how the grid is built or averaged
+fails here even when every trace stays the same.
 """
 
 import hashlib
@@ -55,6 +60,13 @@ GOLDEN_EXHAUSTING = {
     "sipw": "2aa180ddf682469f60c9551b3c28798b611ed22885bbf532bf38006ef5a282bd",
 }
 
+GOLDEN_GRID = {
+    ("compare", "results.jsonl"): "2a997daae3a50ed56562747512a3cec7ce182ab41aa8fc635ab724db671587cd",
+    ("compare", "rates.csv"): "7b2643a1f66bd49b81074d6f533d6fe8ed97b33f4b5033b7550b3c3513d09c5d",
+    ("compare", "ratios.csv"): "908b05762ba9075f4c550034e05a54ce0af02468d4c6f4f059c3ac0c2c3e7496",
+    ("sweep", "operating_points.csv"): "2fa8dc5cc9a68719efee27831f3b1d42ec5fe5eb47b3904b3b2b592073907b47",
+}
+
 
 def trace_digest(config: str, detector: str, scene: int, out: Path) -> str:
     args = ["run", "--config", str(CONFIGS / config), "--detector", detector, "--scene", str(scene)]
@@ -77,3 +89,12 @@ def test_exhausting_trace_matches_pinned_digest(detector, tmp_path):
     assert trace_digest("pedestrian.json", detector, 0, tmp_path) == GOLDEN_EXHAUSTING[detector]
     footer = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[-1])
     assert footer["complete"]
+
+
+@pytest.mark.parametrize("subcommand", ["compare", "sweep"])
+def test_grid_outputs_match_pinned_digests(subcommand, tmp_path):
+    args = [subcommand, "--config", str(CONFIGS / "synthetic.json"), "--out", str(tmp_path), "--quiet"]
+    assert main(args) == EXIT_OK
+    for (command, name), digest in GOLDEN_GRID.items():
+        if command == subcommand:
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -386,6 +386,7 @@ def test_summaries_shape():
 def test_trace_jsonl_round_trip(tmp_path, bench_space, bench_scenes, bench_table):
     config = make_detector("sipw", 120, bench_table)
     trace = run_ipw(bench_space, build_scorer(bench_scenes[1]), config, seed=31)
+    assert trace.accepted
     path = tmp_path / "trace.jsonl"
     write_trace_jsonl(path, trace)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -405,6 +406,7 @@ def test_trace_jsonl_round_trip(tmp_path, bench_space, bench_scenes, bench_table
     assert back.records == trace.records
     assert back.complete == trace.complete
     assert back.rebuilds == trace.rebuilds
+    assert back == trace
 
 
 def test_results_jsonl_and_csv(tmp_path):

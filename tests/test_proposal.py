@@ -53,8 +53,8 @@ def test_mixture_weights_validation():
 
 def test_default_sigma_tracks_template_and_stride():
     sp = SearchSpace(640, 480, 64, 128, stride=1, scale_factor=1.05, scale_count=2)
-    assert default_sigma(sp, 0) == (8.0, 16.0, 1.0)
-    assert default_sigma(sp.at_stride(8), 0) == (1.0, 2.0, 1.0)
+    assert default_sigma(sp) == (8.0, 16.0, 1.0)
+    assert default_sigma(sp.at_stride(8)) == (1.0, 2.0, 1.0)
 
 
 # --- dented uniform -------------------------------------------------------
@@ -431,7 +431,7 @@ def test_mixture_from_batch_matches_the_component_constructor():
     weights = normalize_weights([r for _, r in batch])
     built = _mixture_from_batch(batch, book, space)
     constructed = mixture_of(
-        tuple((w, float(weight), default_sigma(space, w.s)) for (w, _), weight in zip(batch, weights)),
+        tuple((w, float(weight), default_sigma(space)) for (w, _), weight in zip(batch, weights)),
         book,
         space,
     )

@@ -1,5 +1,6 @@
 """Synthetic response fields, the staged scorer, and weight normalization."""
 
+import json
 import math
 from pathlib import Path
 
@@ -124,7 +125,7 @@ def test_scene_json_round_trip(tmp_path, space):
     )
     path = tmp_path / "scene.json"
     scene.save(path)
-    assert SyntheticScene.load(path) == scene
+    assert SyntheticScene.from_dict(json.loads(path.read_text())) == scene
     assert SyntheticScene.from_dict(scene.to_dict()) == scene
 
 
