@@ -1,7 +1,6 @@
 """Adaptive particle-window search over discrete (x, y, scale) spaces."""
 
 from .detectors import (
-    DetectionSet,
     DetectorConfig,
     RunTrace,
     TraceRecord,
@@ -54,7 +53,6 @@ __all__ = [
     "CostModel",
     "DentedGaussianMixture",
     "DentedUniform",
-    "DetectionSet",
     "DetectorConfig",
     "Metrics",
     "MixtureWeights",

@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
         "seed": seed,
         "windows_used": metrics.windows_used,
         "accepted": len(trace.accepted),
-        "detections": len(detections.boxes),
+        "detections": len(detections),
         "detection_rate": metrics.detection_rate,
         "fppi": metrics.fppi,
         "cost": metrics.cost,

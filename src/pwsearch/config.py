@@ -4,7 +4,12 @@ A config names the search space, one or more detectors, a scene source
 (generator parameters or scene files), the experiment grid, and the cost
 model.  Validation happens in two passes: structural (JSON Schema, shipped in
 ``pwsearch/schemas/``) and semantic (cross-field rules the schema cannot
-express).  Scene files are read relative to the config file's directory and
+express).  Each schema section's keys are the field names of the dataclass
+it fills (the space, each detector with its radius table and propagations,
+the scene parameters, the cost model), and it loads straight into that
+dataclass: an omitted key takes the field's own default, declared only there,
+and an integral number such as ``410.0`` is cast to the field's ``int``.
+Scene files are read relative to the config file's directory and
 checked when the scenes are loaded: against their own schema, the space's
 image size, the scene's own rules (every peak above the floor) and, under the
 synthetic scorer, every detector's ``t_l`` (the floor must lie below it, as
@@ -15,7 +20,7 @@ offending field's path, before anything runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -119,56 +124,43 @@ def _check_floor(floor: float, detectors: tuple[DetectorConfig, ...], field: str
             )
 
 
-def _build_radius_table(data: dict, where: str) -> RadiusTable:
-    intervals = []
-    for idx, item in enumerate(data["intervals"]):
-        lower = item["lower"]
-        lower = float("-inf") if lower == "-inf" else float(lower)
-        intervals.append(RadiusInterval(lower, float(item["r_x_ratio"]), float(item["r_y_ratio"])))
+# Keyed by annotation text: the dataclass modules postpone their annotations.
+_CASTS = {"int": int, "int | None": int, "float": float}
+
+
+def _build(cls, data: dict, where: str, **given):
+    """``cls`` from one schema-checked JSON section whose keys are its field
+    names.  An omitted key takes the field's own default, a number is cast to
+    the field's declared ``int`` or ``float``, a list becomes a tuple, and
+    ``given`` supplies the fields the caller builds itself.  A rejected value
+    raises :class:`ConfigError` at ``where``."""
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.name in kwargs or f.name not in data:
+            continue
+        value = data[f.name]
+        if isinstance(value, list):
+            value = tuple(value)
+        elif value is not None and f.type in _CASTS:
+            value = _CASTS[f.type](value)
+        kwargs[f.name] = value
     try:
-        return RadiusTable(tuple(intervals), int(data["active_intervals"]))
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from exc
-
-
-def _build_propagation(data: dict | None) -> ScalePropagation:
-    if data is None:
-        return ScalePropagation(0, 1.0)
-    return ScalePropagation(
-        span=int(data["span"]),
-        shrink=float(data["shrink"]),
-        subtract_interval=bool(data.get("subtract_interval", False)),
-    )
 
 
 def _build_detector(data: dict, index: int) -> DetectorConfig:
     where = f"detectors[{index}]"
-    table = None
+    given = {}
     if "radius_table" in data:
-        table = _build_radius_table(data["radius_table"], f"{where}.radius_table")
-    try:
-        return DetectorConfig(
-            name=data["name"],
-            algorithm=data["algorithm"],
-            t_l=float(data["t_l"]),
-            t_h=float(data["t_h"]),
-            budget=int(data.get("budget", 1)),
-            alpha=float(data.get("alpha", 0.2)),
-            gamma=float(data.get("gamma", 0.7)),
-            mpw_stage_count=int(data.get("mpw_stage_count", 5)),
-            mpw_blend=float(data.get("mpw_blend", 1.0)),
-            n_c_star_init=data.get("n_c_star_init"),
-            n_max=int(data.get("n_max", 1000)),
-            radius_table=table,
-            r_a_x_ratio=float(data.get("r_a_x_ratio", 0.0)),
-            r_a_y_ratio=float(data.get("r_a_y_ratio", 0.0)),
-            reject_propagation=_build_propagation(data.get("reject_propagation")),
-            accept_propagation=_build_propagation(data.get("accept_propagation")),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(where, str(exc)) from exc
+        table = data["radius_table"]
+        intervals = tuple(_build(RadiusInterval, iv, where) for iv in table["intervals"])
+        given["radius_table"] = _build(RadiusTable, table, f"{where}.radius_table", intervals=intervals)
+    for key in ("reject_propagation", "accept_propagation"):
+        if key in data:
+            given[key] = _build(ScalePropagation, data[key], where)
+    return _build(DetectorConfig, data, where, **given)
 
 
 def load_config(path: str | Path) -> LoadedConfig:
@@ -177,18 +169,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     _schema_check(data, "config.schema.json", path.name)
 
     space_data = data["space"]
-    try:
-        space = SearchSpace(
-            image_w=space_data["image_w"],
-            image_h=space_data["image_h"],
-            template_w=space_data["template_w"],
-            template_h=space_data["template_h"],
-            stride=space_data.get("stride", 1),
-            scale_factor=space_data["scale_factor"],
-            scale_count=space_data["scale_count"],
-        )
-    except ValueError as exc:
-        raise ConfigError("space", str(exc)) from exc
+    space = _build(SearchSpace, space_data, "space")
     if space.window_count == 0:
         raise ConfigError("space", "no window fits: template exceeds the image at every scale")
 
@@ -203,25 +184,12 @@ def load_config(path: str | Path) -> LoadedConfig:
     scene_count = int(scenes_data.get("count", 1))
     scene_seed = int(scenes_data.get("master_seed", 0))
     if not scene_files:
-        params = scenes_data.get("params", {})
-        scale_indices = tuple(params.get("scale_indices", (0,)))
-        for idx in scale_indices:
+        scene_params = _build(SceneParams, scenes_data.get("params", {}), "scenes.params", space=space)
+        for idx in scene_params.scale_indices:
             if idx >= space.scale_count:
                 raise ConfigError(
                     "scenes.params.scale_indices", f"scale index {idx} outside the pyramid"
                 )
-        scene_params = SceneParams(
-            space=space,
-            object_count=int(params.get("object_count", 1)),
-            distractor_count=int(params.get("distractor_count", 2)),
-            object_peak=tuple(params.get("object_peak", (1.5, 2.5))),
-            distractor_peak=tuple(params.get("distractor_peak", (-1.2, -0.4))),
-            floor=float(params.get("floor", -5.0)),
-            sharpness=float(params.get("sharpness", 3.0)),
-            scale_indices=scale_indices,
-            max_overlap=float(params.get("max_overlap", 0.3)),
-            max_retries=int(params.get("max_retries", 200)),
-        )
 
     experiment = data["experiment"]
     scorer = data.get("scorer", {})
@@ -230,7 +198,6 @@ def load_config(path: str | Path) -> LoadedConfig:
     if scene_params is not None and scorer_kind == "synthetic":
         _check_floor(scene_params.floor, detectors)
 
-    cost = data.get("cost_model", {})
     return LoadedConfig(
         space=space,
         sw_stride=int(space_data.get("sw_stride", 1)),
@@ -246,9 +213,5 @@ def load_config(path: str | Path) -> LoadedConfig:
         sweep_t_h=tuple(float(t) for t in experiment.get("sweep_t_h", ())),
         scorer_kind=scorer_kind,
         cascade_stages=int(scorer.get("stages", 10)),
-        cost_model=CostModel(
-            t_w=float(cost.get("t_w", 0.0)),
-            t_f=float(cost.get("t_f", 1.0)),
-            t_c=float(cost.get("t_c", 1.0)),
-        ),
+        cost_model=_build(CostModel, data.get("cost_model", {}), "cost_model"),
     )

@@ -40,6 +40,7 @@ from .proposal import (
     mixture_weights,
 )
 from .regions import (
+    NO_PROPAGATION,
     RadiusTable,
     RegionBook,
     RegionKind,
@@ -77,8 +78,8 @@ class DetectorConfig:
     radius_table: RadiusTable | None = None
     r_a_x_ratio: float = 0.0
     r_a_y_ratio: float = 0.0
-    reject_propagation: ScalePropagation = ScalePropagation(0, 1.0)
-    accept_propagation: ScalePropagation = ScalePropagation(0, 1.0)
+    reject_propagation: ScalePropagation = NO_PROPAGATION
+    accept_propagation: ScalePropagation = NO_PROPAGATION
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("sw", "mpw", "ipw", "sipw"):
@@ -141,13 +142,6 @@ class RunTrace:
     def accepted(self) -> list[tuple[Window, float]]:
         """The accepted windows and their responses, in draw order."""
         return [(r.window, r.response) for r in self.records if r.kind == KIND_ACCEPTED]
-
-
-@dataclass(frozen=True)
-class DetectionSet:
-    """Final post-NMS detections as scored boxes."""
-
-    boxes: tuple[tuple[Box, float], ...]
 
 
 def nms(candidates: list[tuple[Box, float]], threshold: float = 0.5) -> list[tuple[Box, float]]:
@@ -464,14 +458,13 @@ def run_sipw(
     book = RegionBook(space)
     state = _IncrementalState(book, DentedUniform(book, space), _mixture_from_batch([], book, space), [])
 
-    rebuilt_once = False
     interval = config.n_c_star_init if config.n_c_star_init is not None else config.budget // 2
     interval = max(1, interval)
     threshold = float(interval)
     since_rebuild = 0
 
     for i in range(1, config.budget + 1):
-        if not rebuilt_once:
+        if not trace.rebuilds:
             p_uniform = 1.0
         else:
             p_uniform = mixture_weights(
@@ -482,7 +475,6 @@ def run_sipw(
             break
         since_rebuild += 1
         if since_rebuild >= threshold:
-            rebuilt_once = True
             state.mixture = _mixture_from_batch(state.ambiguous, book, space)
             state.ambiguous = []
             trace.rebuilds.append(i)
@@ -495,7 +487,7 @@ def detections_from_trace(
     space: SearchSpace,
     trace: RunTrace,
     nms_threshold: float = 0.5,
-) -> DetectionSet:
+) -> tuple[tuple[Box, float], ...]:
     """Accepted windows as original-image boxes, after overlap suppression."""
     boxes = [(space.to_box(w), resp) for w, resp in trace.accepted]
-    return DetectionSet(tuple(nms(boxes, nms_threshold)))
+    return tuple(nms(boxes, nms_threshold))

@@ -14,14 +14,13 @@ import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .detectors import (
-    DetectionSet,
     DetectorConfig,
     RunTrace,
     TraceRecord,
@@ -94,14 +93,11 @@ def evaluate(
 ) -> Metrics:
     """Greedy one-to-one matching by descending score.
 
-    ``detections`` is a sequence of (box, score) pairs or a
-    :class:`~pwsearch.detectors.DetectionSet`.  Each detection matches the
-    unmatched object it overlaps most, provided the overlap reaches
-    ``match_threshold``; leftovers are false positives.  Ties in score break
-    on geometry, so input order never matters.
+    ``detections`` is a sequence of (box, score) pairs.  Each detection
+    matches the unmatched object it overlaps most, provided the overlap
+    reaches ``match_threshold``; leftovers are false positives.  Ties in
+    score break on geometry, so input order never matters.
     """
-    if hasattr(detections, "boxes"):
-        detections = list(detections.boxes)
     ordered = sorted(detections, key=lambda d: (-d[1], d[0].cx, d[0].cy, d[0].w, d[0].h))
     unmatched = list(range(len(ground_truth)))
     matched = 0
@@ -264,7 +260,7 @@ def run_cell(
     scene: SyntheticScene,
     detector: DetectorConfig,
     seed: int,
-) -> tuple[RunTrace, DetectionSet, Metrics]:
+) -> tuple[RunTrace, tuple[tuple[Box, float], ...], Metrics]:
     """Run one detector on one scene and score it: the single run path."""
     scorer = build_scorer(scene, cfg.scorer_kind, cfg.cascade_stages)
     trace = run_detector(_space_for(cfg, detector.algorithm), scorer, detector, seed)
@@ -276,7 +272,9 @@ def _space_for(cfg: LoadedConfig, algorithm: str) -> SearchSpace:
     return cfg.space.at_stride(cfg.sw_stride) if algorithm == "sw" else cfg.space
 
 
-def _score_trace(cfg: LoadedConfig, scene: SyntheticScene, trace: RunTrace) -> tuple[DetectionSet, Metrics]:
+def _score_trace(
+    cfg: LoadedConfig, scene: SyntheticScene, trace: RunTrace
+) -> tuple[tuple[tuple[Box, float], ...], Metrics]:
     """A run's detections and metrics; the metrics carry the windows used and the modelled cost."""
     detections = detections_from_trace(_space_for(cfg, trace.algorithm), trace, cfg.nms_iou)
     metrics = evaluate(detections, [box for box, _ in scene.objects], cfg.match_iou)
@@ -323,13 +321,7 @@ class RunResult:
             "algorithm": self.algorithm,
             "budget": self.budget,
             "seed": self.seed,
-            "detection_rate": self.metrics.detection_rate,
-            "fppi": self.metrics.fppi,
-            "matched": self.metrics.matched,
-            "objects": self.metrics.objects,
-            "detections": self.metrics.detections,
-            "windows_used": self.metrics.windows_used,
-            "cost": self.metrics.cost,
+            **asdict(self.metrics),
             "complete": self.complete,
         }
 
@@ -502,7 +494,7 @@ def read_trace_jsonl(path: str | Path) -> RunTrace:
         algorithm=header["algorithm"],
         seed=header["seed"],
         window_count=header["window_count"],
-        complete=footer.get("complete", False),
+        complete=footer["complete"],
         rebuilds=footer.get("rebuilds", []),
     )
     for line in lines[1:-1]:

@@ -93,6 +93,53 @@ def test_validate_shipped_configs(capsys):
     assert out.count("ok:") == 3
 
 
+def test_integral_floats_load_as_integers(tmp_path):
+    """A schema-valid ``24.0`` in an integer field runs like ``24``."""
+    cfg = json.loads((CONFIGS_DIR / "synthetic.json").read_text())
+    cfg["space"]["template_w"] = 24.0
+    cfg["experiment"]["budgets"] = [float(b) for b in cfg["experiment"]["budgets"]]
+    for det in cfg["detectors"]:
+        det["budget"] = float(det["budget"])
+        if "accept_propagation" in det:
+            det["accept_propagation"]["span"] = 1.0
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(cfg))
+    outs = []
+    for name, config in (("shipped", CONFIGS_DIR / "synthetic.json"), ("floats", path)):
+        out = tmp_path / name
+        argv = ["run", "--config", str(config), "--detector", "ipw", "--scene", "1"]
+        assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_OK
+        outs.append((out / "trace.jsonl").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    from pwsearch import CostModel, DetectorConfig, SceneParams, SearchSpace
+    from pwsearch.config import load_config
+
+    cfg = {
+        "space": {
+            "image_w": 80,
+            "image_h": 60,
+            "template_w": 16,
+            "template_h": 24,
+            "scale_factor": 1.25,
+            "scale_count": 3,
+        },
+        "detectors": [{"name": "sw", "algorithm": "sw", "t_l": -2.0, "t_h": 0.0}],
+        "scenes": {},
+        "experiment": {"budgets": [40], "seed": 5},
+    }
+    path = tmp_path / "required.json"
+    path.write_text(json.dumps(cfg))
+    loaded = load_config(path)
+    space = SearchSpace(80, 60, 16, 24, scale_factor=1.25, scale_count=3)
+    assert loaded.space == space
+    assert loaded.detectors == (DetectorConfig("sw", "sw", -2.0, 0.0),)
+    assert loaded.scene_params == SceneParams(space)
+    assert loaded.cost_model == CostModel()
+
+
 def test_run_writes_expected_files(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == EXIT_OK

@@ -412,7 +412,7 @@ def test_detections_from_trace_applies_suppression(bench_space):
     for i, (w, response) in enumerate([(w1, 1.2), (w2, 2.0), (w3, 0.8)], start=1):
         trace.records.append(TraceRecord(i, w, response, "APW", "UNIFORM", 0, i, 0, 1.0, 0))
     got = detections_from_trace(bench_space, trace, nms_threshold=0.5)
-    assert got.boxes == (
+    assert got == (
         (bench_space.to_box(w2), 2.0),
         (bench_space.to_box(w3), 0.8),
     )
@@ -420,7 +420,7 @@ def test_detections_from_trace_applies_suppression(bench_space):
 
 def test_detections_from_empty_trace(bench_space):
     trace = RunTrace("t", "ipw", 0, bench_space.window_count)
-    assert detections_from_trace(bench_space, trace).boxes == ()
+    assert detections_from_trace(bench_space, trace) == ()
 
 
 # --- config validation ------------------------------------------------------

@@ -11,7 +11,6 @@ import pytest
 from pwsearch import (
     Box,
     CostModel,
-    DetectionSet,
     RunTrace,
     SearchSpace,
     SyntheticScene,
@@ -170,12 +169,6 @@ def test_evaluate_empty_ground_truth():
     m = evaluate([(Box(5, 5, 4, 4), 1.0)], [])
     assert m.detection_rate == 1.0
     assert m.fppi == 1.0
-
-
-def test_evaluate_accepts_detection_set():
-    gt = [Box(10, 10, 8, 8)]
-    ds = DetectionSet(((Box(10, 10, 8, 8), 1.0),))
-    assert evaluate(ds, gt).matched == 1
 
 
 # --- scene generation -------------------------------------------------------
