@@ -36,6 +36,17 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return jobs
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pwsearch", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -54,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
         if name != "validate-config":
             cmd.add_argument("--out", default="out", help="output directory")
         if name in ("compare", "sweep"):
-            cmd.add_argument("--jobs", type=int, default=1, help="worker processes for the runs")
+            cmd.add_argument("--jobs", type=_jobs, default=1, help="worker processes for the runs")
         cmd.add_argument("--quiet", action="store_true", help="suppress progress output")
         if name == "run":
             cmd.add_argument("--detector", default=None, help="detector name (default: first)")

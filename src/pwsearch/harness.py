@@ -64,6 +64,10 @@ class CostModel:
     t_f: float = 1.0
     t_c: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.t_w == self.t_f == self.t_c == 0.0:
+            raise ValueError("t_w, t_f and t_c are all 0, so every cost is 0 and no cost ratio exists")
+
 
 def cost_estimate(trace: RunTrace, model: CostModel = CostModel()) -> float:
     total = model.t_w

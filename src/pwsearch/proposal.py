@@ -3,10 +3,13 @@
 "Dented" means zero mass on every cell the region book has claimed.  Both
 samplers draw by rejection: up to ``n_max`` proposals from the undented base
 distribution, made in batches of 64, and the first FREE one wins, so they
-never need the dent's normalizer.  The mixture evaluates its proposals in
-groups of 1, 2, 4, ... batches; when the hit comes before a group's last
-batch, the generator is rewound and the batches up to the hit are drawn
-again, so the random stream, and with it every draw, is that of a
+never need the dent's normalizer.  Proposals are evaluated in groups of
+batches, sized to what the last search saw.  The uniform checks its first
+batch alone and the rest in groups of 16 batches, each one generator call.
+The mixture's groups hold 1, 2, 4, ... batches, up to 16, or 16 from the
+start when its last search came up empty.  When the hit comes before a
+group's last batch, the generator is rewound and the batches up to the hit
+are drawn again, so the random stream, and with it every draw, is that of a
 batch-at-a-time loop.
 
 When the uniform's proposals all miss, it draws from the explicit free set,
@@ -117,34 +120,31 @@ _BATCH = 64  # proposals per batch: the unit of the generator-call sequence
 _GROUP_CAP = 16 * _BATCH  # proposals evaluated together at most
 
 
-def _rejection_sample(rng: np.random.Generator, n_max: int, draw, locate):
+def _rejection_sample(rng: np.random.Generator, n_max: int, draw, locate, first: int):
     """First accepted proposal among up to ``n_max``, or None.
 
-    Proposals come in batches of ``_BATCH``: ``draw(rng, lo, hi)`` makes one
-    batch's generator calls and stores its proposals at positions ``lo:hi``
-    of the current group, and ``locate(count)`` returns ``(position,
-    result)`` for the first acceptable one among the group's first ``count``,
-    or None.  Groups hold 1, 2, 4, ... batches (at most ``_GROUP_CAP``
-    proposals), so a long search costs few vectorized passes.  When the hit
-    falls before a group's last batch, the generator is restored to the
-    group's start and the batches up to the hit's are drawn again, so it ends
-    exactly where a batch-at-a-time loop would have stopped.
+    Proposals are evaluated in groups: the first holds ``first`` proposals,
+    each later one twice as many, up to ``_GROUP_CAP``.  ``draw(rng, count)``
+    makes the generator calls of the group's first ``count`` proposals in
+    batch-at-a-time order and stores them, and ``locate(count)`` returns
+    ``(position, result)`` for the first acceptable one among them, or None.
+    When the hit falls before a group's last batch, the generator is restored
+    to the group's start and the batches up to the hit's are drawn again, so
+    it ends exactly where a batch-at-a-time loop would have stopped.
     """
     start = 0
-    size = _BATCH
+    size = first
     while start < n_max:
         count = min(size, n_max - start)
         state = rng.bit_generator.state if count > _BATCH else None
-        for lo in range(0, count, _BATCH):
-            draw(rng, lo, min(lo + _BATCH, count))
+        draw(rng, count)
         found = locate(count)
         if found is not None:
             position, result = found
             hit_end = (position // _BATCH + 1) * _BATCH
             if hit_end < count:
                 rng.bit_generator.state = state
-                for lo in range(0, hit_end, _BATCH):
-                    draw(rng, lo, lo + _BATCH)
+                draw(rng, hit_end)
             return result
         start += count
         size = min(2 * size, _GROUP_CAP)
@@ -169,13 +169,17 @@ class DentedUniform:
     def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
         """A FREE cell drawn uniformly, or None once the space is exhausted.
 
-        Up to ``n_max`` rejection proposals are tried first, one batch at a
-        time, and the accepted cell is the first free proposal in order.  A
-        batch costs far more to draw than to check, so unlike the mixture's
-        proposals these are not grouped: a group would only waste the draws
-        after the hit.  When the loop comes up empty but free cells remain,
-        one is drawn from the explicit free set, so None strictly means
-        ``free_count == 0``.
+        Up to ``n_max`` rejection proposals are tried first, and the accepted
+        cell is the first free proposal in order.  The first batch is drawn
+        and checked on its own, which is all that a search hitting there
+        pays.  A miss there means the free fraction is small and the
+        rest of the search is likely to miss too, so the remaining proposals
+        come in groups of ``_GROUP_CAP``, one ``rng.integers`` call each:
+        ``integers(size=a + b)`` gives the values and the generator state of
+        ``integers(size=a)`` followed by ``integers(size=b)``, so the stream
+        is that of a batch-at-a-time loop.  When the search comes up empty
+        but free cells remain, one is drawn from the explicit free set, so
+        None strictly means ``free_count == 0``.
 
         The free set is kept from one fallback to the next.  Claims are
         permanent, so the free set changes exactly when its size does, and
@@ -187,14 +191,22 @@ class DentedUniform:
             return None
         n = self.space.window_count
         flat = self.book.flat
-        remaining = n_max
-        while remaining > 0:
-            k = min(_BATCH, remaining)
-            remaining -= k
-            indices = rng.integers(0, n, size=k)
+        indices = rng.integers(0, n, size=min(_BATCH, n_max))
+        hits = np.nonzero(flat[indices] == 0)[0]
+        if hits.size:
+            return self.space.window_at(int(indices[hits[0]]))
+
+        def draw(rng: np.random.Generator, count: int) -> None:
+            nonlocal indices
+            indices = rng.integers(0, n, size=count)
+
+        def locate(count: int) -> tuple[int, int] | None:
             hits = np.nonzero(flat[indices] == 0)[0]
-            if hits.size:
-                return self.space.window_at(int(indices[hits[0]]))
+            return (int(hits[0]), int(indices[hits[0]])) if hits.size else None
+
+        found = _rejection_sample(rng, n_max - _BATCH, draw, locate, _GROUP_CAP)
+        if found is not None:
+            return self.space.window_at(found)
         count, free = self._free
         if count != self.book.free_count:
             free = np.flatnonzero(flat == 0) if free is None else free[flat.take(free) == 0]
@@ -213,8 +225,9 @@ class DentedGaussianMixture:
 
     ``extends`` may name a mixture over the same space whose means are the
     leading columns of ``means``, a promise the caller keeps; its projected
-    centres are reused and only the new means are projected.  The result is
-    the same mixture either way.
+    centres are reused and only the new means are projected, and whether its
+    last search came up empty carries over, which only sizes the next
+    search's first group.  The result is the same mixture either way.
     """
 
     def __init__(
@@ -230,6 +243,7 @@ class DentedGaussianMixture:
         self.space = space
         self.means = means
         self._free_mass = (-1, 0.0)  # (book.free_count, table mass on free cells)
+        self._missed = extends._missed if extends is not None else False  # last search came up empty
         self._size = means.shape[1]
         if not self._size:
             return
@@ -313,9 +327,11 @@ class DentedGaussianMixture:
         u = np.empty(capacity)
         z = np.empty((capacity, 3))
 
-        def draw(rng: np.random.Generator, lo: int, hi: int) -> None:
-            rng.random(out=u[lo:hi])
-            rng.standard_normal(out=z[lo:hi])
+        def draw(rng: np.random.Generator, count: int) -> None:
+            for lo in range(0, count, _BATCH):
+                hi = min(lo + _BATCH, count)
+                rng.random(out=u[lo:hi])
+                rng.standard_normal(out=z[lo:hi])
 
         def locate(count: int) -> tuple[int, Window] | None:
             comp = self._cumulative.searchsorted(u[:count], side="right")
@@ -337,4 +353,7 @@ class DentedGaussianMixture:
             j = int(free.argmax())
             return (j, Window(int(x[j]), int(y[j]), int(s[j]))) if free[j] else None
 
-        return _rejection_sample(rng, n_max, draw, locate)
+        # An empty search means little free mass, so the next one is searched in one group.
+        found = _rejection_sample(rng, n_max, draw, locate, _GROUP_CAP if self._missed else _BATCH)
+        self._missed = found is None
+        return found

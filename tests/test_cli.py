@@ -229,6 +229,18 @@ def test_compare_parallel_is_byte_identical(config_path, tmp_path):
         assert outs["1"] == outs["2"], subcommand
 
 
+def test_jobs_below_one_is_a_usage_error(config_path, tmp_path, capsys):
+    """``--jobs`` below 1 exits 2 before anything runs, for compare and sweep."""
+    for subcommand in ("compare", "sweep"):
+        for jobs in ("0", "-4"):
+            out = tmp_path / subcommand / jobs
+            with pytest.raises(SystemExit) as exit_info:
+                main([subcommand, "--config", str(config_path), "--out", str(out), "--jobs", jobs, "--quiet"])
+            assert exit_info.value.code == EXIT_CONFIG
+            assert "--jobs: must be an integer of at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_compare_pairs_identical_detectors(tmp_path):
     """Two detectors with the same settings see the same seeds, hence results."""
     cfg = tiny_config()
@@ -341,7 +353,7 @@ def test_schema_violation_is_config_error(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
 
 
-def test_semantic_config_errors(tmp_path):
+def test_semantic_config_errors(tmp_path, capsys):
     cfg = tiny_config()
     cfg["detectors"][1]["name"] = "ipw"  # duplicate
     path = tmp_path / "dup.json"
@@ -365,6 +377,13 @@ def test_semantic_config_errors(tmp_path):
     path = tmp_path / "budgets.json"
     path.write_text(json.dumps(cfg))
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+
+    cfg = tiny_config()
+    cfg["cost_model"] = {"t_w": 0.0, "t_f": 0.0, "t_c": 0.0}  # every cost 0: no cost ratio
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+    assert "config error: cost_model: " in capsys.readouterr().err
 
 
 def test_broken_scene_file_is_config_error(tmp_path):

@@ -334,18 +334,16 @@ def test_mixture_sample_deterministic(flat_space):
 
 
 def reference_uniform(book, space, rng, n_max):
-    """(window, used_fallback): one 64-proposal batch at a time, scalar checks."""
+    """(window, hit): one 64-proposal batch at a time, scalar checks; ``hit``
+    is the accepted proposal's position, or None when no proposal was free."""
     if book.free_count == 0:
-        return None, False
-    remaining = n_max
-    while remaining > 0:
-        k = min(64, remaining)
-        remaining -= k
-        for index in rng.integers(0, space.window_count, size=k):
+        return None, None
+    for start in range(0, n_max, 64):
+        for position, index in enumerate(rng.integers(0, space.window_count, size=min(64, n_max - start))):
             if book.flat[index] == 0:
-                return space.window_at(int(index)), False
+                return space.window_at(int(index)), start + position
     free = np.flatnonzero(book.flat == 0)
-    return space.window_at(int(rng.choice(free))), True
+    return space.window_at(int(rng.choice(free))), None
 
 
 def reference_mixture(components, book, space, rng, n_max):
@@ -384,13 +382,14 @@ FLAT = SearchSpace(84, 54, 6, 6, stride=2, scale_factor=2.0, scale_count=1)
 DENTS = {"none": 0.0, "half": 0.5, "heavy": None}  # heavy: all but three cells claimed
 
 
-@pytest.mark.parametrize("n_max", [1, 40, 63, 64, 65, 1000])
+@pytest.mark.parametrize("n_max", [1, 40, 63, 64, 65, 1000, 1024, 1025, 2500])
 @pytest.mark.parametrize("dent", sorted(DENTS))
 @pytest.mark.parametrize("space", [FLAT, PYRAMID], ids=["flat", "pyramid"])
 def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
-    """Same window and same generator state as a batch-at-a-time loop, call after call."""
+    """Same window and same generator state as a batch-at-a-time loop, call
+    after call, also for searches that span several groups of proposals."""
     assert PYRAMID.grid_size(3) == (0, 0)
-    nones = fallbacks = 0
+    nones = fallbacks = after_empty = in_remainder = 0
     for seed in range(8):
         setup = np.random.default_rng(1000 + seed)
         book = RegionBook(space)
@@ -406,18 +405,25 @@ def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
         mixture = mixture_of(components, book, space)
         uniform = DentedUniform(book, space)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        empty = False  # whether the mixture's last search came up empty
         for _ in range(4):
+            after_empty += empty  # then this search starts in one group
             got = mixture.sample(rng, n_max)
             assert got == reference_mixture(components, book, space, ref, n_max)
             assert rng.bit_generator.state == ref.bit_generator.state
-            nones += got is None
+            empty = got is None
+            nones += empty
             got = uniform.sample(rng, n_max)
-            expected, fell_back = reference_uniform(book, space, ref, n_max)
+            expected, hit = reference_uniform(book, space, ref, n_max)
             assert got == expected
             assert rng.bit_generator.state == ref.bit_generator.state
-            fallbacks += fell_back
+            fallbacks += hit is None
+            in_remainder += hit is not None and hit >= 64  # past the uniform's first batch
     if dent == "heavy" and n_max <= 65:
         assert nones > 0 and fallbacks > 0
+    if dent == "heavy":
+        assert after_empty > 0
+        assert in_remainder > 0 or n_max < 1000
 
 
 def test_mixture_from_batch_matches_the_component_constructor():
@@ -461,12 +467,12 @@ def test_uniform_free_set_follows_the_book(space):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         while True:
             got = uniform.sample(rng, 16)
-            expected, fell_back = reference_uniform(book, space, ref, 16)
+            expected, hit = reference_uniform(book, space, ref, 16)
             assert got == expected
             assert rng.bit_generator.state == ref.bit_generator.state
             if got is None:
                 break
-            fallbacks += fell_back
+            fallbacks += hit is None
             book.claim_cell(got)
             if setup.random() < 0.2:
                 w = space.window_at(int(setup.integers(n)))
