@@ -13,8 +13,10 @@ Scene files are read relative to the config file's directory and
 checked when the scenes are loaded: against their own schema, the space's
 image size, the scene's own rules (every peak above the floor) and, under the
 synthetic scorer, every detector's ``t_l`` (the floor must lie below it, as
-for generated scenes).  All failures raise :class:`ConfigError` with the
-offending field's path, before anything runs.
+for generated scenes).  Under the cascade scorer every response lies in
+[0, 1], so each detector's ``t_l`` must exceed 0 and its ``t_h`` be at most 1.
+All failures raise :class:`ConfigError` with the offending field's path,
+before anything runs.
 """
 
 from __future__ import annotations
@@ -124,6 +126,18 @@ def _check_floor(floor: float, detectors: tuple[DetectorConfig, ...], field: str
             )
 
 
+def _check_cascade_thresholds(detectors: tuple[DetectorConfig, ...]) -> None:
+    """Raise unless every detector can reject and accept under the cascade
+    scorer, whose responses all lie in [0, 1]."""
+    for i, det in enumerate(detectors):
+        for key, ok, rule in (("t_l", det.t_l > 0.0, "exceed 0"), ("t_h", det.t_h <= 1.0, "be at most 1")):
+            if not ok:
+                raise ConfigError(
+                    f"detectors[{i}].{key}",
+                    f"cascade responses lie in [0, 1], so {key} must {rule}, not {getattr(det, key)}",
+                )
+
+
 # Keyed by annotation text: the dataclass modules postpone their annotations.
 _CASTS = {"int": int, "int | None": int, "float": float}
 
@@ -197,6 +211,8 @@ def load_config(path: str | Path) -> LoadedConfig:
 
     if scene_params is not None and scorer_kind == "synthetic":
         _check_floor(scene_params.floor, detectors)
+    if scorer_kind == "cascade":
+        _check_cascade_thresholds(detectors)
 
     return LoadedConfig(
         space=space,

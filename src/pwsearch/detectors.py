@@ -4,11 +4,11 @@ Four detectors share a trace format:
 
 * ``run_sw`` scores every window of its (typically coarse-stride) space, in
   one batch.
-* ``run_mpw`` spends its budget in a fixed number of stages; each stage draws
-  from Gaussians centered on the previous stage's windows, weighted by their
-  normalized responses, with stage sizes decaying geometrically.  A stage's
-  windows are all drawn before the stage is scored in one batch: no draw
-  within a stage depends on a score from the same stage.
+* ``run_mpw`` spends its budget in stages of geometrically decaying size: a
+  uniform first stage, then each stage from the undented Gaussian mixture of
+  the previous stage's windows, weighted by their normalized responses.  No
+  draw within a stage depends on a score from the same stage, so each stage
+  is drawn in one batch and scored in one batch.
 * ``run_ipw`` draws one window at a time from a blend of a dented uniform and
   a dented Gaussian mixture, and feeds every draw straight back into the
   region book: confident negatives reject a neighborhood, positives claim an
@@ -74,7 +74,6 @@ class DetectorConfig:
     mpw_stage_count: int = 5
     n_c_star_init: int | None = None  # siPW first rebuild point; default budget // 2
     n_max: int = 1000
-    mpw_blend: float = 1.0  # weight of the fresh stage mixture; 1.0 drops history
     radius_table: RadiusTable | None = None
     r_a_x_ratio: float = 0.0
     r_a_y_ratio: float = 0.0
@@ -94,8 +93,6 @@ class DetectorConfig:
             raise ValueError("budget must be >= 1")
         if self.mpw_stage_count < 1:
             raise ValueError("mpw_stage_count must be >= 1")
-        if not 0.0 < self.mpw_blend <= 1.0:
-            raise ValueError("mpw_blend must be in (0, 1]")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if self.algorithm in ("ipw", "sipw") and self.radius_table is None:
@@ -281,60 +278,30 @@ def run_mpw(
 ) -> RunTrace:
     """Staged mixture search: uniform first stage, then response-weighted Gaussians.
 
-    With ``mpw_blend < 1`` each stage keeps ``1 - blend`` of its draw mass on
-    the previous stage's proposal (recursively down to the uniform), instead
-    of replacing it outright.
+    Each later stage is drawn in one batch from the undented mixture of the
+    previous stage's windows, built on a book that is never marked.
     """
     if space.window_count == 0:
         raise ValueError("search space has no windows")
     rng = _rng(seed)
     trace = RunTrace(config.name, "mpw", seed, space.window_count)
     schedule = schedule_for_budget(config.budget, config.gamma, config.mpw_stage_count)
-
-    # Completed stages as (windows, cumulative weights) for the blend switch.
-    stage_proposals: list[tuple[list[Window], np.ndarray]] = []
-    sigma = default_sigma(space)
+    book = RegionBook(space)
+    stage: list[tuple[Window, float]] = []
     n_ab = 0
     for n_draw in schedule:
-        drawn = [_mpw_draw(space, stage_proposals, sigma, config, rng) for _ in range(n_draw)]
-        windows = [w for w, _ in drawn]
-        x, y, s = np.array([(w.x, w.y, w.s) for w in windows], dtype=np.int64).T
+        if stage:
+            mixture = _mixture_from_batch(stage, book, space)
+            x, y, s, gaussian = draw_gaussian_window(mixture, rng, n_draw, config.n_max)
+            sources = [SOURCE_GAUSSIAN if g else SOURCE_UNIFORM for g in gaussian.tolist()]
+        else:
+            x, y, s = space.coordinates_at(rng.integers(space.window_count, size=n_draw))
+            sources = itertools.repeat(SOURCE_UNIFORM)
         responses, stages = scorer.score_many(space, x, y, s)
-        n_ab = _record_batch(trace, config, windows, [src for _, src in drawn], responses, stages, n_ab)
-        stage_proposals.append((windows, np.cumsum(normalize_weights(responses))))
-    trace.complete = False
+        windows = list(map(Window, x.tolist(), y.tolist(), s.tolist()))
+        n_ab = _record_batch(trace, config, windows, sources, responses, stages, n_ab)
+        stage = list(zip(windows, responses.tolist()))
     return trace
-
-
-def _mpw_draw(
-    space: SearchSpace,
-    stage_proposals: list[tuple[list[Window], np.ndarray]],
-    sigma: tuple[float, float, float],
-    config: DetectorConfig,
-    rng: np.random.Generator,
-) -> tuple[Window, str]:
-    """One draw from the current stage proposal.
-
-    The stage-i proposal is ``(1 - blend) * previous + blend * fresh``; with
-    the default blend of 1 only the latest stage's mixture is used.  Walking
-    the recursion backwards with one coin per level selects the contributing
-    stage; reaching below stage 1 lands on the uniform.
-    """
-    level = len(stage_proposals)
-    while level > 0 and rng.random() >= config.mpw_blend:
-        level -= 1
-    if level == 0:
-        w = space.window_at(int(rng.integers(space.window_count)))
-        return w, SOURCE_UNIFORM
-    windows, cumulative = stage_proposals[level - 1]
-    for _ in range(config.n_max):
-        idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        idx = min(idx, len(windows) - 1)
-        w = draw_gaussian_window(space, windows[idx], sigma, rng)
-        if w is not None:
-            return w, SOURCE_GAUSSIAN
-    w = space.window_at(int(rng.integers(space.window_count)))
-    return w, SOURCE_UNIFORM
 
 
 @dataclass

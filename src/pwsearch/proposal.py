@@ -24,9 +24,12 @@ the cell, divided by that law's mass on the free cells.  For the mixture the
 proposal law is the weighted sum of each component's rounded and clamped
 normal masses, computed as CDF differences per axis.
 
-Mixture components are centered on previously drawn ambiguity windows and
-share one spread: one eighth of the template extent in grid cells per spatial
-axis and one pyramid step on the scale axis.  A mixture that adds components
+``draw_gaussian_window`` draws a whole ``mpw`` stage from a mixture's
+undented proposal law, through the quantization ``sample`` uses.
+
+Mixture components are centered on previously drawn windows and share one
+spread: one eighth of the template extent in grid cells per spatial axis and
+one pyramid step on the scale axis.  A mixture that adds components
 to another one reuses its projected centres and computes only the new ones.
 """
 
@@ -74,32 +77,6 @@ def default_sigma(space: SearchSpace) -> tuple[float, float, float]:
         space.template_h / (8.0 * space.stride),
         1.0,
     )
-
-
-def draw_gaussian_window(
-    space: SearchSpace,
-    mean: Window,
-    sigma: tuple[float, float, float],
-    rng: np.random.Generator,
-) -> Window | None:
-    """One quantized 3-D Gaussian draw around ``mean``.
-
-    The scale is drawn first (rounded, clamped to the pyramid), then the
-    spatial offset in that scale's grid (rounded, clamped to its bounds).
-    Returns None when the landed scale has no valid positions.
-    """
-    sx, sy, ss = sigma
-    s = int(round(mean.s + rng.normal(0.0, ss)))
-    s = min(max(s, 0), space.scale_count - 1)
-    nx, ny = space.grid_size(s)
-    if nx == 0:
-        return None
-    gx, gy = space.project(mean, s)
-    x = int(round(gx + rng.normal(0.0, sx)))
-    y = int(round(gy + rng.normal(0.0, sy)))
-    x = min(max(x, 0), nx - 1)
-    y = min(max(y, 0), ny - 1)
-    return Window(x, y, s)
 
 
 _erf = np.frompyfunc(math.erf, 1, 1)  # numpy has no erf, and scipy is for tests only
@@ -303,19 +280,15 @@ class DentedGaussianMixture:
             self._free_mass = (self.book.free_count, mass)
         return float(table[self.space.index_of(w)] / mass) if mass > 0.0 else 0.0
 
-    def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
-        """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.
-
-        Every proposal picks its own component by weight and quantizes a 3-D
-        Gaussian draw around that component's mean exactly like
-        :func:`draw_gaussian_window`: the scale first, then the position in
-        that scale's grid, each rounded and clamped.  The first free proposal
-        wins; evaluating proposals in groups is a speed matter only.
-        """
+    def _quantizer(self):
+        """``quantize(u, z) -> (x, y, s, index, valid)``: proposal ``i`` picks
+        its component by uniform ``u[i]`` and quantizes normal row ``z[i]``
+        (x, y, s) around its mean, the scale first, then the position in that
+        scale's grid, each rounded and clamped.  A scale past the last
+        nonempty one has no cells: ``valid`` is False and ``index`` void."""
         if not len(self):
             raise ValueError("cannot sample from an empty mixture")
         space = self.space
-        flat = self.book.flat
         n = len(self)
         top = space.scale_count - 1
         nx_table = space._nx_table
@@ -323,6 +296,34 @@ class DentedGaussianMixture:
         y_hi = np.maximum(space._ny_table - 1, 0)
         gx = self._gx.ravel()
         gy = self._gy.ravel()
+
+        def quantize(u: np.ndarray, z: np.ndarray):
+            comp = self._cumulative.searchsorted(u, side="right")
+            np.minimum(comp, n - 1, out=comp)
+            s = np.rint(self._mean_s.take(comp) + z[:, 2] * self._ss.take(comp)).astype(np.int64)
+            np.maximum(s, 0, out=s)
+            np.minimum(s, top, out=s)
+            cell = s * n + comp
+            x = np.rint(gx.take(cell) + z[:, 0] * self._sx.take(comp)).astype(np.int64)
+            y = np.rint(gy.take(cell) + z[:, 1] * self._sy.take(comp)).astype(np.int64)
+            np.maximum(x, 0, out=x)
+            np.minimum(x, x_hi.take(s), out=x)
+            np.maximum(y, 0, out=y)
+            np.minimum(y, y_hi.take(s), out=y)
+            nx = nx_table.take(s)
+            return x, y, s, space._offsets.take(s) + y * nx + x, nx > 0
+
+        return quantize
+
+    def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
+        """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.
+
+        Proposals are quantized by :meth:`_quantizer`, as in
+        :func:`draw_gaussian_window`.  The first free proposal wins;
+        evaluating proposals in groups is a speed matter only.
+        """
+        quantize = self._quantizer()
+        flat = self.book.flat
         capacity = min(n_max, _GROUP_CAP)
         u = np.empty(capacity)
         z = np.empty((capacity, 3))
@@ -334,21 +335,7 @@ class DentedGaussianMixture:
                 rng.standard_normal(out=z[lo:hi])
 
         def locate(count: int) -> tuple[int, Window] | None:
-            comp = self._cumulative.searchsorted(u[:count], side="right")
-            np.minimum(comp, n - 1, out=comp)
-            s = np.rint(self._mean_s.take(comp) + z[:count, 2] * self._ss.take(comp)).astype(np.int64)
-            np.maximum(s, 0, out=s)
-            np.minimum(s, top, out=s)
-            cell = s * n + comp
-            x = np.rint(gx.take(cell) + z[:count, 0] * self._sx.take(comp)).astype(np.int64)
-            y = np.rint(gy.take(cell) + z[:count, 1] * self._sy.take(comp)).astype(np.int64)
-            np.maximum(x, 0, out=x)
-            np.minimum(x, x_hi.take(s), out=x)
-            np.maximum(y, 0, out=y)
-            np.minimum(y, y_hi.take(s), out=y)
-            nx = nx_table.take(s)
-            index = space._offsets.take(s) + y * nx + x
-            valid = nx > 0  # a scale past the last nonempty one has no cells
+            x, y, s, index, valid = quantize(u[:count], z[:count])
             free = valid & (flat.take(np.where(valid, index, 0)) == 0)
             j = int(free.argmax())
             return (j, Window(int(x[j]), int(y[j]), int(s[j]))) if free[j] else None
@@ -357,3 +344,34 @@ class DentedGaussianMixture:
         found = _rejection_sample(rng, n_max, draw, locate, _GROUP_CAP if self._missed else _BATCH)
         self._missed = found is None
         return found
+
+
+def draw_gaussian_window(
+    mixture: DentedGaussianMixture,
+    rng: np.random.Generator,
+    count: int,
+    n_max: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` draws from the mixture's undented proposal law, as
+    ``(x, y, s, gaussian)`` arrays; on a book never marked, the law
+    ``density_at`` reports.  Each round proposes once for every window not
+    yet placed, and a proposal on an empty scale places nothing.  A window
+    still unplaced after ``n_max`` rounds is uniform, ``gaussian`` False.
+    """
+    quantize = mixture._quantizer()
+    x, y, s = (np.zeros(count, dtype=np.int64) for _ in range(3))
+    todo = np.arange(count)
+    for _ in range(n_max):
+        if not todo.size:
+            break
+        u = rng.random(todo.size)
+        z = rng.standard_normal((todo.size, 3))
+        px, py, ps, _, valid = quantize(u, z)
+        placed = todo[valid]
+        x[placed], y[placed], s[placed] = px[valid], py[valid], ps[valid]
+        todo = todo[~valid]
+    gaussian = np.ones(count, dtype=bool)
+    gaussian[todo] = False
+    space = mixture.space
+    x[todo], y[todo], s[todo] = space.coordinates_at(rng.integers(space.window_count, size=todo.size))
+    return x, y, s, gaussian

@@ -211,32 +211,24 @@ class CascadeScorer:
     """Staged-classifier emulator driven by a synthetic landscape.
 
     The scene response is normalized into [0, 1] against ``full_pass_response``
-    (defaults to the weakest object peak, so every planted object can pass all
-    stages) and quantized into the number of stages passed.  Response is
+    (the weakest object peak, so every planted object can pass all stages) and
+    quantized into the number of stages passed.  Response is
     ``passed / stages``; evaluation cost is ``passed + 1`` stages, capped at
     ``stages``, since a window stops at its first failing stage.
     """
 
-    def __init__(
-        self,
-        scene: SyntheticScene,
-        stages: int = 10,
-        full_pass_response: float | None = None,
-    ):
+    def __init__(self, scene: SyntheticScene, stages: int = 10):
         if stages < 1:
             raise ValueError("stages must be >= 1")
         self.scene = scene
         self.stages = stages
-        if full_pass_response is None:
-            if scene.objects:
-                full_pass_response = min(p for _, p in scene.objects)
-            elif scene.distractors:
-                full_pass_response = max(p for _, p in scene.distractors) + 1.0
-            else:
-                full_pass_response = scene.floor + 1.0
-        if full_pass_response <= scene.floor:
-            raise ValueError("full_pass_response must exceed the scene floor")
-        self.full_pass_response = full_pass_response
+        # Every peak lies above the floor, so each of these does too.
+        if scene.objects:
+            self.full_pass_response = min(p for _, p in scene.objects)
+        elif scene.distractors:
+            self.full_pass_response = max(p for _, p in scene.distractors) + 1.0
+        else:
+            self.full_pass_response = scene.floor + 1.0
         self._landscape = SyntheticScorer(scene)
 
     def score(self, space: SearchSpace, w: Window) -> ScoreResult:

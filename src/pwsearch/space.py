@@ -124,6 +124,12 @@ class SearchSpace:
         y, x = divmod(rem, nx)
         return Window(x, y, s)
 
+    def coordinates_at(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`window_at` for an integer array of valid dense indices: (x, y, s) arrays."""
+        s = np.searchsorted(self._offsets, index, side="right") - 1
+        y, x = np.divmod(index - self._offsets[s], self._nx_table[s])
+        return x, y, s
+
     def contains_many(self, x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
         """:meth:`contains` for equal-length integer coordinate arrays: one flag per window."""
         inside = (s >= 0) & (s < self.scale_count)

@@ -378,6 +378,17 @@ def test_semantic_config_errors(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
+    # cascade responses lie in [0, 1]: t_l <= 0 never rejects, t_h > 1 never accepts
+    for field, value in (("t_l", 0.0), ("t_h", 1.5)):
+        cfg = tiny_config(scorer={"kind": "cascade"})
+        for det in cfg["detectors"]:
+            det["t_l"], det["t_h"] = 0.2, 0.8
+        cfg["detectors"][1][field] = value
+        path = tmp_path / f"cascade_{field}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert f"config error: detectors[1].{field}: " in capsys.readouterr().err
+
     cfg = tiny_config()
     cfg["cost_model"] = {"t_w": 0.0, "t_f": 0.0, "t_c": 0.0}  # every cost 0: no cost ratio
     path = tmp_path / "cost.json"
@@ -442,6 +453,8 @@ def test_scene_file_floor_and_peaks_are_config_errors(tmp_path, capsys):
     # the cascade scorer reads responses in [0, 1], so the raw floor is not held to t_l
     cfg = tiny_config()
     cfg["scorer"] = {"kind": "cascade"}
+    for det in cfg["detectors"]:
+        det["t_l"], det["t_h"] = 0.2, 0.8
     cfg["scenes"] = {"files": ["high_floor.json"]}
     path.write_text(json.dumps(cfg))
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_OK

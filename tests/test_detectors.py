@@ -7,7 +7,9 @@ import pytest
 
 from pwsearch import (
     Box,
+    DentedGaussianMixture,
     DetectorConfig,
+    RegionBook,
     RunTrace,
     SearchSpace,
     Window,
@@ -164,67 +166,63 @@ def test_staged_run_deterministic(bench_space, bench_scenes, table):
 
 
 def reference_mpw(space, scorer, config, seed):
-    """The staged sampler one window at a time: draw (with the blend walk and
-    the uniform fallback), score, record.  Returns the records, the accepted
-    windows, the generator and how many Gaussian draws landed on an empty scale."""
+    """The staged sampler scored one window at a time: the first stage is
+    uniform, each later one is drawn with ``draw_gaussian_window`` from the
+    undented mixture of the previous stage, and every window is scored and
+    recorded alone.  Returns the records, the accepted windows, the generator
+    and how many draws fell back to the uniform."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    records, accepted, stages = [], [], []
-    n_ab = empty_landings = 0
+    records, accepted, stage = [], [], []
+    n_ab = fallbacks = 0
     for n_draw in schedule_for_budget(config.budget, config.gamma, config.mpw_stage_count):
-        drawn = []
-        for _ in range(n_draw):
-            level = len(stages)
-            while level > 0 and rng.random() >= config.mpw_blend:
-                level -= 1
-            w, source = None, "UNIFORM"
-            if level > 0:
-                windows, cumulative = stages[level - 1]
-                for _ in range(config.n_max):
-                    idx = min(int(np.searchsorted(cumulative, rng.random(), side="right")), len(windows) - 1)
-                    mean = windows[idx]
-                    w = draw_gaussian_window(space, mean, default_sigma(space), rng)
-                    if w is not None:
-                        source = "GAUSSIAN"
-                        break
-                    empty_landings += 1
-            if w is None:
-                w = space.window_at(int(rng.integers(space.window_count)))
+        if stage:
+            means = np.array([(w.x, w.y, w.s) for w, _ in stage], dtype=np.int64).T
+            weights = normalize_weights([r for _, r in stage])
+            mixture = DentedGaussianMixture(means, weights, default_sigma(space), RegionBook(space), space)
+            x, y, s, gaussian = draw_gaussian_window(mixture, rng, n_draw, config.n_max)
+            windows = [Window(int(a), int(b), int(c)) for a, b, c in zip(x, y, s)]
+            sources = ["GAUSSIAN" if g else "UNIFORM" for g in gaussian]
+            fallbacks += int((~gaussian).sum())
+        else:
+            windows = [space.window_at(int(i)) for i in rng.integers(space.window_count, size=n_draw)]
+            sources = ["UNIFORM"] * n_draw
+        stage = []
+        for w, source in zip(windows, sources):
             result = scorer.score(space, w)
             response, n_stages = result.response, result.stages_evaluated
             kind = "RPW" if response < config.t_l else "APW" if response >= config.t_h else "ABPW"
             if kind == "APW":
                 accepted.append((w, response))
             n_ab += kind == "ABPW"
-            drawn.append((w, response))
+            stage.append((w, response))
             i = len(records) + 1
             records.append(TraceRecord(i, w, response, kind, source, 0, 0, n_ab, None, n_stages))
-        weights = normalize_weights([r for _, r in drawn])
-        stages.append(([w for w, _ in drawn], np.cumsum(weights)))
-    return records, accepted, rng, empty_landings
+    return records, accepted, rng, fallbacks
 
 
 @pytest.mark.parametrize("scorer_kind", ["synthetic", "cascade"])
 def test_batched_staged_run_matches_a_window_at_a_time_reference(table, scorer_kind, monkeypatch):
-    """Scoring a stage in one batch changes neither the draws nor the records,
-    with history blending on and an empty top scale that voids Gaussian draws."""
+    """Drawing and scoring a stage in one batch changes neither the draws nor
+    the records, with an empty top scale that sends some draws to the uniform."""
     space = PYRAMID
     assert space.grid_size(3) == (0, 0)
     scorer = build_scorer(pyramid_scene(), scorer_kind)
     t_l, t_h = (-2.0, 0.0) if scorer_kind == "synthetic" else (0.2, 0.8)
-    config = make_detector("mpw", 300, table, t_l=t_l, t_h=t_h, gamma=0.44, mpw_blend=0.5, n_max=2)
+    config = make_detector("mpw", 300, table, t_l=t_l, t_h=t_h, gamma=0.44, n_max=2)
     generators = []  # the generator each run_mpw call draws from
     make_rng = detectors._rng
     monkeypatch.setattr(detectors, "_rng", lambda seed: generators.append(make_rng(seed)) or generators[-1])
-    landings = 0
+    total_fallbacks = 0
     for seed in range(6):
         trace = run_mpw(space, scorer, config, seed=seed)
-        records, accepted, rng, empty_landings = reference_mpw(space, scorer, config, seed)
-        landings += empty_landings
+        records, accepted, rng, fallbacks = reference_mpw(space, scorer, config, seed)
+        total_fallbacks += fallbacks
         assert trace.records == records
         assert trace.accepted == accepted
         assert generators[-1].bit_generator.state == rng.bit_generator.state
         assert all(type(r.response) is float and type(r.stages_evaluated) is int for r in trace.records)
-    assert landings > 0
+        assert all(type(v) is int for r in trace.records for v in (r.window.x, r.window.y, r.window.s))
+    assert total_fallbacks > 0
     sources = {rec.source for rec in trace.records[schedule_for_budget(300, 0.44, 5)[0]:]}
     assert sources == {"UNIFORM", "GAUSSIAN"}
 
@@ -439,8 +437,6 @@ def test_detector_config_validation(table):
         make_detector("ipw", 0, table)
     with pytest.raises(ValueError):
         make_detector("ipw", 100, table, gamma=0.0)
-    with pytest.raises(ValueError):
-        make_detector("mpw", 100, table, mpw_blend=0.0)
     with pytest.raises(ValueError):
         make_detector("ipw", 100, table, r_a_x_ratio=-0.1)
 

@@ -3,7 +3,7 @@
 The digests are sha256 values of the ``trace.jsonl`` that ``run`` writes on
 scenes 0-2 for each detector of ``configs/synthetic.json`` (synthetic scorer)
 and for ``mpw`` and ``ipw`` of ``configs/face.json`` (cascade scorer; ``mpw``
-scores a stage in one batch, ``ipw`` one window at a time).  A speed-up of
+draws and scores a stage in one batch, ``ipw`` one window at a time).  A speed-up of
 the samplers or of scoring must reproduce them exactly.  A change that alters
 the draws on purpose updates them, and says so.
 
@@ -38,9 +38,9 @@ GOLDEN = {
     ("sipw", 0): "1bea586e15e0c98e5f4376d1663aa973270ba3ca6a69860f0e29c9e3ebbe0413",
     ("sipw", 1): "85db6fa99ded6cd762b71ed38d3d0bf7108df6c98c658af04a9e490e73ba93cd",
     ("sipw", 2): "68a1834c17a61a8b1425f4f9f4cee99cdf4694bbe1163904341b7915c3df22bb",
-    ("mpw", 0): "4c82b86c7f9fbac0ee030f6b36fffd86f59f51005f6c399a2b511fcd558b6f6f",
-    ("mpw", 1): "50639afbdfdd576924027c4f1b833215207f695d048ad25eb46052b1c12325c5",
-    ("mpw", 2): "98fe4838287e8344d4e74301bde3503f8dee01c19012dcdb86bd7cd093aba159",
+    ("mpw", 0): "de8720fb3486cbadb9833d8310756bbe278e4e4925caeb0656f7554ba2ff6d50",
+    ("mpw", 1): "348ad97c265557bbd714d0a6ebee7a12884a01c7f2e49a0cc6eadf460c99021f",
+    ("mpw", 2): "e16854f275aabccb70ef2a16b19347064dc3027d8df428ab7bab5b6995bad9c7",
     ("sw", 0): "8c8b1340aee583cab953ea9588cd7923469451d53291760db2e367017f6530b7",
     ("sw", 1): "0ba15eede48251099fad12d7512d8ee33d0936c6e765c683ec9d974ec054c62e",
     ("sw", 2): "6855fc161c95ae1874579c20121d631c34fbd2fd0f2bef8614036e18d09dd3a2",
@@ -50,9 +50,9 @@ GOLDEN_CASCADE = {
     ("ipw", 0): "4dd1a3e7862e4d5571881046f90c6b64fb5285e9a2f8ab66f5d997615074c0e5",
     ("ipw", 1): "0e4ffbbad537f82348a33e3afa47360ae60cdbbf46c1a4afb84226c50b65eec3",
     ("ipw", 2): "4535f35d3f75390ca944b4dd038faa7b59eaf748b661bc23f30797a57429377d",
-    ("mpw", 0): "68faccc5f0a36589766981354dc20f1c81cc8c5a4ae4cf33c23e6e101ea43157",
-    ("mpw", 1): "4ad7bc71ee6a50da9a0f849c4b6c25b409b06f6d49038528907836eab02a21b1",
-    ("mpw", 2): "3ef2285eb07012d7568b4a110eb2484de97f99ea1dc995ff5604e7123ab0dfde",
+    ("mpw", 0): "b4a3ff6b37c85ed884343a7a14bf03d876821cefddc553112d38bf29b92d8a0f",
+    ("mpw", 1): "305d24bc42031026e2859f62cb66d616ffbdc03ca1d2fe592fb8f779d04de1a7",
+    ("mpw", 2): "7bdc067adad3a71e791f92560af0960f2a3855c3ebcf21f20d8be0ee8db0e739",
 }
 
 GOLDEN_EXHAUSTING = {
@@ -61,8 +61,8 @@ GOLDEN_EXHAUSTING = {
 }
 
 GOLDEN_GRID = {
-    ("compare", "results.jsonl"): "2a997daae3a50ed56562747512a3cec7ce182ab41aa8fc635ab724db671587cd",
-    ("compare", "rates.csv"): "7b2643a1f66bd49b81074d6f533d6fe8ed97b33f4b5033b7550b3c3513d09c5d",
+    ("compare", "results.jsonl"): "f7d66c0b27a2e41400d82b02bd4f2d568eaf23c4bfbeb337c600ec41af2add65",
+    ("compare", "rates.csv"): "1a5d669e60705c3d4aad3628bce57aa51cace304ab56efa0f8ae37f2fc1e805b",
     ("compare", "ratios.csv"): "908b05762ba9075f4c550034e05a54ce0af02468d4c6f4f059c3ac0c2c3e7496",
     ("sweep", "operating_points.csv"): "2fa8dc5cc9a68719efee27831f3b1d42ec5fe5eb47b3904b3b2b592073907b47",
 }

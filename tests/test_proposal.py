@@ -126,32 +126,6 @@ def test_uniform_deterministic_under_seed(flat_space):
     assert [sampler.sample(seq1) for _ in range(20)] == [sampler.sample(seq2) for _ in range(20)]
 
 
-# --- quantized Gaussian draws ---------------------------------------------
-
-
-def test_gaussian_draw_concentrates_near_mean(flat_space, rng):
-    mean = Window(20, 12, 0)
-    hits = 0
-    for _ in range(500):
-        w = draw_gaussian_window(flat_space, mean, (1.0, 1.0, 0.5), rng)
-        assert w is not None
-        if abs(w.x - mean.x) <= 3 and abs(w.y - mean.y) <= 3:
-            hits += 1
-    assert hits > 480  # 3 sigma in each axis
-
-
-def test_gaussian_draw_clamps_to_grid(flat_space, rng):
-    for _ in range(200):
-        w = draw_gaussian_window(flat_space, Window(0, 0, 0), (5.0, 5.0, 0.1), rng)
-        assert flat_space.contains(w)
-
-
-def test_gaussian_draw_tiny_sigma_returns_mean(flat_space, rng):
-    mean = Window(17, 9, 0)
-    for _ in range(20):
-        assert draw_gaussian_window(flat_space, mean, (1e-9, 1e-9, 1e-9), rng) == mean
-
-
 # --- dented mixture -------------------------------------------------------
 
 
@@ -275,6 +249,17 @@ def test_mixture_sampling_matches_density_frequencies(flat_space, rng):
     assert result.pvalue > 0.001
 
 
+def pooled_chisquare_pvalue(counts, density):
+    """Chi-square p-value of cell counts against a law over the cells."""
+    expected = density * counts.sum()
+    keep = expected > 5  # chi-square wants populated bins; the rest are pooled into one
+    observed = np.append(counts[keep], counts[~keep].sum())
+    wanted = np.append(expected[keep], expected[~keep].sum())
+    if wanted[-1] <= 5:
+        observed, wanted = observed[:-1], wanted[:-1] * observed[:-1].sum() / wanted[:-1].sum()
+    return stats.chisquare(observed, wanted).pvalue
+
+
 def stress_case(name):
     """(space, book, components) for one case the law must survive."""
     setup = np.random.default_rng(77)
@@ -309,13 +294,7 @@ def test_mixture_sampling_matches_density_under_stress(case, rng):
         counts[space.index_of(mixture.sample(rng))] += 1
     density = np.array([mixture.density_at(w) for w in space.windows()])
     assert density.sum() == pytest.approx(1.0, abs=1e-9)
-    expected = density * n
-    keep = expected > 5  # chi-square wants populated bins; the rest are pooled into one
-    observed = np.append(counts[keep], counts[~keep].sum())
-    wanted = np.append(expected[keep], expected[~keep].sum())
-    if wanted[-1] <= 5:
-        observed, wanted = observed[:-1], wanted[:-1] * observed[:-1].sum() / wanted[:-1].sum()
-    assert stats.chisquare(observed, wanted).pvalue > 0.001
+    assert pooled_chisquare_pvalue(counts, density) > 0.001
 
 
 def test_mixture_sample_deterministic(flat_space):
@@ -328,6 +307,53 @@ def test_mixture_sample_deterministic(flat_space):
     r1, r2 = np.random.default_rng(99), np.random.default_rng(99)
     assert [mixture.sample(r1) for _ in range(50)] == [mixture.sample(r2) for _ in range(50)]
     assert mixture.sample(np.random.default_rng(3)) == mixture.sample(np.random.default_rng(3))
+
+
+# --- mpw's stage draws from the undented mixture ---------------------------
+
+
+def stage_counts(space, x, y, s):
+    index = [space.index_of(Window(int(a), int(b), int(c))) for a, b, c in zip(x, y, s)]
+    return np.bincount(index, minlength=space.window_count)
+
+
+def test_stage_draws_follow_the_mixture_table(rng):
+    """A stage's draws follow the mixture's proposal table renormalized over
+    the nonempty scales, which is density_at on an unmarked book; components
+    with their own spreads also propose PYRAMID's empty top scale."""
+    space = PYRAMID
+    components = (
+        (Window(5, 5, 1), 0.5, (1.5, 1.0, 0.8)),
+        (Window(1, 0, 2), 0.3, (0.7, 1.2, 1.5)),
+        (Window(20, 12, 0), 0.2, (3.0, 2.0, 1.0)),
+    )
+    mixture = mixture_of(components, RegionBook(space), space)
+    table = mixture._table
+    assert table.sum() < 0.95  # the rest lands on the empty top scale
+    density = np.array([mixture.density_at(w) for w in space.windows()])
+    np.testing.assert_allclose(density, table / table.sum(), rtol=1e-12)
+    x, y, s, gaussian = draw_gaussian_window(mixture, rng, 40000, 1000)
+    assert gaussian.all()
+    assert pooled_chisquare_pvalue(stage_counts(space, x, y, s), density) > 0.001
+
+
+def test_stage_draws_fall_back_to_the_uniform_after_n_max_empty_landings(rng):
+    """With ``n_max`` rounds, a window falls back with probability ``q ** n_max``,
+    ``q`` the table's mass on the empty top scale.  Flagged Gaussian draws
+    still follow the table renormalized, and the fallbacks are uniform."""
+    space = PYRAMID
+    mixture = mixture_of(((Window(1, 0, 2), 1.0, (0.7, 1.2, 1.5)),), RegionBook(space), space)
+    q = 1.0 - mixture._table.sum()
+    n, n_max = 40000, 2
+    x, y, s, gaussian = draw_gaussian_window(mixture, rng, n, n_max)
+    assert x.dtype == y.dtype == s.dtype == np.int64 and gaussian.dtype == bool
+    assert space.contains_many(x, y, s).all()
+    fallbacks = int((~gaussian).sum())
+    assert stats.binomtest(fallbacks, n, q**n_max).pvalue > 0.001
+    density = np.array([mixture.density_at(w) for w in space.windows()])
+    assert pooled_chisquare_pvalue(stage_counts(space, x[gaussian], y[gaussian], s[gaussian]), density) > 0.001
+    uniform = np.full(space.window_count, 1.0 / space.window_count)
+    assert pooled_chisquare_pvalue(stage_counts(space, x[~gaussian], y[~gaussian], s[~gaussian]), uniform) > 0.001
 
 
 # --- rejection loops against a batch-at-a-time reference -------------------

@@ -165,9 +165,10 @@ def test_cascade_responses_live_on_a_lattice(space):
 
 
 def test_cascade_midpoint_response(space):
-    # raw halfway between floor and the full-pass level clears half the stages
+    # raw halfway between floor and the full-pass level (the one peak, 1.5) clears half the stages
     scene = scene_with(objects=[(Box(18.0, 14.5, 12.0, 12.0), 1.5)], floor=-5.0)
-    scorer = CascadeScorer(scene, stages=10, full_pass_response=1.5)
+    scorer = CascadeScorer(scene, stages=10)
+    assert scorer.full_pass_response == 1.5
     w = Window(12, 8, 0)  # centred at (18, 14), the grid cell nearest the object
     raw = SyntheticScorer(scene).score(space, w).response
     u = (raw - scene.floor) / (1.5 - scene.floor)

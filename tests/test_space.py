@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from pwsearch import Box, SearchSpace, Window, overlap
 
+from conftest import PYRAMID
+
 
 def test_tiling_by_hand(tiny_space):
     # 16x16 image, 8x8 template, stride 8: two positions per axis.
@@ -45,6 +47,13 @@ def test_index_round_trip(small_space):
     for i, w in enumerate(small_space.windows()):
         assert small_space.index_of(w) == i
         assert small_space.window_at(i) == w
+
+
+@pytest.mark.parametrize("name", ["small", "pyramid"])
+def test_coordinates_at_matches_window_at(small_space, name):
+    space = small_space if name == "small" else PYRAMID  # PYRAMID's top scale is empty
+    x, y, s = space.coordinates_at(np.arange(space.window_count))
+    assert list(map(Window, x.tolist(), y.tolist(), s.tolist())) == list(space.windows())
 
 
 def test_window_at_rejects_out_of_range(small_space):
