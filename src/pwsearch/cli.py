@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import ConfigError, LoadedConfig, load_config
 from .harness import (
     TraceFormatError,
+    cell_means,
     derive_seed,
     extract_curves,
     read_trace_jsonl,
@@ -26,7 +27,6 @@ from .harness import (
     summarize_rates,
     summarize_ratios,
     write_csv,
-    write_curves_csv,
     write_results_jsonl,
     write_trace_jsonl,
 )
@@ -113,7 +113,7 @@ def cmd_run(args) -> int:
 
     out = _outdir(args)
     write_trace_jsonl(out / "trace.jsonl", trace)
-    write_curves_csv(out / "curves.csv", extract_curves(trace))
+    write_csv(out / "curves.csv", extract_curves(trace))
     summary = {
         "detector": detector.name,
         "algorithm": detector.algorithm,
@@ -153,21 +153,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError("experiment.sweep_t_h", "sweep requires a sweep_t_h list")
     scenes = cfg.load_scenes()
     detector = cfg.detectors[0]
-    for t_h in cfg.sweep_t_h:
-        if t_h <= detector.t_l:
-            raise ConfigError("experiment.sweep_t_h", f"sweep point {t_h} not above t_l")
-    points = tuple(replace(detector, t_h=t_h) for t_h in cfg.sweep_t_h)
+    # Each point runs under its own name, so its cell of the grid is found by name.
+    points = tuple(replace(detector, name=str(k), t_h=t_h) for k, t_h in enumerate(cfg.sweep_t_h))
     results = run_experiment(replace(cfg, detectors=points, budgets=(detector.budget,)), scenes, args.jobs)
-    rows = []
-    for k, point in enumerate(points):
-        cells = [r.metrics for r in results[k :: len(points)]]
-        rows.append(
-            {
-                "t_h": point.t_h,
-                "detection_rate": sum(m.detection_rate for m in cells) / len(cells),
-                "fppi": sum(m.fppi for m in cells) / len(cells),
-            }
-        )
+    means = cell_means(results)
+    rows = [
+        {
+            "t_h": point.t_h,
+            "detection_rate": means[detector.budget, point.name]["detection_rate"],
+            "fppi": means[detector.budget, point.name]["fppi"],
+        }
+        for point in points
+    ]
     out = _outdir(args)
     write_csv(out / "operating_points.csv", rows)
     _say(args, f"sweep: {len(rows)} operating points for {detector.name} -> {out}")
@@ -180,7 +177,7 @@ def cmd_curves(args) -> int:
     except TraceFormatError as exc:
         raise ConfigError("--trace", str(exc)) from exc
     out = _outdir(args)
-    write_curves_csv(out / "curves.csv", extract_curves(trace))
+    write_csv(out / "curves.csv", extract_curves(trace))
     _say(args, f"curves: {len(trace.records)} iterations -> {out}")
     return EXIT_OK
 

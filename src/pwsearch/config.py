@@ -15,6 +15,8 @@ image size, the scene's own rules (every peak above the floor) and, under the
 synthetic scorer, every detector's ``t_l`` (the floor must lie below it, as
 for generated scenes).  Under the cascade scorer every response lies in
 [0, 1], so each detector's ``t_l`` must exceed 0 and its ``t_h`` be at most 1.
+Every ``sweep_t_h`` point must lie above the first detector's ``t_l``, the
+detector that ``sweep`` sweeps, and at most 1 under the cascade scorer.
 All failures raise :class:`ConfigError` with the offending field's path,
 before anything runs.
 """
@@ -138,6 +140,22 @@ def _check_cascade_thresholds(detectors: tuple[DetectorConfig, ...]) -> None:
                 )
 
 
+def _check_sweep(points: tuple[float, ...], detector: DetectorConfig, scorer_kind: str) -> None:
+    """Raise unless every ``sweep_t_h`` point is a threshold the swept
+    detector, the first, can run with: above its ``t_l`` and, under the
+    cascade scorer, at most 1."""
+    for t_h in points:
+        if not t_h > detector.t_l:
+            raise ConfigError(
+                "experiment.sweep_t_h", f"sweep point {t_h} not above detectors[0].t_l = {detector.t_l}"
+            )
+        if scorer_kind == "cascade" and t_h > 1.0:
+            raise ConfigError(
+                "experiment.sweep_t_h",
+                f"cascade responses lie in [0, 1], so sweep point {t_h} must be at most 1",
+            )
+
+
 # Keyed by annotation text: the dataclass modules postpone their annotations.
 _CASTS = {"int": int, "int | None": int, "float": float}
 
@@ -213,6 +231,8 @@ def load_config(path: str | Path) -> LoadedConfig:
         _check_floor(scene_params.floor, detectors)
     if scorer_kind == "cascade":
         _check_cascade_thresholds(detectors)
+    sweep_t_h = tuple(float(t) for t in experiment.get("sweep_t_h", ()))
+    _check_sweep(sweep_t_h, detectors[0], scorer_kind)
 
     return LoadedConfig(
         space=space,
@@ -226,7 +246,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         seed=int(experiment["seed"]),
         match_iou=float(experiment.get("match_iou", 0.5)),
         nms_iou=float(experiment.get("nms_iou", 0.5)),
-        sweep_t_h=tuple(float(t) for t in experiment.get("sweep_t_h", ())),
+        sweep_t_h=sweep_t_h,
         scorer_kind=scorer_kind,
         cascade_stages=int(scorer.get("stages", 10)),
         cost_model=_build(CostModel, data.get("cost_model", {}), "cost_model"),

@@ -5,6 +5,12 @@ comparisons give every detector the same scenes and the same per-scene seed,
 so differences come from the algorithms alone.  Serialized outputs carry no
 wall-clock or environment state: rerunning a seed reproduces them byte for
 byte.
+
+Each output row is defined once: a ``trace.jsonl`` line by ``TRACE_KEYS``,
+derived from ``TraceRecord``'s fields and used by writer and reader alike; a
+``curves.csv`` row by ``extract_curves``, written by :func:`write_csv` like
+every table; the per-(budget, detector) means of ``compare`` and ``sweep`` by
+``cell_means``.
 """
 
 from __future__ import annotations
@@ -14,13 +20,16 @@ import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .detectors import (
+    SOURCE_GAUSSIAN,
+    SOURCE_UNIFORM,
     DetectorConfig,
     RunTrace,
     TraceRecord,
@@ -88,6 +97,9 @@ class Metrics:
     detections: int
     windows_used: int = 0
     cost: float = 0.0
+
+
+_METRIC_NAMES = tuple(f.name for f in fields(Metrics))
 
 
 def evaluate(
@@ -201,40 +213,30 @@ def generate_scenes(params: SceneParams, master_seed: int, count: int) -> list[S
     return scenes
 
 
-def extract_curves(trace: RunTrace) -> dict[str, list]:
-    """Per-iteration series from a trace.
-
-    Keys: ``i``, ``n_rejected``, ``n_accepted``, ``n_free``, ``n_ambiguous``,
-    ``p_uniform``, ``p_gaussian``, ``uniform_draws``, ``gaussian_draws``
-    (the last two cumulative).
-    """
-    curves: dict[str, list] = {
-        "i": [],
-        "n_rejected": [],
-        "n_accepted": [],
-        "n_free": [],
-        "n_ambiguous": [],
-        "p_uniform": [],
-        "p_gaussian": [],
-        "uniform_draws": [],
-        "gaussian_draws": [],
-    }
+def extract_curves(trace: RunTrace) -> list[dict]:
+    """The rows of ``curves.csv``, one per iteration of a trace; ``uniform_draws``
+    and ``gaussian_draws`` count the draws from each source so far."""
+    rows = []
     uniform = gaussian = 0
     for rec in trace.records:
-        if rec.source == "UNIFORM":
+        if rec.source == SOURCE_UNIFORM:
             uniform += 1
-        elif rec.source == "GAUSSIAN":
+        elif rec.source == SOURCE_GAUSSIAN:
             gaussian += 1
-        curves["i"].append(rec.i)
-        curves["n_rejected"].append(rec.n_rejected)
-        curves["n_accepted"].append(rec.n_accepted)
-        curves["n_free"].append(trace.window_count - rec.n_rejected - rec.n_accepted)
-        curves["n_ambiguous"].append(rec.n_ambiguous)
-        curves["p_uniform"].append(rec.p_uniform)
-        curves["p_gaussian"].append(None if rec.p_uniform is None else 1.0 - rec.p_uniform)
-        curves["uniform_draws"].append(uniform)
-        curves["gaussian_draws"].append(gaussian)
-    return curves
+        rows.append(
+            {
+                "i": rec.i,
+                "n_rejected": rec.n_rejected,
+                "n_accepted": rec.n_accepted,
+                "n_free": trace.window_count - rec.n_rejected - rec.n_accepted,
+                "n_ambiguous": rec.n_ambiguous,
+                "p_uniform": rec.p_uniform,
+                "p_gaussian": None if rec.p_uniform is None else 1.0 - rec.p_uniform,
+                "uniform_draws": uniform,
+                "gaussian_draws": gaussian,
+            }
+        )
+    return rows
 
 
 # --- scorers and single runs -------------------------------------------------
@@ -390,42 +392,45 @@ def run_experiment(
     return [row for rows in parallel_map(_compare_rows, tasks, jobs) for row in rows]
 
 
+def cell_means(results: list[RunResult]) -> dict[tuple[int, str], dict[str, float]]:
+    """Each metric's mean over the scenes of every (budget, detector) cell."""
+    cells: dict[tuple[int, str], list[Metrics]] = {}
+    for r in results:
+        cells.setdefault((r.budget, r.detector), []).append(r.metrics)
+    return {
+        cell: {name: sum(getattr(m, name) for m in metrics) / len(metrics) for name in _METRIC_NAMES}
+        for cell, metrics in cells.items()
+    }
+
+
 def summarize_rates(results: list[RunResult], detectors: list[str], budgets: list[int]) -> list[dict]:
     """Mean detection rate per (budget, detector), one row per budget."""
+    means = cell_means(results)
     rows = []
     for budget in budgets:
         row: dict = {"budget": budget}
         for name in detectors:
-            rates = [
-                r.metrics.detection_rate for r in results if r.budget == budget and r.detector == name
-            ]
-            row[name] = sum(rates) / len(rates) if rates else math.nan
+            row[name] = means[budget, name]["detection_rate"] if (budget, name) in means else math.nan
         rows.append(row)
     return rows
 
 
 def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: list[int]) -> list[dict]:
     """Mean windows/cost per detector plus ratios against the first detector."""
-    rows = []
+    means = cell_means(results)
     base = detectors[0]
+    rows = []
     for budget in budgets:
+        present = [name for name in detectors if (budget, name) in means]
         row: dict = {"budget": budget}
-        means: dict[str, tuple[float, float]] = {}
-        for name in detectors:
-            cells = [r for r in results if r.budget == budget and r.detector == name]
-            if cells:
-                means[name] = (
-                    sum(c.metrics.windows_used for c in cells) / len(cells),
-                    sum(c.metrics.cost for c in cells) / len(cells),
-                )
-        for name in detectors:
-            if name in means:
-                row[f"windows:{name}"] = means[name][0]
-                row[f"cost:{name}"] = means[name][1]
-        for name in detectors:
-            if name != base and name in means and base in means and means[base][0] > 0:
-                row[f"windows_ratio:{name}/{base}"] = means[name][0] / means[base][0]
-                row[f"cost_ratio:{name}/{base}"] = means[name][1] / means[base][1]
+        for name in present:
+            row[f"windows:{name}"] = means[budget, name]["windows_used"]
+            row[f"cost:{name}"] = means[budget, name]["cost"]
+        if base in present and means[budget, base]["windows_used"] > 0:
+            for name in present:
+                if name != base:
+                    row[f"windows_ratio:{name}/{base}"] = row[f"windows:{name}"] / row[f"windows:{base}"]
+                    row[f"cost_ratio:{name}/{base}"] = row[f"cost:{name}"] / row[f"cost:{base}"]
         rows.append(row)
     return rows
 
@@ -433,35 +438,32 @@ def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: li
 # --- serialization -----------------------------------------------------------
 
 
+# A trace line's keys, in file order: ``TraceRecord``'s fields with the window
+# spelled out as its axes, built once so that no record pays for ``fields()``.
+_WINDOW_AXES = tuple(f.name for f in fields(Window))
+_RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
+_WINDOW_AT = _RECORD_FIELDS.index("window")
+_WINDOW_END = _WINDOW_AT + len(_WINDOW_AXES)
+_BEFORE, _AFTER = _RECORD_FIELDS[:_WINDOW_AT], _RECORD_FIELDS[_WINDOW_AT + 1 :]
+TRACE_KEYS = (*_BEFORE, *_WINDOW_AXES, *_AFTER)
+_record_values = attrgetter(*_BEFORE, *(f"window.{axis}" for axis in _WINDOW_AXES), *_AFTER)
+_line_values = itemgetter(*TRACE_KEYS)
+_HEADER_KEYS = ("detector", "algorithm", "seed", "window_count")
+
+
 def trace_record_to_dict(rec: TraceRecord) -> dict:
-    return {
-        "i": rec.i,
-        "x": rec.window.x,
-        "y": rec.window.y,
-        "s": rec.window.s,
-        "response": rec.response,
-        "kind": rec.kind,
-        "source": rec.source,
-        "n_rejected": rec.n_rejected,
-        "n_accepted": rec.n_accepted,
-        "n_ambiguous": rec.n_ambiguous,
-        "p_uniform": rec.p_uniform,
-        "stages_evaluated": rec.stages_evaluated,
-    }
+    return dict(zip(TRACE_KEYS, _record_values(rec)))
+
+
+def _record_from_line(line: str) -> TraceRecord:
+    values = _line_values(json.loads(line))
+    window = Window(*values[_WINDOW_AT:_WINDOW_END])
+    return TraceRecord(*values[:_WINDOW_AT], window, *values[_WINDOW_END:])
 
 
 def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
     """Header line, then one line per draw, then a footer with the outcome."""
-    lines = [
-        json.dumps(
-            {
-                "detector": trace.detector,
-                "algorithm": trace.algorithm,
-                "seed": trace.seed,
-                "window_count": trace.window_count,
-            }
-        )
-    ]
+    lines = [json.dumps({key: getattr(trace, key) for key in _HEADER_KEYS})]
     lines.extend(json.dumps(trace_record_to_dict(rec)) for rec in trace.records)
     lines.append(
         json.dumps(
@@ -493,31 +495,12 @@ def read_trace_jsonl(path: str | Path) -> RunTrace:
     footer = json.loads(lines[-1])
     if "complete" not in footer:
         raise TraceFormatError("trace file ends without its footer line; it was cut short")
-    trace = RunTrace(
-        detector=header["detector"],
-        algorithm=header["algorithm"],
-        seed=header["seed"],
-        window_count=header["window_count"],
+    return RunTrace(
+        **{key: header[key] for key in _HEADER_KEYS},
+        records=[_record_from_line(line) for line in lines[1:-1]],
         complete=footer["complete"],
         rebuilds=footer.get("rebuilds", []),
     )
-    for line in lines[1:-1]:
-        rec = json.loads(line)
-        trace.records.append(
-            TraceRecord(
-                rec["i"],
-                Window(rec["x"], rec["y"], rec["s"]),
-                rec["response"],
-                rec["kind"],
-                rec["source"],
-                rec["n_rejected"],
-                rec["n_accepted"],
-                rec["n_ambiguous"],
-                rec["p_uniform"],
-                rec["stages_evaluated"],
-            )
-        )
-    return trace
 
 
 def write_results_jsonl(path: str | Path, results: list[RunResult]) -> None:
@@ -534,9 +517,3 @@ def write_csv(path: str | Path, rows: list[dict]) -> None:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def write_curves_csv(path: str | Path, curves: dict[str, list]) -> None:
-    keys = list(curves.keys())
-    rows = [dict(zip(keys, values)) for values in zip(*(curves[k] for k in keys))]
-    write_csv(path, rows)

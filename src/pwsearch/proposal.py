@@ -235,12 +235,10 @@ class DentedGaussianMixture:
         self._sx, self._sy, self._ss = np.broadcast_to(sigma, means.shape)  # read-only views, not copies
         known = len(extends) if extends is not None else 0
         # Each new mean's grid centre on every scale, (scale_count, n) per
-        # axis.  The original-image centre uses the scalar ``space.zoom`` of
-        # the mean's own scale and is divided by the zoom table of the
-        # landing scale.  The two zooms can differ in the last bit, so
-        # changing either one moves the rounding of some draws.
+        # axis: its original-image centre at the zoom of the mean's own
+        # scale, divided by the zoom of the landing scale.
         mean_x, mean_y, mean_s = means[:, known:]
-        zoom = np.array([space.zoom(s) for s in range(space.scale_count)])[mean_s]
+        zoom = space._zoom_table[mean_s]
         to_scale = space._zoom_table[:, None]
         centre_x = (mean_x * space.stride + space.template_w * 0.5) * zoom
         centre_y = (mean_y * space.stride + space.template_h * 0.5) * zoom

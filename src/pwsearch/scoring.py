@@ -180,9 +180,7 @@ class SyntheticScorer:
 
     def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
         x, y, s = _checked_coordinates(space, x, y, s)
-        # Python-pow zooms, as ``score`` uses: ``space._zoom_table`` may differ in the last bit.
-        zooms = np.array([space.zoom(k) for k in range(space.scale_count)])
-        responses = self._response(space, x[:, None], y[:, None], s[:, None], zooms[s][:, None])
+        responses = self._response(space, x[:, None], y[:, None], s[:, None], space._zoom_table[s][:, None])
         return responses, np.zeros(x.size, dtype=np.int64)
 
     def _response(self, space: SearchSpace, x, y, s, z):

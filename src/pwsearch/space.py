@@ -96,7 +96,8 @@ class SearchSpace:
 
     @cached_property
     def _zoom_table(self) -> np.ndarray:
-        return self.scale_factor ** np.arange(self.scale_count, dtype=float)
+        """``zoom(s)`` for every scale, by Python's power, so equal to it bit for bit."""
+        return np.array([self.zoom(s) for s in range(self.scale_count)])
 
     @property
     def window_count(self) -> int:

@@ -396,6 +396,31 @@ def test_semantic_config_errors(tmp_path, capsys):
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
     assert "config error: cost_model: " in capsys.readouterr().err
 
+    # sweep points are thresholds of the first detector: above its t_l, and at
+    # most 1 under the cascade scorer
+    for kind, points in (("synthetic", [-0.5, -3.0]), ("cascade", [0.8, 1.5])):
+        cfg = tiny_config(scorer={"kind": kind})
+        if kind == "cascade":
+            for det in cfg["detectors"]:
+                det["t_l"], det["t_h"] = 0.2, 0.8
+        cfg["experiment"]["sweep_t_h"] = points
+        path = tmp_path / f"sweep_{kind}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert "config error: experiment.sweep_t_h: " in capsys.readouterr().err
+
+
+def test_subtract_interval_only_under_reject_propagation(tmp_path, capsys):
+    """Only rejection marks read ``subtract_interval``; an acceptance
+    propagation that sets it would run as if it did not."""
+    for key, code in (("reject_propagation", EXIT_OK), ("accept_propagation", EXIT_CONFIG)):
+        cfg = tiny_config()
+        cfg["detectors"][0][key] = {"span": 1, "shrink": 0.5, "subtract_interval": True}
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == code
+    assert "detectors.0.accept_propagation" in capsys.readouterr().err
+
 
 def test_broken_scene_file_is_config_error(tmp_path):
     cfg = tiny_config()
@@ -455,6 +480,7 @@ def test_scene_file_floor_and_peaks_are_config_errors(tmp_path, capsys):
     cfg["scorer"] = {"kind": "cascade"}
     for det in cfg["detectors"]:
         det["t_l"], det["t_h"] = 0.2, 0.8
+    cfg["experiment"]["sweep_t_h"] = [0.6, 0.8]
     cfg["scenes"] = {"files": ["high_floor.json"]}
     path.write_text(json.dumps(cfg))
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_OK

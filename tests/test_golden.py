@@ -18,7 +18,9 @@ the next.
 ``GOLDEN_GRID`` pins the files ``compare`` and ``sweep`` write for
 ``configs/synthetic.json``: every row of the experiment grid, its summaries
 and the operating points, so a change to how the grid is built or averaged
-fails here even when every trace stays the same.
+fails here even when every trace stays the same.  ``GOLDEN_RUN_FILES`` pins
+the other two files ``run`` writes, ``curves.csv`` and ``summary.json``, for
+each detector of ``configs/synthetic.json`` on scene 0.
 """
 
 import hashlib
@@ -60,6 +62,17 @@ GOLDEN_EXHAUSTING = {
     "sipw": "2aa180ddf682469f60c9551b3c28798b611ed22885bbf532bf38006ef5a282bd",
 }
 
+GOLDEN_RUN_FILES = {
+    ("sw", "curves.csv"): "443698fdbcf9a11f7a25df7e766fc5f615aa98b088ebffb46ad9eaf57a307ffb",
+    ("sw", "summary.json"): "9d422f2e4f8feace44db01ff33810bdfd67f7e27b5eb49f88f3a001088db29a7",
+    ("mpw", "curves.csv"): "1255054787ddb943b68e48c19f79f5f57a6ba285d17b02568500e369e212493f",
+    ("mpw", "summary.json"): "1d889d676b02d85ca92b5387b65d5931a7eb17d22c1545dbf54d168106af33b6",
+    ("ipw", "curves.csv"): "af41d1de1270fff09c04095957f2ee1f91b4e8842a901b28c3ac0492df61d960",
+    ("ipw", "summary.json"): "1bb647263afe5d536ce9f44c0e9947447e2477ef4f55104c8f247f0710aaef8b",
+    ("sipw", "curves.csv"): "8479eb58be994d95726850e1069f3c7a688facc01ede6e046916455640f902d0",
+    ("sipw", "summary.json"): "acf6b1d6864072691361a0689889c346add85c4b42b37d76d437bb644c208294",
+}
+
 GOLDEN_GRID = {
     ("compare", "results.jsonl"): "f7d66c0b27a2e41400d82b02bd4f2d568eaf23c4bfbeb337c600ec41af2add65",
     ("compare", "rates.csv"): "1a5d669e60705c3d4aad3628bce57aa51cace304ab56efa0f8ae37f2fc1e805b",
@@ -89,6 +102,14 @@ def test_exhausting_trace_matches_pinned_digest(detector, tmp_path):
     assert trace_digest("pedestrian.json", detector, 0, tmp_path) == GOLDEN_EXHAUSTING[detector]
     footer = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[-1])
     assert footer["complete"]
+
+
+@pytest.mark.parametrize("detector", sorted({d for d, _ in GOLDEN_RUN_FILES}))
+def test_run_curves_and_summary_match_pinned_digests(detector, tmp_path):
+    trace_digest("synthetic.json", detector, 0, tmp_path)
+    for name in ("curves.csv", "summary.json"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_RUN_FILES[(detector, name)], name
 
 
 @pytest.mark.parametrize("subcommand", ["compare", "sweep"])

@@ -23,6 +23,9 @@ from pwsearch import (
     hit_probability,
     overlap,
     run_ipw,
+    run_mpw,
+    run_sipw,
+    run_sw,
 )
 from pwsearch import harness
 from pwsearch.config import LoadedConfig
@@ -39,7 +42,6 @@ from pwsearch.harness import (
     trace_at_budget,
     trace_record_to_dict,
     write_csv,
-    write_curves_csv,
     write_results_jsonl,
     write_trace_jsonl,
 )
@@ -237,16 +239,16 @@ def test_scene_thresholds_hold_for_generated_scenes(params):
 def test_extract_curves_identities(bench_space, bench_scenes, bench_table):
     config = make_detector("ipw", 200, bench_table)
     trace = run_ipw(bench_space, build_scorer(bench_scenes[0]), config, seed=21)
-    curves = extract_curves(trace)
-    n = len(trace.records)
-    assert curves["i"] == list(range(1, n + 1))
-    assert curves["p_uniform"][0] == pytest.approx(config.alpha)
-    for j in range(n):
-        assert curves["n_free"][j] == trace.window_count - curves["n_rejected"][j] - curves["n_accepted"][j]
-        assert curves["p_gaussian"][j] == pytest.approx(1.0 - curves["p_uniform"][j])
-        assert curves["uniform_draws"][j] + curves["gaussian_draws"][j] == j + 1
-    assert curves["uniform_draws"] == sorted(curves["uniform_draws"])
-    assert curves["gaussian_draws"] == sorted(curves["gaussian_draws"])
+    rows = extract_curves(trace)
+    assert [row["i"] for row in rows] == list(range(1, len(trace.records) + 1))
+    assert rows[0]["p_uniform"] == pytest.approx(config.alpha)
+    for j, row in enumerate(rows):
+        assert row["n_free"] == trace.window_count - row["n_rejected"] - row["n_accepted"]
+        assert row["p_gaussian"] == pytest.approx(1.0 - row["p_uniform"])
+        assert row["uniform_draws"] + row["gaussian_draws"] == j + 1
+    for column in ("uniform_draws", "gaussian_draws"):
+        counts = [row[column] for row in rows]
+        assert counts == sorted(counts)
 
 
 # --- experiment grid ---------------------------------------------------------
@@ -376,16 +378,21 @@ def test_summaries_shape():
 # --- serialization ------------------------------------------------------------
 
 
-def test_trace_jsonl_round_trip(tmp_path, bench_space, bench_scenes, bench_table):
-    config = make_detector("sipw", 120, bench_table)
-    trace = run_ipw(bench_space, build_scorer(bench_scenes[1]), config, seed=31)
-    assert trace.accepted
+@pytest.mark.parametrize("run", [run_sw, run_mpw, run_ipw, run_sipw], ids=lambda run: run.__name__)
+def test_trace_jsonl_round_trip(run, tmp_path, bench_space, bench_scenes, bench_table):
+    """Every detector's trace comes back equal: ``sw`` and ``mpw`` with a
+    ``null`` ``p_uniform``, ``sipw`` with its rebuilds."""
+    config = make_detector(run.__name__.removeprefix("run_"), 120, bench_table)
+    trace = run(bench_space, build_scorer(bench_scenes[1]), config, seed=31)
+    assert (trace.records[0].p_uniform is None) == (config.algorithm in ("sw", "mpw"))
+    assert bool(trace.rebuilds) == (config.algorithm == "sipw")
+    assert trace.accepted or config.algorithm == "mpw"
     path = tmp_path / "trace.jsonl"
     write_trace_jsonl(path, trace)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     header, body, footer = lines[0], lines[1:-1], lines[-1]
     assert header["window_count"] == bench_space.window_count
-    assert header["seed"] == 31
+    assert header["seed"] == (None if config.algorithm == "sw" else 31)  # a scan draws nothing
     assert len(body) == len(trace.records)
     got = body[17]
     assert got == trace_record_to_dict(trace.records[17])
@@ -423,7 +430,7 @@ def test_curves_csv(tmp_path, bench_space, bench_scenes, bench_table):
         bench_space, build_scorer(bench_scenes[2]), make_detector("ipw", 50, bench_table), seed=1
     )
     path = tmp_path / "curves.csv"
-    write_curves_csv(path, extract_curves(trace))
+    write_csv(path, extract_curves(trace))
     with open(path) as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 50
