@@ -36,15 +36,19 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _jobs(text: str) -> int:
-    """A ``--jobs`` value: an integer of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
-    return jobs
+def _at_least(low: int):
+    """An argument type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, not {text!r}")
+        return value
+
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -61,11 +65,11 @@ def _parser() -> argparse.ArgumentParser:
         if name != "curves":
             cmd.add_argument("--config", required=True, help="path to a JSON config file")
         if name in ("run", "compare", "sweep"):
-            cmd.add_argument("--seed", type=int, default=None, help="override the experiment seed")
+            cmd.add_argument("--seed", type=_at_least(0), default=None, help="override the experiment seed")
         if name != "validate-config":
             cmd.add_argument("--out", default="out", help="output directory")
         if name in ("compare", "sweep"):
-            cmd.add_argument("--jobs", type=_jobs, default=1, help="worker processes for the runs")
+            cmd.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes for the runs")
         cmd.add_argument("--quiet", action="store_true", help="suppress progress output")
         if name == "run":
             cmd.add_argument("--detector", default=None, help="detector name (default: first)")

@@ -170,18 +170,14 @@ def mpw_schedule(n_first: int, gamma: float, stages: int) -> list[int]:
 def schedule_for_budget(budget: int, gamma: float, stages: int) -> list[int]:
     """Stage sizes with the schedule's decay whose total is exactly ``budget``.
 
-    Picks the largest first-stage size whose schedule fits, then adds the
-    remainder to stage 1.  Degenerates gracefully when the budget is smaller
-    than the stage count.
+    Takes the largest first-stage size whose untruncated schedule fits, so
+    the truncated one fits too, then adds the remainder to stage 1.
+    Degenerates gracefully when the budget is smaller than the stage count.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     denom = sum(math.exp(-gamma * i) for i in range(stages))
-    n_first = max(1, int(budget / denom))
-    sched = mpw_schedule(n_first, gamma, stages)
-    while sum(sched) > budget and n_first > 1:
-        n_first -= 1
-        sched = mpw_schedule(n_first, gamma, stages)
+    sched = mpw_schedule(max(1, int(budget / denom)), gamma, stages)
     sched[0] += budget - sum(sched)
     return [n for n in sched if n > 0]
 

@@ -484,23 +484,29 @@ class TraceFormatError(ValueError):
 
 
 def read_trace_jsonl(path: str | Path) -> RunTrace:
-    """The trace that :func:`write_trace_jsonl` wrote."""
+    """The trace that :func:`write_trace_jsonl` wrote.  A line that is not
+    JSON or lacks a key of its kind raises :class:`TraceFormatError` naming
+    the line, as does a missing file or one without records."""
     path = Path(path)
     if not path.exists():
         raise TraceFormatError(f"no such trace file: {path}")
     lines = path.read_text().splitlines()
     if len(lines) < 2:
         raise TraceFormatError("trace file has no records")
-    header = json.loads(lines[0])
-    footer = json.loads(lines[-1])
-    if "complete" not in footer:
-        raise TraceFormatError("trace file ends without its footer line; it was cut short")
-    return RunTrace(
-        **{key: header[key] for key in _HEADER_KEYS},
-        records=[_record_from_line(line) for line in lines[1:-1]],
-        complete=footer["complete"],
-        rebuilds=footer.get("rebuilds", []),
-    )
+    number = len(lines)
+    try:
+        footer = json.loads(lines[-1])
+        complete, rebuilds = footer["complete"], footer.get("rebuilds", [])
+        number = 1
+        header = json.loads(lines[0])
+        fields = {key: header[key] for key in _HEADER_KEYS}
+        records = []
+        for number, line in enumerate(lines[1:-1], start=2):
+            records.append(_record_from_line(line))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        what = "not the footer line; the file was cut short" if number == len(lines) else "not a trace line"
+        raise TraceFormatError(f"line {number} is {what} ({type(exc).__name__}: {exc})") from exc
+    return RunTrace(**fields, records=records, complete=complete, rebuilds=rebuilds)
 
 
 def write_results_jsonl(path: str | Path, results: list[RunResult]) -> None:

@@ -2,15 +2,11 @@
 
 "Dented" means zero mass on every cell the region book has claimed.  Both
 samplers draw by rejection: up to ``n_max`` proposals from the undented base
-distribution, made in batches of 64, and the first FREE one wins, so they
-never need the dent's normalizer.  Proposals are evaluated in groups of
-batches, sized to what the last search saw.  The uniform checks its first
-batch alone and the rest in groups of 16 batches, each one generator call.
-The mixture's groups hold 1, 2, 4, ... batches, up to 16, or 16 from the
-start when its last search came up empty.  When the hit comes before a
-group's last batch, the generator is rewound and the batches up to the hit
-are drawn again, so the random stream, and with it every draw, is that of a
-batch-at-a-time loop.
+distribution, and the first FREE one wins, so they never need the dent's
+normalizer.  Proposals are drawn in groups, each in one pass of generator
+calls: 64 proposals, then twice as many each time, up to 1024.  A mixture
+whose own last search came up empty starts at 1024.  The grouping shapes
+the random stream, but not the law of the proposal that wins.
 
 When the uniform's proposals all miss, it draws from the explicit free set,
 which it keeps from one such fallback to the next.  Claims are permanent, so
@@ -25,7 +21,7 @@ proposal law is the weighted sum of each component's rounded and clamped
 normal masses, computed as CDF differences per axis.
 
 ``draw_gaussian_window`` draws a whole ``mpw`` stage from a mixture's
-undented proposal law, through the quantization ``sample`` uses.
+undented proposal law, with the proposals ``sample`` makes.
 
 Mixture components are centered on previously drawn windows and share one
 spread: one eighth of the template extent in grid cells per spatial axis and
@@ -93,36 +89,24 @@ def _rounded_normal_mass(centre: np.ndarray, sigma: np.ndarray, size: int) -> np
     return np.diff(cdf, axis=0)
 
 
-_BATCH = 64  # proposals per batch: the unit of the generator-call sequence
-_GROUP_CAP = 16 * _BATCH  # proposals evaluated together at most
+_BATCH = 64  # proposals in a search's first group
+_GROUP_CAP = 16 * _BATCH  # proposals drawn in one pass at most
 
 
-def _rejection_sample(rng: np.random.Generator, n_max: int, draw, locate, first: int):
+def _rejection_sample(n_max: int, first_free, first: int):
     """First accepted proposal among up to ``n_max``, or None.
 
-    Proposals are evaluated in groups: the first holds ``first`` proposals,
-    each later one twice as many, up to ``_GROUP_CAP``.  ``draw(rng, count)``
-    makes the generator calls of the group's first ``count`` proposals in
-    batch-at-a-time order and stores them, and ``locate(count)`` returns
-    ``(position, result)`` for the first acceptable one among them, or None.
-    When the hit falls before a group's last batch, the generator is restored
-    to the group's start and the batches up to the hit's are drawn again, so
-    it ends exactly where a batch-at-a-time loop would have stopped.
+    ``first_free(count)`` draws ``count`` proposals in one pass and returns
+    the first acceptable one, or None.  The first group holds ``first``
+    proposals, each later one twice as many, up to ``_GROUP_CAP``.
     """
     start = 0
     size = first
     while start < n_max:
         count = min(size, n_max - start)
-        state = rng.bit_generator.state if count > _BATCH else None
-        draw(rng, count)
-        found = locate(count)
+        found = first_free(count)
         if found is not None:
-            position, result = found
-            hit_end = (position // _BATCH + 1) * _BATCH
-            if hit_end < count:
-                rng.bit_generator.state = state
-                draw(rng, hit_end)
-            return result
+            return found
         start += count
         size = min(2 * size, _GROUP_CAP)
     return None
@@ -146,17 +130,11 @@ class DentedUniform:
     def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
         """A FREE cell drawn uniformly, or None once the space is exhausted.
 
-        Up to ``n_max`` rejection proposals are tried first, and the accepted
-        cell is the first free proposal in order.  The first batch is drawn
-        and checked on its own, which is all that a search hitting there
-        pays.  A miss there means the free fraction is small and the
-        rest of the search is likely to miss too, so the remaining proposals
-        come in groups of ``_GROUP_CAP``, one ``rng.integers`` call each:
-        ``integers(size=a + b)`` gives the values and the generator state of
-        ``integers(size=a)`` followed by ``integers(size=b)``, so the stream
-        is that of a batch-at-a-time loop.  When the search comes up empty
-        but free cells remain, one is drawn from the explicit free set, so
-        None strictly means ``free_count == 0``.
+        Up to ``n_max`` rejection proposals are tried first, in the groups
+        of :func:`_rejection_sample` from ``_BATCH`` on, one ``rng.integers``
+        call each, and the accepted cell is the first free proposal in order.
+        When the search comes up empty but free cells remain, one is drawn
+        from the explicit free set, so None strictly means ``free_count == 0``.
 
         The free set is kept from one fallback to the next.  Claims are
         permanent, so the free set changes exactly when its size does, and
@@ -168,20 +146,13 @@ class DentedUniform:
             return None
         n = self.space.window_count
         flat = self.book.flat
-        indices = rng.integers(0, n, size=min(_BATCH, n_max))
-        hits = np.nonzero(flat[indices] == 0)[0]
-        if hits.size:
-            return self.space.window_at(int(indices[hits[0]]))
 
-        def draw(rng: np.random.Generator, count: int) -> None:
-            nonlocal indices
+        def first_free(count: int) -> int | None:
             indices = rng.integers(0, n, size=count)
+            hits = np.flatnonzero(flat[indices] == 0)
+            return int(indices[hits[0]]) if hits.size else None
 
-        def locate(count: int) -> tuple[int, int] | None:
-            hits = np.nonzero(flat[indices] == 0)[0]
-            return (int(hits[0]), int(indices[hits[0]])) if hits.size else None
-
-        found = _rejection_sample(rng, n_max - _BATCH, draw, locate, _GROUP_CAP)
+        found = _rejection_sample(n_max, first_free, _BATCH)
         if found is not None:
             return self.space.window_at(found)
         count, free = self._free
@@ -202,9 +173,8 @@ class DentedGaussianMixture:
 
     ``extends`` may name a mixture over the same space whose means are the
     leading columns of ``means``, a promise the caller keeps; its projected
-    centres are reused and only the new means are projected, and whether its
-    last search came up empty carries over, which only sizes the next
-    search's first group.  The result is the same mixture either way.
+    centres are reused and only the new means are projected.  The result is
+    the same mixture either way, draws included.
     """
 
     def __init__(
@@ -220,7 +190,7 @@ class DentedGaussianMixture:
         self.space = space
         self.means = means
         self._free_mass = (-1, 0.0)  # (book.free_count, table mass on free cells)
-        self._missed = extends._missed if extends is not None else False  # last search came up empty
+        self._missed = False  # this mixture's last search came up empty
         self._size = means.shape[1]
         if not self._size:
             return
@@ -278,11 +248,12 @@ class DentedGaussianMixture:
             self._free_mass = (self.book.free_count, mass)
         return float(table[self.space.index_of(w)] / mass) if mass > 0.0 else 0.0
 
-    def _quantizer(self):
-        """``quantize(u, z) -> (x, y, s, index, valid)``: proposal ``i`` picks
-        its component by uniform ``u[i]`` and quantizes normal row ``z[i]``
-        (x, y, s) around its mean, the scale first, then the position in that
-        scale's grid, each rounded and clamped.  A scale past the last
+    def _proposer(self, rng: np.random.Generator):
+        """``propose(count) -> (x, y, s, index, valid)``: ``count`` undented
+        proposals in one pass.  ``rng.random(count)`` picks each proposal's
+        component and the row of ``rng.standard_normal((count, 3))`` (x, y, s)
+        is quantized around its mean, the scale first, then the position in
+        that scale's grid, each rounded and clamped.  A scale past the last
         nonempty one has no cells: ``valid`` is False and ``index`` void."""
         if not len(self):
             raise ValueError("cannot sample from an empty mixture")
@@ -295,8 +266,9 @@ class DentedGaussianMixture:
         gx = self._gx.ravel()
         gy = self._gy.ravel()
 
-        def quantize(u: np.ndarray, z: np.ndarray):
-            comp = self._cumulative.searchsorted(u, side="right")
+        def propose(count: int):
+            comp = self._cumulative.searchsorted(rng.random(count), side="right")
+            z = rng.standard_normal((count, 3))
             np.minimum(comp, n - 1, out=comp)
             s = np.rint(self._mean_s.take(comp) + z[:, 2] * self._ss.take(comp)).astype(np.int64)
             np.maximum(s, 0, out=s)
@@ -311,35 +283,27 @@ class DentedGaussianMixture:
             nx = nx_table.take(s)
             return x, y, s, space._offsets.take(s) + y * nx + x, nx > 0
 
-        return quantize
+        return propose
 
     def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
         """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.
 
-        Proposals are quantized by :meth:`_quantizer`, as in
-        :func:`draw_gaussian_window`.  The first free proposal wins;
-        evaluating proposals in groups is a speed matter only.
+        Proposals come from :meth:`_proposer`, as in
+        :func:`draw_gaussian_window`, in the groups of
+        :func:`_rejection_sample`, and the first free one wins.  After a
+        search of this mixture came up empty, which means little free mass,
+        the next one starts with a group of ``_GROUP_CAP``.
         """
-        quantize = self._quantizer()
+        propose = self._proposer(rng)
         flat = self.book.flat
-        capacity = min(n_max, _GROUP_CAP)
-        u = np.empty(capacity)
-        z = np.empty((capacity, 3))
 
-        def draw(rng: np.random.Generator, count: int) -> None:
-            for lo in range(0, count, _BATCH):
-                hi = min(lo + _BATCH, count)
-                rng.random(out=u[lo:hi])
-                rng.standard_normal(out=z[lo:hi])
-
-        def locate(count: int) -> tuple[int, Window] | None:
-            x, y, s, index, valid = quantize(u[:count], z[:count])
+        def first_free(count: int) -> Window | None:
+            x, y, s, index, valid = propose(count)
             free = valid & (flat.take(np.where(valid, index, 0)) == 0)
             j = int(free.argmax())
-            return (j, Window(int(x[j]), int(y[j]), int(s[j]))) if free[j] else None
+            return Window(int(x[j]), int(y[j]), int(s[j])) if free[j] else None
 
-        # An empty search means little free mass, so the next one is searched in one group.
-        found = _rejection_sample(rng, n_max, draw, locate, _GROUP_CAP if self._missed else _BATCH)
+        found = _rejection_sample(n_max, first_free, _GROUP_CAP if self._missed else _BATCH)
         self._missed = found is None
         return found
 
@@ -356,15 +320,13 @@ def draw_gaussian_window(
     yet placed, and a proposal on an empty scale places nothing.  A window
     still unplaced after ``n_max`` rounds is uniform, ``gaussian`` False.
     """
-    quantize = mixture._quantizer()
+    propose = mixture._proposer(rng)
     x, y, s = (np.zeros(count, dtype=np.int64) for _ in range(3))
     todo = np.arange(count)
     for _ in range(n_max):
         if not todo.size:
             break
-        u = rng.random(todo.size)
-        z = rng.standard_normal((todo.size, 3))
-        px, py, ps, _, valid = quantize(u, z)
+        px, py, ps, _, valid = propose(todo.size)
         placed = todo[valid]
         x[placed], y[placed], s[placed] = px[valid], py[valid], ps[valid]
         todo = todo[~valid]

@@ -230,15 +230,16 @@ def test_compare_parallel_is_byte_identical(config_path, tmp_path):
 
 
 def test_jobs_below_one_is_a_usage_error(config_path, tmp_path, capsys):
-    """``--jobs`` below 1 exits 2 before anything runs, for compare and sweep."""
-    for subcommand in ("compare", "sweep"):
-        for jobs in ("0", "-4"):
-            out = tmp_path / subcommand / jobs
-            with pytest.raises(SystemExit) as exit_info:
-                main([subcommand, "--config", str(config_path), "--out", str(out), "--jobs", jobs, "--quiet"])
-            assert exit_info.value.code == EXIT_CONFIG
-            assert "--jobs: must be an integer of at least 1" in capsys.readouterr().err
-            assert not out.exists()
+    """``--jobs`` below 1 and ``--seed`` below 0 exit 2 before anything runs."""
+    cases = [(sub, "--jobs", jobs, 1) for sub in ("compare", "sweep") for jobs in ("0", "-4")]
+    cases += [(sub, "--seed", "-1", 0) for sub in ("run", "compare", "sweep")]
+    for subcommand, flag, value, low in cases:
+        out = tmp_path / subcommand / flag / value
+        with pytest.raises(SystemExit) as exit_info:
+            main([subcommand, "--config", str(config_path), "--out", str(out), flag, value, "--quiet"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert f"{flag}: must be an integer of at least {low}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compare_pairs_identical_detectors(tmp_path):
@@ -326,16 +327,24 @@ def test_curves_missing_trace_is_config_error(tmp_path):
     )
 
 
-def test_curves_trace_cut_before_its_footer_is_config_error(config_path, tmp_path):
+def test_curves_trace_cut_before_its_footer_is_config_error(config_path, tmp_path, capsys):
+    """A trace cut at a line end or mid-line, or with a record that lacks a
+    key, exits 2 and names the line at fault."""
     run_out = tmp_path / "run"
     assert main(["run", "--config", str(config_path), "--out", str(run_out), "--quiet"]) == EXIT_OK
     lines = (run_out / "trace.jsonl").read_text().splitlines(keepends=True)
-    cut = tmp_path / "cut.jsonl"
-    cut.write_text("".join(lines[:-1]))
-    assert (
-        main(["curves", "--trace", str(cut), "--out", str(tmp_path / "curves"), "--quiet"])
-        == EXIT_CONFIG
-    )
+    record = json.loads(lines[3])
+    del record["kind"]
+    cases = {
+        "at-line-end": ("".join(lines[:-1]), len(lines) - 1),
+        "mid-line": ("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], len(lines)),
+        "without-kind": ("".join(lines[:3]) + json.dumps(record) + "\n" + "".join(lines[4:]), 4),
+    }
+    for name, (text, number) in cases.items():
+        cut = tmp_path / f"{name}.jsonl"
+        cut.write_text(text)
+        assert main(["curves", "--trace", str(cut), "--out", str(tmp_path / name), "--quiet"]) == EXIT_CONFIG
+        assert f"config error: --trace: line {number} is " in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):

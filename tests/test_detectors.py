@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwsearch import (
     Box,
@@ -81,6 +83,24 @@ def test_schedule_for_budget_spends_exactly_the_budget():
         assert sum(sched) == budget
         assert all(n >= 1 for n in sched)
         assert len(sched) <= 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    budget=st.integers(1, 10**12),
+    gamma=st.floats(0.01, 3.0),
+    stages=st.integers(1, 12),
+)
+def test_schedule_for_budget_sums_to_the_budget(budget, gamma, stages):
+    """The stages sum to the budget, each holds at least one draw, and only
+    the remainder goes to stage 1, never a cut: stage 2 is at most stage 1
+    decayed once."""
+    sched = schedule_for_budget(budget, gamma, stages)
+    assert sum(sched) == budget
+    assert all(n >= 1 for n in sched)
+    assert len(sched) <= stages
+    assert sched == sorted(sched, reverse=True)
+    assert len(sched) < 2 or sched[1] <= sched[0] * math.exp(-gamma)
 
 
 # --- full scan ------------------------------------------------------------

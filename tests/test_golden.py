@@ -10,10 +10,13 @@ the draws on purpose updates them, and says so.
 None of those runs uses up its space.  ``ipw`` and ``sipw`` of
 ``configs/pedestrian.json`` on scene 0 do: both claim all 1,095,431 cells
 before their budget of 5000 is spent, and on the way they take the dented
-uniform's free-set fallback 58 (``ipw``) and 407 (``sipw``) times, so their
+uniform's free-set fallback 77 (``ipw``) and 464 (``sipw``) times, so their
 digests pin the fallback and the late, nearly exhausted part of a run.
-They were computed before the fallback kept its free set from one call to
-the next.
+
+Every ``ipw`` and ``sipw`` digest here, and the ``compare`` grid's, was
+computed when the rejection samplers began to draw each group of proposals
+in one pass, which moved their random stream; the ``sw`` and ``mpw``
+digests, and ``sweep``'s, whose first detector is ``sw``, stayed the same.
 
 ``GOLDEN_GRID`` pins the files ``compare`` and ``sweep`` write for
 ``configs/synthetic.json``: every row of the experiment grid, its summaries
@@ -34,12 +37,12 @@ from pwsearch.cli import EXIT_OK, main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
-    ("ipw", 0): "bd08ee0deced6ec3a0d03b69d41b262c98a909c553cc1c1fa09a4b687e6fae69",
-    ("ipw", 1): "85eafcdd4b21ecf6c349e8b6d9fe669e0ebc8816fd404e3c9d4f2f547b2f74bd",
-    ("ipw", 2): "0ba337e55fe21b0b651c2ad8a1949bca8c12afa081e2a260108212052ddefef6",
-    ("sipw", 0): "1bea586e15e0c98e5f4376d1663aa973270ba3ca6a69860f0e29c9e3ebbe0413",
-    ("sipw", 1): "85db6fa99ded6cd762b71ed38d3d0bf7108df6c98c658af04a9e490e73ba93cd",
-    ("sipw", 2): "68a1834c17a61a8b1425f4f9f4cee99cdf4694bbe1163904341b7915c3df22bb",
+    ("ipw", 0): "5290e6c4ad71ec8234d5628e1117ddb58c1f40b38b145f1d06bffa0978a4eccd",
+    ("ipw", 1): "cbf69c95c4e5bc5359c6651a3c9af0473e0980d23d3d430dda20d4398a6469a9",
+    ("ipw", 2): "01fa2fc4422145657f298c00f7afe254b72fa73a46c25bbc20f13e26fcdf4cbd",
+    ("sipw", 0): "6bb5ff2505b00ed01992288de53cad803b6c181f2db2f06e4a17c1dcad46a8ec",
+    ("sipw", 1): "f098b155d9b8157d5ca9afbc41f26b936f86086c8a82426d4ad4f798a2f24554",
+    ("sipw", 2): "e1a8650c5b6a84924ef8dc939bc125d707f7e8629cedc5ab6a2b2ed6a22e9b94",
     ("mpw", 0): "de8720fb3486cbadb9833d8310756bbe278e4e4925caeb0656f7554ba2ff6d50",
     ("mpw", 1): "348ad97c265557bbd714d0a6ebee7a12884a01c7f2e49a0cc6eadf460c99021f",
     ("mpw", 2): "e16854f275aabccb70ef2a16b19347064dc3027d8df428ab7bab5b6995bad9c7",
@@ -49,17 +52,17 @@ GOLDEN = {
 }
 
 GOLDEN_CASCADE = {
-    ("ipw", 0): "4dd1a3e7862e4d5571881046f90c6b64fb5285e9a2f8ab66f5d997615074c0e5",
-    ("ipw", 1): "0e4ffbbad537f82348a33e3afa47360ae60cdbbf46c1a4afb84226c50b65eec3",
-    ("ipw", 2): "4535f35d3f75390ca944b4dd038faa7b59eaf748b661bc23f30797a57429377d",
+    ("ipw", 0): "31cfd0ab30c8ead661698b890afecaa4745ae847ca3e31293369a1d95aa2b006",
+    ("ipw", 1): "f91b478b4d5f96fc248e852f27ef9c4a73c64c446e5b345515b6155f2b60c60f",
+    ("ipw", 2): "00c5c09eac4530f5cf1e310dead4b6320236485ce6673c9d4ce176fad4e74be9",
     ("mpw", 0): "b4a3ff6b37c85ed884343a7a14bf03d876821cefddc553112d38bf29b92d8a0f",
     ("mpw", 1): "305d24bc42031026e2859f62cb66d616ffbdc03ca1d2fe592fb8f779d04de1a7",
     ("mpw", 2): "7bdc067adad3a71e791f92560af0960f2a3855c3ebcf21f20d8be0ee8db0e739",
 }
 
 GOLDEN_EXHAUSTING = {
-    "ipw": "b9c3ebdb23954d70b8b8713489fc1c94c8183180071d53d7ed009c0195700d92",
-    "sipw": "2aa180ddf682469f60c9551b3c28798b611ed22885bbf532bf38006ef5a282bd",
+    "ipw": "8b615d48d9fdffcc34da8a836321fbaaf87063e09e14e2ac90e278bb46dcdf2d",
+    "sipw": "8f37e7ff32124289d59c6cc6e3944a0cd713a68afe2d5a17bc45924abe9315da",
 }
 
 GOLDEN_RUN_FILES = {
@@ -67,16 +70,16 @@ GOLDEN_RUN_FILES = {
     ("sw", "summary.json"): "9d422f2e4f8feace44db01ff33810bdfd67f7e27b5eb49f88f3a001088db29a7",
     ("mpw", "curves.csv"): "1255054787ddb943b68e48c19f79f5f57a6ba285d17b02568500e369e212493f",
     ("mpw", "summary.json"): "1d889d676b02d85ca92b5387b65d5931a7eb17d22c1545dbf54d168106af33b6",
-    ("ipw", "curves.csv"): "af41d1de1270fff09c04095957f2ee1f91b4e8842a901b28c3ac0492df61d960",
+    ("ipw", "curves.csv"): "1d851f9c0451897ea9f343f44d453284e2be3ba75c4db93897c2af0d52e7cfaf",
     ("ipw", "summary.json"): "1bb647263afe5d536ce9f44c0e9947447e2477ef4f55104c8f247f0710aaef8b",
-    ("sipw", "curves.csv"): "8479eb58be994d95726850e1069f3c7a688facc01ede6e046916455640f902d0",
+    ("sipw", "curves.csv"): "53d5df8d6168dbc602e79a92d56809e878cee39d3174862ec843839ffa75c087",
     ("sipw", "summary.json"): "acf6b1d6864072691361a0689889c346add85c4b42b37d76d437bb644c208294",
 }
 
 GOLDEN_GRID = {
-    ("compare", "results.jsonl"): "f7d66c0b27a2e41400d82b02bd4f2d568eaf23c4bfbeb337c600ec41af2add65",
+    ("compare", "results.jsonl"): "11e11f476b5299a78ab7341f218d13367fea9b55ed7e3fa196ef0b57b30767e3",
     ("compare", "rates.csv"): "1a5d669e60705c3d4aad3628bce57aa51cace304ab56efa0f8ae37f2fc1e805b",
-    ("compare", "ratios.csv"): "908b05762ba9075f4c550034e05a54ce0af02468d4c6f4f059c3ac0c2c3e7496",
+    ("compare", "ratios.csv"): "1d7b8195ae86c804715234b7fd47ad85c309e1878b1f2008edf066223f21ae81",
     ("sweep", "operating_points.csv"): "2fa8dc5cc9a68719efee27831f3b1d42ec5fe5eb47b3904b3b2b592073907b47",
 }
 

@@ -356,30 +356,40 @@ def test_stage_draws_fall_back_to_the_uniform_after_n_max_empty_landings(rng):
     assert pooled_chisquare_pvalue(stage_counts(space, x[~gaussian], y[~gaussian], s[~gaussian]), uniform) > 0.001
 
 
-# --- rejection loops against a batch-at-a-time reference -------------------
+# --- rejection loops against a group-at-a-time reference -------------------
+
+
+def groups(n_max, first):
+    """``(start, count)`` of each group of proposals a search of up to
+    ``n_max`` draws: ``first`` proposals, then twice as many, up to 1024."""
+    start, size = 0, first
+    while start < n_max:
+        count = min(size, n_max - start)
+        yield start, count
+        start += count
+        size = min(2 * size, 1024)
 
 
 def reference_uniform(book, space, rng, n_max):
-    """(window, hit): one 64-proposal batch at a time, scalar checks; ``hit``
-    is the accepted proposal's position, or None when no proposal was free."""
+    """(window, hit): groups from 64 proposals, one ``integers`` call each,
+    scalar checks; ``hit`` is the accepted proposal's position, or None when
+    no proposal was free."""
     if book.free_count == 0:
         return None, None
-    for start in range(0, n_max, 64):
-        for position, index in enumerate(rng.integers(0, space.window_count, size=min(64, n_max - start))):
+    for start, count in groups(n_max, 64):
+        for position, index in enumerate(rng.integers(0, space.window_count, size=count)):
             if book.flat[index] == 0:
                 return space.window_at(int(index)), start + position
     free = np.flatnonzero(book.flat == 0)
     return space.window_at(int(rng.choice(free))), None
 
 
-def reference_mixture(components, book, space, rng, n_max):
-    """The mixture's draw rule, one 64-proposal batch at a time, one proposal at a time."""
+def reference_mixture(components, book, space, rng, n_max, first):
+    """The mixture's draw rule, one group of proposals at a time from a first
+    group of ``first``, one proposal at a time."""
     weights = np.array([weight for _, weight, _ in components])
     cumulative = np.cumsum(weights / weights.sum())
-    remaining = n_max
-    while remaining > 0:
-        k = min(64, remaining)
-        remaining -= k
+    for _, k in groups(n_max, first):
         u = rng.random(k)
         z = rng.standard_normal((k, 3))
         for j in range(k):
@@ -412,8 +422,9 @@ DENTS = {"none": 0.0, "half": 0.5, "heavy": None}  # heavy: all but three cells 
 @pytest.mark.parametrize("dent", sorted(DENTS))
 @pytest.mark.parametrize("space", [FLAT, PYRAMID], ids=["flat", "pyramid"])
 def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
-    """Same window and same generator state as a batch-at-a-time loop, call
-    after call, also for searches that span several groups of proposals."""
+    """Same window and same generator state as a loop that draws each group
+    of proposals as one batch, call after call, also for searches that span
+    several groups."""
     assert PYRAMID.grid_size(3) == (0, 0)
     nones = fallbacks = after_empty = in_remainder = 0
     for seed in range(8):
@@ -433,9 +444,9 @@ def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         empty = False  # whether the mixture's last search came up empty
         for _ in range(4):
-            after_empty += empty  # then this search starts in one group
+            after_empty += empty  # then this search starts with a group of 1024
             got = mixture.sample(rng, n_max)
-            assert got == reference_mixture(components, book, space, ref, n_max)
+            assert got == reference_mixture(components, book, space, ref, n_max, 1024 if empty else 64)
             assert rng.bit_generator.state == ref.bit_generator.state
             empty = got is None
             nones += empty
@@ -444,7 +455,7 @@ def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
             assert got == expected
             assert rng.bit_generator.state == ref.bit_generator.state
             fallbacks += hit is None
-            in_remainder += hit is not None and hit >= 64  # past the uniform's first batch
+            in_remainder += hit is not None and hit >= 64  # past the uniform's first group
     if dent == "heavy" and n_max <= 65:
         assert nones > 0 and fallbacks > 0
     if dent == "heavy":
@@ -510,7 +521,8 @@ def test_uniform_free_set_follows_the_book(space):
 def test_grown_mixture_equals_a_fresh_build():
     """Extending the mixture by each new ambiguous window equals building it
     from the whole batch: size, density on every cell, draws and generator
-    state, after every one of 30 extensions."""
+    state, after every one of 30 extensions, and after extending a mixture
+    whose last search came up empty."""
     space = PYRAMID
     book = RegionBook(space)
     setup = np.random.default_rng(11)
@@ -534,5 +546,15 @@ def test_grown_mixture_equals_a_fresh_build():
         r1, r2 = np.random.default_rng(len(batch)), np.random.default_rng(len(batch))
         assert [grown.sample(r1, 40) for _ in range(30)] == [fresh.sample(r2, 40) for _ in range(30)]
         assert r1.bit_generator.state == r2.bit_generator.state
+    # Every proposal of the previous mixture misses on a book with every cell claimed.
+    full = RegionBook(space)
+    mark_cells(full, space, range(space.window_count))
+    previous = _mixture_from_batch(batch[:-1], full, space)
+    assert previous.sample(np.random.default_rng(0)) is None
+    grown = _mixture_from_batch(batch, book, space, previous)
+    fresh = _mixture_from_batch(batch, book, space)
+    r1, r2 = np.random.default_rng(0), np.random.default_rng(0)
+    assert [grown.sample(r1) for _ in range(30)] == [fresh.sample(r2) for _ in range(30)]
+    assert r1.bit_generator.state == r2.bit_generator.state
     with pytest.raises(ValueError):
         _mixture_from_batch(batch, book, space, _mixture_from_batch(batch[:-2], book, space))
