@@ -9,6 +9,9 @@ it fills (the space, each detector with its radius table and propagations,
 the scene parameters, the cost model), and it loads straight into that
 dataclass: an omitted key takes the field's own default, declared only there,
 and an integral number such as ``410.0`` is cast to the field's ``int``.
+Keys no code would read are refused (``count``, ``master_seed`` or ``params``
+beside scene ``files``; ``stages`` under the synthetic scorer), and so are the
+tokens ``NaN`` and ``Infinity``, which Python's json reads and JSON lacks.
 Scene files are read relative to the config file's directory and
 checked when the scenes are loaded: against their own schema, the space's
 image size, the scene's own rules (every peak above the floor) and, under the
@@ -108,8 +111,11 @@ class LoadedConfig:
 
 
 def _read_json(path: Path, kind: str):
+    def refuse(token: str):  # Python's json reads NaN and +-Infinity; JSON does not
+        raise ConfigError(str(path), f"invalid JSON: {token} is not a number")
+
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), parse_constant=refuse)
     except FileNotFoundError as exc:
         raise ConfigError(str(path), f"{kind} file not found") from exc
     except json.JSONDecodeError as exc:

@@ -245,9 +245,9 @@ def _mixture_from_batch(
     weighted by its normalized response, with the default spread.  An empty
     batch gives the empty mixture.
 
-    ``previous``, the mixture of all but the batch's last window, is extended
-    by that window instead of rebuilt: only the new mean is projected, and the
-    weights are renormalized from the responses ``previous`` carries.
+    ``previous``, the mixture of all but the batch's last window, lends its
+    means and responses, so only the last window's are appended; the weights
+    are renormalized from the responses and the mixture is built afresh.
     """
     if previous is not None:
         if len(previous) != len(batch) - 1:
@@ -261,7 +261,7 @@ def _mixture_from_batch(
         responses = np.array([resp for _, resp in batch], dtype=float)
     weights = normalize_weights(responses) if batch else np.zeros(0)
     sigma = default_sigma(space)
-    mixture = DentedGaussianMixture(means, weights, sigma, book, space, extends=previous)
+    mixture = DentedGaussianMixture(means, weights, sigma, book, space)
     mixture.responses = responses  # what the next extension renormalizes
     return mixture
 

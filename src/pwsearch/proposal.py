@@ -25,8 +25,9 @@ undented proposal law, with the proposals ``sample`` makes.
 
 Mixture components are centered on previously drawn windows and share one
 spread: one eighth of the template extent in grid cells per spatial axis and
-one pyramid step on the scale axis.  A mixture that adds components
-to another one reuses its projected centres and computes only the new ones.
+one pyramid step on the scale axis.  Each mixture, however it grew, tables
+its components' centres on every scale from the space's ``centre`` and
+``grid_at``, and every Gaussian draw reads that table.
 """
 
 from __future__ import annotations
@@ -168,13 +169,9 @@ class DentedGaussianMixture:
     Built from ``(3, n)`` integer means (rows x, y, s), ``n`` nonnegative
     weights, and sigmas (x, y, s) per component ``(3, n)`` or shared
     ``(3,)``.  Components live in arrays: cumulative weights, means, sigmas
-    and each mean's grid centre projected onto every scale.  With ``n = 0``
+    and a ``(scale_count, n)`` table per axis of each mean's original-image
+    centre carried onto every scale's grid by ``grid_at``.  With ``n = 0``
     the mixture is a valid zero density; sampling from it is a caller bug.
-
-    ``extends`` may name a mixture over the same space whose means are the
-    leading columns of ``means``, a promise the caller keeps; its projected
-    centres are reused and only the new means are projected.  The result is
-    the same mixture either way, draws included.
     """
 
     def __init__(
@@ -184,7 +181,6 @@ class DentedGaussianMixture:
         sigma: np.ndarray,
         book: RegionBook,
         space: SearchSpace,
-        extends: DentedGaussianMixture | None = None,
     ):
         self.book = book
         self.space = space
@@ -203,20 +199,7 @@ class DentedGaussianMixture:
         self._mean_s = means[2].astype(float)
         sigma = np.asarray(sigma, dtype=float).reshape(3, -1)
         self._sx, self._sy, self._ss = np.broadcast_to(sigma, means.shape)  # read-only views, not copies
-        known = len(extends) if extends is not None else 0
-        # Each new mean's grid centre on every scale, (scale_count, n) per
-        # axis: its original-image centre at the zoom of the mean's own
-        # scale, divided by the zoom of the landing scale.
-        mean_x, mean_y, mean_s = means[:, known:]
-        zoom = space._zoom_table[mean_s]
-        to_scale = space._zoom_table[:, None]
-        centre_x = (mean_x * space.stride + space.template_w * 0.5) * zoom
-        centre_y = (mean_y * space.stride + space.template_h * 0.5) * zoom
-        self._gx = (centre_x / to_scale - space.template_w * 0.5) / space.stride
-        self._gy = (centre_y / to_scale - space.template_h * 0.5) / space.stride
-        if known:
-            self._gx = np.concatenate([extends._gx, self._gx], axis=1)
-            self._gy = np.concatenate([extends._gy, self._gy], axis=1)
+        self._gx, self._gy = space.grid_at(*space.centre(*means), np.arange(space.scale_count)[:, None])
 
     def __len__(self) -> int:
         return self._size

@@ -85,7 +85,7 @@ class SyntheticScene:
 
     Object peaks are meant to sit at or above the paired detector's upper
     threshold, distractor peaks inside the ambiguity band, and ``floor``
-    strictly below the lower threshold; ``check_thresholds`` verifies that.
+    strictly below the lower threshold.
     """
 
     image_w: int
@@ -105,17 +105,6 @@ class SyntheticScene:
                 raise ValueError(f"target peak {peak} must exceed floor {self.floor}")
             if box.w <= 0 or box.h <= 0:
                 raise ValueError("target boxes need positive extent")
-
-    def check_thresholds(self, t_l: float, t_h: float) -> None:
-        """Raise unless the scene respects a (t_l, t_h) detector pairing."""
-        if not self.floor < t_l:
-            raise ValueError(f"floor {self.floor} must lie below t_l {t_l}")
-        for _, peak in self.objects:
-            if peak < t_h:
-                raise ValueError(f"object peak {peak} below t_h {t_h}")
-        for _, peak in self.distractors:
-            if not t_l <= peak < t_h:
-                raise ValueError(f"distractor peak {peak} outside [{t_l}, {t_h})")
 
     def to_dict(self) -> dict:
         def placements(items: tuple[Placement, ...]) -> list[dict]:
@@ -176,23 +165,22 @@ class SyntheticScorer:
     def score(self, space: SearchSpace, w: Window) -> ScoreResult:
         if not space.contains(w):
             raise ValueError(f"window {w} outside search space")
-        return ScoreResult(float(self._response(space, w.x, w.y, w.s, space.zoom(w.s))), 0)
+        return ScoreResult(float(self._response(space, w.x, w.y, w.s)), 0)
 
     def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
         x, y, s = _checked_coordinates(space, x, y, s)
-        responses = self._response(space, x[:, None], y[:, None], s[:, None], space._zoom_table[s][:, None])
+        responses = self._response(space, x[:, None], y[:, None], s[:, None])
         return responses, np.zeros(x.size, dtype=np.int64)
 
-    def _response(self, space: SearchSpace, x, y, s, z):
-        """Response at windows (x, y, s) whose scale zooms the image by z.
+    def _response(self, space: SearchSpace, x, y, s):
+        """Response at windows (x, y, s).
 
         Scalars give one response; (n, 1) columns broadcast against the
         targets and give n, each computed by the same operations in the same
         order as the scalar, so equal to it bit for bit.
         """
         scene = self.scene
-        cx = (x * space.stride + space.template_w * 0.5) * z
-        cy = (y * space.stride + space.template_h * 0.5) * z
+        cx, cy = space.centre(x, y, s)
         log_sf = math.log(space.scale_factor)
         target_s = np.log(self._w / space.template_w) / log_sf
         d = (
@@ -232,7 +220,7 @@ class CascadeScorer:
     def score(self, space: SearchSpace, w: Window) -> ScoreResult:
         if not space.contains(w):
             raise ValueError(f"window {w} outside search space")
-        raw = self._landscape._response(space, w.x, w.y, w.s, space.zoom(w.s))
+        raw = self._landscape._response(space, w.x, w.y, w.s)
         response, stages = self._quantize(raw)
         return ScoreResult(float(response), int(stages))
 

@@ -3,8 +3,10 @@
 A window is a template placement on a scale pyramid.  Scale ``s`` zooms the
 image out by ``scale_factor ** s`` while the template keeps its pixel size, so
 the effective position grid shrinks as ``s`` grows.  Window coordinates are
-grid indices in the zoomed image of their own scale; ``to_box`` maps them back
-to original-image coordinates as center-based boxes.
+grid indices in the zoomed image of their own scale.  ``centre`` maps a cell
+to its original-image centre and ``grid_at`` maps a point back onto any scale:
+the boxes, the synthetic scorers and the mixture's component centres all use
+this one map, and the region marks use ``project``.
 """
 
 from __future__ import annotations
@@ -154,20 +156,33 @@ class SearchSpace:
                 for x in range(nx):
                     yield Window(x, y, s)
 
+    def centre(self, x, y, s):
+        """Original-image centre ``(cx, cy)`` of grid cell ``(x, y)`` at scale
+        ``s``: Python floats for integers; for integer arrays, which broadcast,
+        float arrays equal bit for bit to the scalar calls."""
+        z = self._zoom_table[s] if isinstance(s, np.ndarray) else self.zoom(s)
+        return (x * self.stride + self.template_w * 0.5) * z, (y * self.stride + self.template_h * 0.5) * z
+
+    def grid_at(self, cx, cy, s):
+        """Real-valued grid coordinates at scale ``s`` of the image point
+        ``(cx, cy)``, as-is when out of range: the inverse of :meth:`centre`."""
+        z = self._zoom_table[s] if isinstance(s, np.ndarray) else self.zoom(s)
+        return (cx / z - self.template_w * 0.5) / self.stride, (cy / z - self.template_h * 0.5) / self.stride
+
     def to_box(self, w: Window) -> Box:
         """Original-image box covered by the window."""
         if not self.contains(w):
             raise ValueError(f"window {w} outside search space")
         z = self.zoom(w.s)
-        cx = (w.x * self.stride + self.template_w * 0.5) * z
-        cy = (w.y * self.stride + self.template_h * 0.5) * z
-        return Box(cx, cy, self.template_w * z, self.template_h * z)
+        return Box(*self.centre(w.x, w.y, w.s), self.template_w * z, self.template_h * z)
 
     def project(self, w: Window, s: int) -> tuple[float, float]:
         """Real-valued grid coordinates at scale ``s`` of the window's center.
 
         Out-of-range results are returned as-is; callers clamp or clip.
         """
+        # The zoom ratio comes first: ``grid_at(*centre(...))`` rounds some cells
+        # differently, which would move the marks and so ipw's and sipw's streams.
         z = self.zoom(w.s) / self.zoom(s)
         gx = ((w.x * self.stride + self.template_w * 0.5) * z - self.template_w * 0.5) / self.stride
         gy = ((w.y * self.stride + self.template_h * 0.5) * z - self.template_h * 0.5) / self.stride

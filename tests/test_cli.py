@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -417,6 +418,54 @@ def test_semantic_config_errors(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
         assert "config error: experiment.sweep_t_h: " in capsys.readouterr().err
+
+    # Python's json reads NaN and +-Infinity, which JSON lacks: a NaN t_h
+    # accepts nothing and a NaN gamma fails mid-run.  A config or scene file
+    # holding one is refused by name.
+    for detector, field, value in ((0, "t_h", math.nan), (1, "gamma", math.nan), (0, "t_l", -math.inf)):
+        cfg = tiny_config()
+        cfg["detectors"][detector][field] = value
+        path = tmp_path / f"constant_{field}.json"
+        path.write_text(json.dumps(cfg))
+        run = ["run", "--config", str(path), "--detector", cfg["detectors"][detector]["name"]]
+        assert main(run + ["--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG, field
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, field
+        assert f"config error: {path}: invalid JSON: " in capsys.readouterr().err
+    from pwsearch import Box, SyntheticScene
+
+    scene = SyntheticScene(80, 60, ((Box(40.0, 30.0, 16.0, 24.0), 2.0),), (), floor=-5.0, sharpness=3.0).to_dict()
+    scene["objects"][0]["peak"] = math.inf
+    (tmp_path / "inf_peak.json").write_text(json.dumps(scene))
+    cfg = tiny_config()
+    cfg["scenes"] = {"files": ["inf_peak.json"]}
+    path.write_text(json.dumps(cfg))
+    assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+    assert "inf_peak.json: invalid JSON: Infinity is not a number" in capsys.readouterr().err
+
+
+def test_keys_that_no_code_reads_are_config_errors(tmp_path, capsys):
+    """Scene files replace generated scenes, so the generator's keys beside
+    ``files`` would be ignored, and only the cascade scorer reads ``stages``."""
+    from pwsearch import Box, SyntheticScene
+
+    objects = ((Box(40.0, 30.0, 16.0, 24.0), 2.0),)
+    SyntheticScene(80, 60, objects, (), floor=-5.0, sharpness=3.0).save(tmp_path / "scene.json")
+    path = tmp_path / "config.json"
+    for key in ("params", "count", "master_seed"):
+        cfg = tiny_config()
+        cfg["scenes"] = {"files": ["scene.json"], key: tiny_config()["scenes"][key]}
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, key
+        assert f"config error: config.json:scenes: Additional properties are not allowed ('{key}' was" in (
+            capsys.readouterr().err
+        )
+    for scorer in ({"kind": "synthetic", "stages": 4}, {"stages": 4}):
+        cfg = tiny_config(scorer=scorer)
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, scorer
+        assert "config error: config.json:scorer: Additional properties are not allowed ('stages' was" in (
+            capsys.readouterr().err
+        )
 
 
 def test_subtract_interval_only_under_reject_propagation(tmp_path, capsys):

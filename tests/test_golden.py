@@ -13,17 +13,21 @@ before their budget of 5000 is spent, and on the way they take the dented
 uniform's free-set fallback 77 (``ipw``) and 464 (``sipw``) times, so their
 digests pin the fallback and the late, nearly exhausted part of a run.
 
-Every ``ipw`` and ``sipw`` digest here, and the ``compare`` grid's, was
-computed when the rejection samplers began to draw each group of proposals
-in one pass, which moved their random stream; the ``sw`` and ``mpw``
-digests, and ``sweep``'s, whose first detector is ``sw``, stayed the same.
+Every ``ipw`` and ``sipw`` digest here, and the synthetic ``compare``
+grid's, was computed when the rejection samplers began to draw each group of
+proposals in one pass, which moved their random stream; the ``sw`` and
+``mpw`` digests, and the synthetic ``sweep``'s, whose first detector is
+``sw``, stayed the same.  The face grid's digests were pinned after that.
 
 ``GOLDEN_GRID`` pins the files ``compare`` and ``sweep`` write for
-``configs/synthetic.json``: every row of the experiment grid, its summaries
-and the operating points, so a change to how the grid is built or averaged
-fails here even when every trace stays the same.  ``GOLDEN_RUN_FILES`` pins
-the other two files ``run`` writes, ``curves.csv`` and ``summary.json``, for
-each detector of ``configs/synthetic.json`` on scene 0.
+``configs/synthetic.json`` and ``configs/face.json``: every row of the
+experiment grid, its summaries and the operating points, so a change to how
+the grid is built or averaged fails here even when every trace stays the
+same.  ``sweep`` sweeps a config's first detector, ``sw`` for the synthetic
+config and ``ipw`` for the face config, so an incremental detector's sweep
+is pinned too.  ``GOLDEN_RUN_FILES`` pins the other two files ``run``
+writes, ``curves.csv`` and ``summary.json``, for each detector of
+``configs/synthetic.json`` on scene 0.
 """
 
 import hashlib
@@ -77,10 +81,14 @@ GOLDEN_RUN_FILES = {
 }
 
 GOLDEN_GRID = {
-    ("compare", "results.jsonl"): "11e11f476b5299a78ab7341f218d13367fea9b55ed7e3fa196ef0b57b30767e3",
-    ("compare", "rates.csv"): "1a5d669e60705c3d4aad3628bce57aa51cace304ab56efa0f8ae37f2fc1e805b",
-    ("compare", "ratios.csv"): "1d7b8195ae86c804715234b7fd47ad85c309e1878b1f2008edf066223f21ae81",
-    ("sweep", "operating_points.csv"): "2fa8dc5cc9a68719efee27831f3b1d42ec5fe5eb47b3904b3b2b592073907b47",
+    ("synthetic.json", "compare", "results.jsonl"): "11e11f476b5299a78ab7341f218d13367fea9b55ed7e3fa196ef0b57b30767e3",
+    ("synthetic.json", "compare", "rates.csv"): "1a5d669e60705c3d4aad3628bce57aa51cace304ab56efa0f8ae37f2fc1e805b",
+    ("synthetic.json", "compare", "ratios.csv"): "1d7b8195ae86c804715234b7fd47ad85c309e1878b1f2008edf066223f21ae81",
+    ("synthetic.json", "sweep", "operating_points.csv"): "2fa8dc5cc9a68719efee27831f3b1d42ec5fe5eb47b3904b3b2b592073907b47",
+    ("face.json", "compare", "results.jsonl"): "1754ebf3c4a95f49169efc961b43dcd29bea7e6b4f34d5c265799db1c58ef75e",
+    ("face.json", "compare", "rates.csv"): "9fb9e5589d1f2e38e15fd7e37f3d1b8b9aa458bbf602a841c293df8b32765bc2",
+    ("face.json", "compare", "ratios.csv"): "38424f5b6fe9a80cf2ef32ead7ed022d449648314c7a8d0f44142c51a0769538",
+    ("face.json", "sweep", "operating_points.csv"): "9122d1c7959c7a5e4a49b4df26e00b0aa78700f0fc77faf320be4d4e5e8610a8",
 }
 
 
@@ -117,8 +125,10 @@ def test_run_curves_and_summary_match_pinned_digests(detector, tmp_path):
 
 @pytest.mark.parametrize("subcommand", ["compare", "sweep"])
 def test_grid_outputs_match_pinned_digests(subcommand, tmp_path):
-    args = [subcommand, "--config", str(CONFIGS / "synthetic.json"), "--out", str(tmp_path), "--quiet"]
-    assert main(args) == EXIT_OK
-    for (command, name), digest in GOLDEN_GRID.items():
-        if command == subcommand:
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    for config in ("synthetic.json", "face.json"):
+        out = tmp_path / config
+        args = [subcommand, "--config", str(CONFIGS / config), "--out", str(out), "--quiet"]
+        assert main(args) == EXIT_OK
+        for (pinned_config, command, name), digest in GOLDEN_GRID.items():
+            if (pinned_config, command) == (config, subcommand):
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (config, name)

@@ -229,8 +229,12 @@ def test_generate_scenes_gives_up_when_impossible(params):
 
 
 def test_scene_thresholds_hold_for_generated_scenes(params):
+    """Against a (t_l, t_h) = (-2, 0) detector: the floor lies below t_l,
+    object peaks at or above t_h, distractor peaks in [t_l, t_h)."""
     for scene in generate_scenes(params, master_seed=7, count=5):
-        scene.check_thresholds(t_l=-2.0, t_h=0.0)
+        assert scene.floor < -2.0
+        assert all(peak >= 0.0 for _, peak in scene.objects)
+        assert all(-2.0 <= peak < 0.0 for _, peak in scene.distractors)
 
 
 # --- curves -----------------------------------------------------------------

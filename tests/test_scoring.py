@@ -107,15 +107,6 @@ def test_flat_scorer_reports_no_stages(space):
     assert SyntheticScorer(scene).score(space, Window(3, 3, 0)).stages_evaluated == 0
 
 
-def test_check_thresholds_rejects_floor_at_or_above_t_l():
-    scene = scene_with(floor=-1.0)
-    scene.check_thresholds(t_l=-0.5, t_h=0.5)
-    with pytest.raises(ValueError):
-        scene.check_thresholds(t_l=-1.0, t_h=0.5)
-    with pytest.raises(ValueError):
-        scene.check_thresholds(t_l=-2.0, t_h=0.5)
-
-
 def test_scene_json_round_trip(tmp_path, space):
     scene = scene_with(
         objects=[(Box(11.25, 17.5, 12.0, 12.0), 2.125)],

@@ -163,6 +163,29 @@ def test_index_bijection_property(sp, raw):
     assert sp.index_of(w) == i
 
 
+@settings(max_examples=50, deadline=None)
+@given(spaces)
+def test_centre_on_arrays_equals_the_scalar_call(sp):
+    """``centre`` and ``grid_at`` on arrays equal their scalar calls bit for
+    bit (the scorers' ``score``/``score_many`` agreement and the mixture's
+    centre table rest on this), and ``grid_at`` inverts ``centre``."""
+    x, y, s = sp.coordinates_at(np.arange(0, sp.window_count, max(1, sp.window_count // 97)))
+    cx, cy = sp.centre(x, y, s)
+    scales = np.arange(sp.scale_count)[:, None]
+    gx, gy = sp.grid_at(cx, cy, scales)
+    for j, (xj, yj, sj) in enumerate(zip(x.tolist(), y.tolist(), s.tolist())):
+        centre = sp.centre(xj, yj, sj)
+        assert all(type(v) is float for v in centre)
+        assert centre == (cx[j], cy[j])
+        for s2 in range(sp.scale_count):
+            assert sp.grid_at(*centre, s2) == (gx[s2, j], gy[s2, j])
+        back = sp.grid_at(*centre, sj)
+        assert back == pytest.approx((xj, yj), abs=1e-9)
+        box = sp.to_box(Window(xj, yj, sj))
+        assert all(type(v) is float for v in (box.cx, box.cy, box.w, box.h))
+        assert (box.cx, box.cy) == centre
+
+
 boxes = st.builds(
     Box,
     cx=st.floats(-50, 50),
