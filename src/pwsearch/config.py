@@ -34,7 +34,7 @@ from pathlib import Path
 import jsonschema
 
 from .detectors import DetectorConfig
-from .harness import CostModel, SceneParams, generate_scenes
+from .harness import CostModel, SceneGenerationError, SceneParams, generate_scenes
 from .regions import RadiusInterval, RadiusTable, ScalePropagation
 from .scoring import SyntheticScene
 from .space import SearchSpace
@@ -89,7 +89,10 @@ class LoadedConfig:
         if self.scene_files:
             return [self._load_scene_file(path) for path in self.scene_files]
         assert self.scene_params is not None
-        return generate_scenes(self.scene_params, self.scene_seed, self.scene_count)
+        try:
+            return generate_scenes(self.scene_params, self.scene_seed, self.scene_count)
+        except SceneGenerationError as exc:
+            raise ConfigError("scenes.params", str(exc)) from exc
 
     def _load_scene_file(self, path: Path) -> SyntheticScene:
         data = _read_json(path, "scene")
@@ -132,6 +135,22 @@ def _check_floor(floor: float, detectors: tuple[DetectorConfig, ...], field: str
                 field or f"detectors[{i}].t_l",
                 f"scene floor {floor} must lie below detectors[{i}].t_l = {det.t_l}",
             )
+
+
+def _check_scene_params(params: SceneParams) -> None:
+    """Raise unless each peak range is ordered above the floor and each scale index
+    is in the pyramid with the template inside the image, as ``_place_target`` tests."""
+    for key in ("object_peak", "distractor_peak"):
+        low, high = getattr(params, key)
+        if not params.floor < low <= high:
+            raise ConfigError(f"scenes.params.{key}", f"[{low}, {high}] is not ordered above floor {params.floor}")
+    space = params.space
+    for idx in params.scale_indices:
+        if idx >= space.scale_count:
+            raise ConfigError("scenes.params.scale_indices", f"scale index {idx} outside the pyramid")
+        z = space.zoom(idx)
+        if space.template_w * z > space.image_w or space.template_h * z > space.image_h:
+            raise ConfigError("scenes.params.scale_indices", f"the template exceeds the image at scale index {idx}")
 
 
 def _check_cascade_thresholds(detectors: tuple[DetectorConfig, ...]) -> None:
@@ -223,11 +242,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     scene_seed = int(scenes_data.get("master_seed", 0))
     if not scene_files:
         scene_params = _build(SceneParams, scenes_data.get("params", {}), "scenes.params", space=space)
-        for idx in scene_params.scale_indices:
-            if idx >= space.scale_count:
-                raise ConfigError(
-                    "scenes.params.scale_indices", f"scale index {idx} outside the pyramid"
-                )
+        _check_scene_params(scene_params)
 
     experiment = data["experiment"]
     scorer = data.get("scorer", {})

@@ -323,7 +323,9 @@ def _incremental_step(
     """Draw, score, classify, and mark one window; False when the space is exhausted.
 
     The Gaussian branch falls back to the dented uniform in the same
-    iteration when the mixture is empty or its rejection loop exhausts.
+    iteration when the mixture is empty or its rejection loop exhausts.  The
+    scored cell is claimed, as REJECTED unless accepted: an ambiguous response
+    lies below t_h, so excluding it cannot lose a detection.
     """
     use_gaussian = len(state.mixture) > 0 and rng.random() >= p_uniform
     w: Window | None = None
@@ -340,12 +342,11 @@ def _incremental_step(
 
     result = scorer.score(space, w)
     kind = _classify(result.response, config)
+    state.book.claim_cell(w, RegionKind.ACCEPTED if kind == KIND_ACCEPTED else RegionKind.REJECTED)
     if kind == KIND_REJECTED:
-        marked = mark_rejection(
+        mark_rejection(
             state.book, space, w, result.response, config.radius_table, config.t_l, config.reject_propagation
         )
-        if marked == 0:
-            state.book.claim_cell(w, RegionKind.REJECTED)
     elif kind == KIND_ACCEPTED:
         r_a_x, r_a_y = config.acceptance_radii(space)
         mark_acceptance(
@@ -353,9 +354,6 @@ def _incremental_step(
         )
     else:
         state.ambiguous.append((w, result.response))
-        # Claim the scored cell: its response is known to be below t_h, so
-        # excluding it from future draws cannot lose a detection.
-        state.book.claim_cell(w, RegionKind.REJECTED)
 
     trace.records.append(
         TraceRecord(
@@ -385,8 +383,6 @@ def run_ipw(
     Each ambiguous window extends the mixture by one component, and the
     weights of all components are renormalized from the batch's responses.
     """
-    if space.window_count == 0:
-        raise ValueError("search space has no windows")
     rng = _rng(seed)
     trace = RunTrace(config.name, "ipw", seed, space.window_count)
     book = RegionBook(space)
@@ -414,8 +410,6 @@ def run_sipw(
     accumulated ambiguity batch becomes the new mixture, the batch is
     flushed, and the next rebuild interval shrinks by ``exp(-gamma)``.
     """
-    if space.window_count == 0:
-        raise ValueError("search space has no windows")
     rng = _rng(seed)
     trace = RunTrace(config.name, "sipw", seed, space.window_count)
     book = RegionBook(space)

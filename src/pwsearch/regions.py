@@ -1,8 +1,9 @@
 """Occupancy bookkeeping for rejection and acceptance regions.
 
 A :class:`RegionBook` holds one byte grid per pyramid scale; every cell is
-FREE, REJECTED, or ACCEPTED.  Marks never change an already-claimed cell
-(first mark wins), which keeps the three counters single-owner and makes
+FREE, REJECTED, or ACCEPTED.  A scored window claims its own cell and may mark
+a rectangle around it; marks never change an already-claimed cell (first mark
+wins), which keeps the three counters single-owner and makes
 ``n_rejected + n_accepted + free_count == window_count`` a standing identity.
 
 Rejection radii come from a :class:`RadiusTable`: the lower a window's
@@ -120,16 +121,13 @@ class RegionBook:
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        # One flat array in dense index order; per-scale grids are views into
-        # it, so scalar rectangle marks and vectorized membership checks see
-        # the same bytes.
+        # One flat array in the space's dense index order, cut at its offsets into
+        # per-scale grid views: marks, claims and vectorized checks share bytes.
         self.flat = np.zeros(space.window_count, dtype=np.uint8)
-        self.grids: list[np.ndarray] = []
-        offset = 0
-        for s in range(space.scale_count):
-            nx, ny = space.grid_size(s)
-            self.grids.append(self.flat[offset : offset + nx * ny].reshape(ny, nx))
-            offset += nx * ny
+        self.grids = [
+            self.flat[space._offsets[s] : space._offsets[s + 1]].reshape(ny, nx)
+            for s, (nx, ny) in enumerate(space._per_scale)
+        ]
         self._n_rejected = 0
         self._n_accepted = 0
 
@@ -146,9 +144,7 @@ class RegionBook:
         return self.space.window_count - self._n_rejected - self._n_accepted
 
     def state_at(self, w: Window) -> RegionKind:
-        if not self.space.contains(w):
-            raise ValueError(f"window {w} outside search space")
-        return RegionKind(self.grids[w.s][w.y, w.x])
+        return RegionKind(self.flat[self.space.index_of(w)])
 
     def mark_rect(
         self, s: int, cx: int, cy: int, rx: int, ry: int, kind: RegionKind = RegionKind.REJECTED
@@ -157,8 +153,6 @@ class RegionBook:
         if kind == RegionKind.FREE:
             raise ValueError("cannot mark cells FREE")
         grid = self.grids[s]
-        if grid.size == 0:
-            return 0
         ny, nx = grid.shape
         x0, x1 = max(0, cx - rx), min(nx, cx + rx + 1)
         y0, y1 = max(0, cy - ry), min(ny, cy + ry + 1)
@@ -176,10 +170,18 @@ class RegionBook:
         return n
 
     def claim_cell(self, w: Window, kind: RegionKind = RegionKind.REJECTED) -> int:
-        """Claim a single already-scored cell so it cannot be drawn again."""
-        if not self.space.contains(w):
-            raise ValueError(f"window {w} outside search space")
-        return self.mark_rect(w.s, w.x, w.y, 0, 0, kind)
+        """Claim a scored window's own cell so it cannot be drawn again; returns 1, or 0 if already claimed."""
+        if kind == RegionKind.FREE:
+            raise ValueError("cannot mark cells FREE")
+        i = self.space.index_of(w)
+        if self.flat[i]:  # not FREE; comparing a numpy scalar with an IntEnum costs ~9 µs
+            return 0
+        self.flat[i] = kind
+        if kind == RegionKind.REJECTED:
+            self._n_rejected += 1
+        else:
+            self._n_accepted += 1
+        return 1
 
 
 def _mark_region(
@@ -203,7 +205,7 @@ def _mark_region(
         if s2 == w.s:
             cx, cy = w.x, w.y
         else:
-            gx, gy = space.project(w, s2)
+            gx, gy = space.grid_at(*space.centre(w.x, w.y, w.s), s2)
             cx, cy = round(gx), round(gy)
         total += book.mark_rect(s2, cx, cy, rx2, ry2, kind)
     return total

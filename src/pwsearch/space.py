@@ -5,8 +5,8 @@ image out by ``scale_factor ** s`` while the template keeps its pixel size, so
 the effective position grid shrinks as ``s`` grows.  Window coordinates are
 grid indices in the zoomed image of their own scale.  ``centre`` maps a cell
 to its original-image centre and ``grid_at`` maps a point back onto any scale:
-the boxes, the synthetic scorers and the mixture's component centres all use
-this one map, and the region marks use ``project``.
+the boxes, the synthetic scorers, the mixture's component centres and the
+region marks' cross-scale rectangles all use this one map.
 """
 
 from __future__ import annotations
@@ -175,18 +175,6 @@ class SearchSpace:
             raise ValueError(f"window {w} outside search space")
         z = self.zoom(w.s)
         return Box(*self.centre(w.x, w.y, w.s), self.template_w * z, self.template_h * z)
-
-    def project(self, w: Window, s: int) -> tuple[float, float]:
-        """Real-valued grid coordinates at scale ``s`` of the window's center.
-
-        Out-of-range results are returned as-is; callers clamp or clip.
-        """
-        # The zoom ratio comes first: ``grid_at(*centre(...))`` rounds some cells
-        # differently, which would move the marks and so ipw's and sipw's streams.
-        z = self.zoom(w.s) / self.zoom(s)
-        gx = ((w.x * self.stride + self.template_w * 0.5) * z - self.template_w * 0.5) / self.stride
-        gy = ((w.y * self.stride + self.template_h * 0.5) * z - self.template_h * 0.5) / self.stride
-        return (gx, gy)
 
     def at_stride(self, stride: int) -> "SearchSpace":
         return replace(self, stride=stride)

@@ -376,6 +376,23 @@ def test_semantic_config_errors(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
+    # generated scenes the generator cannot draw: a peak range out of order
+    # or not above the floor, a scale at which the template exceeds the
+    # image, targets that cannot be placed apart
+    for name, space, params, field in (
+        ("peak_floor", {}, {"object_peak": [-6.0, -5.5]}, "scenes.params.object_peak"),
+        ("peak_order", {}, {"distractor_peak": [-0.4, -1.2]}, "scenes.params.distractor_peak"),
+        ("unfit_scale", {"scale_count": 8}, {"scale_indices": [7]}, "scenes.params.scale_indices"),
+        ("crowded", {}, {"object_count": 40, "max_overlap": 0.0}, "scenes.params"),
+    ):
+        cfg = tiny_config()
+        cfg["space"].update(space)
+        cfg["scenes"]["params"].update(params)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, name
+        assert f"config error: {field}: " in capsys.readouterr().err, name
+
     cfg = tiny_config()
     cfg["scenes"]["params"]["floor"] = -1.0  # not below t_l
     path = tmp_path / "floor.json"

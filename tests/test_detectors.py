@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from pwsearch import (
     Box,
     DentedGaussianMixture,
+    DentedUniform,
     DetectorConfig,
+    RadiusTable,
     RegionBook,
+    RegionKind,
     RunTrace,
     SearchSpace,
+    SyntheticScene,
     Window,
     mpw_schedule,
     nms,
@@ -25,7 +29,7 @@ from pwsearch import (
 from pwsearch import detectors
 from pwsearch.detectors import TraceRecord, detections_from_trace, schedule_for_budget
 from pwsearch.harness import build_scorer, run_detector
-from pwsearch.proposal import default_sigma, draw_gaussian_window
+from pwsearch.proposal import default_sigma, draw_gaussian_window, mixture_weights
 from pwsearch.scoring import normalize_weights
 
 from conftest import PYRAMID, make_detector, make_radius_table, pyramid_scene
@@ -320,6 +324,44 @@ def test_incremental_exhausts_small_spaces(table):
     last = trace.records[-1]
     assert last.n_rejected + last.n_accepted == space.window_count
     assert len(trace.records) < 10_000
+
+
+def test_incremental_step_claims_every_scored_cell(table):
+    """After each step the scored window's own cell is ACCEPTED for an APW
+    record and REJECTED otherwise: for an ambiguous window, and for a
+    rejected one whether or not its response interval marks a neighbourhood."""
+    table = RadiusTable(table.intervals, active_intervals=5)  # [-3.0, t_l) is inactive
+    config = make_detector("ipw", 400, table)
+    scorer = build_scorer(pyramid_scene())
+    book = RegionBook(PYRAMID)
+    state = detectors._IncrementalState(
+        book, DentedUniform(book, PYRAMID), detectors._mixture_from_batch([], book, PYRAMID), []
+    )
+    trace = RunTrace(config.name, "ipw", 3, PYRAMID.window_count)
+    rng = detectors._rng(3)
+    seen = set()
+    for i in range(1, config.budget + 1):
+        weights = mixture_weights(config.alpha, book.n_rejected, book.n_accepted, PYRAMID.window_count)
+        new_ambiguous = detectors._incremental_step(state, PYRAMID, scorer, config, rng, i, weights.p_uniform, trace)
+        if trace.complete:
+            break
+        rec = trace.records[-1]
+        expected = RegionKind.ACCEPTED if rec.kind == "APW" else RegionKind.REJECTED
+        assert book.state_at(rec.window) is expected, rec
+        active = rec.kind == "RPW" and table.interval_index(rec.response) < table.active_intervals
+        seen.add((rec.kind, active))
+        if new_ambiguous:
+            state.mixture = detectors._mixture_from_batch(state.ambiguous, book, PYRAMID, state.mixture)
+    assert seen == {("RPW", True), ("RPW", False), ("ABPW", False), ("APW", False)}
+
+
+@pytest.mark.parametrize("run", [run_mpw, run_ipw, run_sipw], ids=lambda run: run.__name__)
+def test_sampling_detectors_refuse_an_empty_space(run, table):
+    space = SearchSpace(8, 8, 16, 16)
+    scorer = build_scorer(SyntheticScene(8, 8, (), (), floor=-5.0, sharpness=3.0))
+    config = make_detector(run.__name__.removeprefix("run_"), 10, table)
+    with pytest.raises(ValueError, match="search space has no windows"):
+        run(space, scorer, config, seed=0)
 
 
 def test_incremental_deterministic(bench_space, bench_scenes, table):

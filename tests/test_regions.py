@@ -142,6 +142,9 @@ def test_cannot_mark_free(pyramid):
     book = RegionBook(pyramid)
     with pytest.raises(ValueError):
         book.mark_rect(0, 5, 5, 1, 1, RegionKind.FREE)
+    with pytest.raises(ValueError):
+        book.claim_cell(Window(5, 5, 0), RegionKind.FREE)
+    assert book.free_count == pyramid.window_count
 
 
 def test_claim_cell(pyramid):
@@ -149,6 +152,9 @@ def test_claim_cell(pyramid):
     assert book.claim_cell(Window(4, 4, 1)) == 1
     assert book.claim_cell(Window(4, 4, 1)) == 0
     assert book.n_rejected == 1
+    assert book.claim_cell(Window(5, 4, 1), RegionKind.ACCEPTED) == 1
+    assert (book.n_rejected, book.n_accepted) == (1, 1)
+    assert book.state_at(Window(5, 4, 1)) is RegionKind.ACCEPTED
     with pytest.raises(ValueError):
         book.claim_cell(Window(50, 50, 1))
 
@@ -216,6 +222,17 @@ def test_mark_rejection_propagates_with_shrinking_radii(pyramid):
     assert book.state_at(Window(18, 18, 0)) is RegionKind.REJECTED
     assert book.state_at(Window(18 + 3, 18, 0)) is RegionKind.FREE
     assert book.state_at(Window(0, 0, 2)) is RegionKind.REJECTED
+
+
+def test_cross_scale_mark_centres_on_grid_at_of_the_window_centre():
+    # Window(0, 0, 2)'s centre maps to x = y = 1.4999999999999982 on scale 1,
+    # a near-tie that only grid_at(centre(...)) rounds to the cell (1, 1).
+    sp = SearchSpace(320, 240, 20, 20, stride=1, scale_factor=1.15, scale_count=6)
+    book = RegionBook(sp)
+    n = mark_acceptance(book, sp, Window(0, 0, 2), 1.0, 0, 0, 0.5, ScalePropagation(1, 1.0))
+    assert n == 2  # its own cell and one on scale 1; scale 3's rounds to (-1, -1)
+    assert book.state_at(Window(1, 1, 1)) is RegionKind.ACCEPTED
+    assert book.state_at(Window(2, 2, 1)) is RegionKind.FREE
 
 
 def test_subtract_interval_shortens_the_reach(pyramid):

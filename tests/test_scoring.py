@@ -88,7 +88,7 @@ def test_wrong_scale_scores_lower(space):
     scorer = SyntheticScorer(scene)
     right = scorer.score(space, w).response
     # same original-image center, one pyramid level up
-    gx, gy = space.project(w, 1)
+    gx, gy = space.grid_at(*space.centre(w.x, w.y, w.s), 1)
     off = Window(round(gx), round(gy), 1)
     wrong = scorer.score(space, off).response
     assert wrong < right

@@ -85,20 +85,21 @@ def test_to_box_scales_with_zoom():
     assert box.cx == pytest.approx(67.2)
 
 
-def test_project_identity():
+def test_grid_at_centre_identity():
     sp = SearchSpace(48, 48, 12, 12, stride=1, scale_factor=2.0, scale_count=3)
     w = Window(6, 6, 1)
-    assert sp.project(w, 1) == (6.0, 6.0)
+    assert sp.grid_at(*sp.centre(w.x, w.y, w.s), 1) == (6.0, 6.0)
 
 
-def test_project_preserves_center():
+def test_grid_at_centre_preserves_center():
     sp = SearchSpace(48, 48, 12, 12, stride=1, scale_factor=2.0, scale_count=3)
     w = Window(6, 6, 1)
-    assert sp.project(w, 0) == (18.0, 18.0)
-    assert sp.project(w, 2) == (0.0, 0.0)
+    centre = sp.centre(w.x, w.y, w.s)
+    assert sp.grid_at(*centre, 0) == (18.0, 18.0)
+    assert sp.grid_at(*centre, 2) == (0.0, 0.0)
     # the projected grid cell covers the same original-image center
     src = sp.to_box(w)
-    gx, gy = sp.project(w, 0)
+    gx, gy = sp.grid_at(*centre, 0)
     dst = sp.to_box(Window(round(gx), round(gy), 0))
     assert dst.cx == pytest.approx(src.cx)
     assert dst.cy == pytest.approx(src.cy)
