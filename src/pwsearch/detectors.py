@@ -323,19 +323,23 @@ def _incremental_step(
     """Draw, score, classify, and mark one window; False when the space is exhausted.
 
     The Gaussian branch falls back to the dented uniform in the same
-    iteration when the mixture is empty or its rejection loop exhausts.  The
+    iteration when the mixture is empty or its rejection loop exhausts.  A
+    mixture whose last search came up empty is not searched again: its
+    branch goes straight to the uniform until a new mixture (an ``ipw``
+    extension, a ``sipw`` rebuild) replaces it.  The rule reads only the
+    past, so a Gaussian draw still follows the mixture's dented law.  The
     scored cell is claimed, as REJECTED unless accepted: an ambiguous response
     lies below t_h, so excluding it cannot lose a detection.
     """
     use_gaussian = len(state.mixture) > 0 and rng.random() >= p_uniform
     w: Window | None = None
     source = SOURCE_UNIFORM
-    if use_gaussian:
+    if use_gaussian and not state.mixture._missed:
         w = state.mixture.sample(rng, config.n_max)
         if w is not None:
             source = SOURCE_GAUSSIAN
     if w is None:
-        w = state.uniform.sample(rng, config.n_max)
+        w = state.uniform.sample(rng)
     if w is None:
         trace.complete = True
         return False

@@ -1,18 +1,13 @@
 """Sampling distributions with holes: dented uniform and dented Gaussians.
 
-"Dented" means zero mass on every cell the region book has claimed.  Both
-samplers draw by rejection: up to ``n_max`` proposals from the undented base
-distribution, and the first FREE one wins, so they never need the dent's
-normalizer.  Proposals are drawn in groups, each in one pass of generator
-calls: 64 proposals, then twice as many each time, up to 1024.  A mixture
-whose own last search came up empty starts at 1024.  The grouping shapes
-the random stream, but not the law of the proposal that wins.
-
-When the uniform's proposals all miss, it draws from the explicit free set,
-which it keeps from one such fallback to the next.  Claims are permanent, so
-the free set changes exactly when its size does, and the new one is the kept
-one minus the cells claimed since: filtering the kept array gives the same
-sorted array a scan of the book would, so only the first fallback scans.
+"Dented" means zero mass on every cell the region book has claimed.  The
+uniform draws exactly: one generator call picks a rank among the FREE cells,
+and the book returns the cell of that rank.  The mixture draws by rejection:
+up to ``n_max`` proposals from the undented base distribution, and the first
+FREE one wins, so it never needs the dent's normalizer.  Its proposals are
+drawn in groups, each in one pass of generator calls: 64 proposals, then
+twice as many each time, up to 1024.  The grouping shapes the random stream,
+but not the law of the proposal that wins.
 
 ``density_at`` serves tests and diagnostics, and it is exactly the law that
 ``sample`` draws whenever it returns a window: the undented proposal law on
@@ -94,73 +89,30 @@ _BATCH = 64  # proposals in a search's first group
 _GROUP_CAP = 16 * _BATCH  # proposals drawn in one pass at most
 
 
-def _rejection_sample(n_max: int, first_free, first: int):
-    """First accepted proposal among up to ``n_max``, or None.
-
-    ``first_free(count)`` draws ``count`` proposals in one pass and returns
-    the first acceptable one, or None.  The first group holds ``first``
-    proposals, each later one twice as many, up to ``_GROUP_CAP``.
-    """
-    start = 0
-    size = first
-    while start < n_max:
-        count = min(size, n_max - start)
-        found = first_free(count)
-        if found is not None:
-            return found
-        start += count
-        size = min(2 * size, _GROUP_CAP)
-    return None
-
-
 class DentedUniform:
-    """Uniform over FREE cells, sampled by rejection from the full grid."""
+    """Uniform over FREE cells, drawn by rank from the book's free counts."""
 
     def __init__(self, book: RegionBook, space: SearchSpace):
         if space.window_count == 0:
             raise ValueError("search space has no windows")
         self.book = book
         self.space = space
-        self._free = (-1, None)  # (book.free_count, sorted indices of the free cells)
 
     def density_at(self, w: Window) -> float:
         if self.book.state_at(w) != RegionKind.FREE:
             return 0.0
         return 1.0 / self.book.free_count
 
-    def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
+    def sample(self, rng: np.random.Generator) -> Window | None:
         """A FREE cell drawn uniformly, or None once the space is exhausted.
 
-        Up to ``n_max`` rejection proposals are tried first, in the groups
-        of :func:`_rejection_sample` from ``_BATCH`` on, one ``rng.integers``
-        call each, and the accepted cell is the first free proposal in order.
-        When the search comes up empty but free cells remain, one is drawn
-        from the explicit free set, so None strictly means ``free_count == 0``.
-
-        The free set is kept from one fallback to the next.  Claims are
-        permanent, so the free set changes exactly when its size does, and
-        then the new one is the old one minus the cells claimed since: the
-        kept array is filtered, and only the first fallback scans the book.
-        It stays sorted, so the draw is the one a fresh scan would give.
+        One ``rng.integers(free_count)`` call draws a rank, and the window is
+        the FREE cell of that rank in dense index order (``RegionBook.free_cell``).
         """
-        if self.book.free_count == 0:
+        free_count = self.book.free_count
+        if free_count == 0:
             return None
-        n = self.space.window_count
-        flat = self.book.flat
-
-        def first_free(count: int) -> int | None:
-            indices = rng.integers(0, n, size=count)
-            hits = np.flatnonzero(flat[indices] == 0)
-            return int(indices[hits[0]]) if hits.size else None
-
-        found = _rejection_sample(n_max, first_free, _BATCH)
-        if found is not None:
-            return self.space.window_at(found)
-        count, free = self._free
-        if count != self.book.free_count:
-            free = np.flatnonzero(flat == 0) if free is None else free[flat.take(free) == 0]
-            self._free = (self.book.free_count, free)
-        return self.space.window_at(int(rng.choice(free)))
+        return self.space.window_at(self.book.free_cell(int(rng.integers(free_count))))
 
 
 class DentedGaussianMixture:
@@ -186,7 +138,7 @@ class DentedGaussianMixture:
         self.space = space
         self.means = means
         self._free_mass = (-1, 0.0)  # (book.free_count, table mass on free cells)
-        self._missed = False  # this mixture's last search came up empty
+        self._missed = False  # this mixture's last search came up empty (read by _incremental_step)
         self._size = means.shape[1]
         if not self._size:
             return
@@ -272,23 +224,25 @@ class DentedGaussianMixture:
         """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.
 
         Proposals come from :meth:`_proposer`, as in
-        :func:`draw_gaussian_window`, in the groups of
-        :func:`_rejection_sample`, and the first free one wins.  After a
-        search of this mixture came up empty, which means little free mass,
-        the next one starts with a group of ``_GROUP_CAP``.
+        :func:`draw_gaussian_window`, in groups of ``_BATCH``, then twice as
+        many each time up to ``_GROUP_CAP``, and the first free one wins.
+        ``_missed`` records whether this search came up empty.
         """
         propose = self._proposer(rng)
         flat = self.book.flat
-
-        def first_free(count: int) -> Window | None:
+        start, size = 0, _BATCH
+        while start < n_max:
+            count = min(size, n_max - start)
             x, y, s, index, valid = propose(count)
             free = valid & (flat.take(np.where(valid, index, 0)) == 0)
             j = int(free.argmax())
-            return Window(int(x[j]), int(y[j]), int(s[j])) if free[j] else None
-
-        found = _rejection_sample(n_max, first_free, _GROUP_CAP if self._missed else _BATCH)
-        self._missed = found is None
-        return found
+            if free[j]:
+                self._missed = False
+                return Window(int(x[j]), int(y[j]), int(s[j]))
+            start += count
+            size = min(2 * size, _GROUP_CAP)
+        self._missed = True
+        return None
 
 
 def draw_gaussian_window(

@@ -5,6 +5,8 @@ FREE, REJECTED, or ACCEPTED.  A scored window claims its own cell and may mark
 a rectangle around it; marks never change an already-claimed cell (first mark
 wins), which keeps the three counters single-owner and makes
 ``n_rejected + n_accepted + free_count == window_count`` a standing identity.
+The book also counts the FREE cells of every grid row, so ``free_cell`` finds
+the FREE cell of a given rank without scanning the whole book.
 
 Rejection radii come from a :class:`RadiusTable`: the lower a window's
 response, the farther from any object it must be, so the larger the
@@ -17,6 +19,7 @@ shrinkage (:class:`ScalePropagation`).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -117,7 +120,7 @@ NO_PROPAGATION = ScalePropagation(span=0, shrink=1.0)
 
 
 class RegionBook:
-    """Per-scale occupancy grids with O(1) counters and cell classification."""
+    """Per-scale occupancy grids with O(1) counters, per-row FREE counts and cell classification."""
 
     def __init__(self, space: SearchSpace):
         self.space = space
@@ -128,6 +131,13 @@ class RegionBook:
             self.flat[space._offsets[s] : space._offsets[s + 1]].reshape(ny, nx)
             for s, (nx, ny) in enumerate(space._per_scale)
         ]
+        # Grid rows follow one another in dense index order, across scales too: row y
+        # of scale s is row r = _first_row[s] + y, the cells flat[_row_start[r] :
+        # _row_start[r + 1]], of which _row_free[r] are FREE.
+        widths = [nx for nx, ny in space._per_scale for _ in range(ny)]
+        self._row_start = np.concatenate(([0], np.cumsum(widths, dtype=np.int64)))
+        self._row_free = np.array(widths, dtype=np.int64)
+        self._first_row = list(itertools.accumulate((ny for _, ny in space._per_scale), initial=0))
         self._n_rejected = 0
         self._n_accepted = 0
 
@@ -159,10 +169,13 @@ class RegionBook:
         if x0 >= x1 or y0 >= y1:
             return 0
         view = grid[y0:y1, x0:x1]
-        free = view == RegionKind.FREE
-        n = int(free.sum())
+        free = view == 0  # not RegionKind.FREE: numpy compares an array with an IntEnum slowly
+        per_row = free.sum(axis=1)
+        n = int(per_row.sum())
         if n:
             view[free] = kind
+            row = self._first_row[s]
+            self._row_free[row + y0 : row + y1] -= per_row
             if kind == RegionKind.REJECTED:
                 self._n_rejected += n
             else:
@@ -177,11 +190,23 @@ class RegionBook:
         if self.flat[i]:  # not FREE; comparing a numpy scalar with an IntEnum costs ~9 µs
             return 0
         self.flat[i] = kind
+        self._row_free[self._first_row[w.s] + w.y] -= 1
         if kind == RegionKind.REJECTED:
             self._n_rejected += 1
         else:
             self._n_accepted += 1
         return 1
+
+    def free_cell(self, rank: int) -> int:
+        """Dense index of the FREE cell with ``rank`` FREE cells before it
+        in dense index order, for ``0 <= rank < free_count``."""
+        if not 0 <= rank < self.free_count:
+            raise IndexError(f"free cell rank {rank} out of range")
+        through = np.cumsum(self._row_free)
+        r = int(through.searchsorted(rank, side="right"))
+        start, stop = self._row_start[r], self._row_start[r + 1]
+        before = int(through[r]) - int(self._row_free[r])
+        return int(start) + int(np.flatnonzero(self.flat[start:stop] == 0)[rank - before])
 
 
 def _mark_region(

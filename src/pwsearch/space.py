@@ -101,7 +101,7 @@ class SearchSpace:
         """``zoom(s)`` for every scale, by Python's power, so equal to it bit for bit."""
         return np.array([self.zoom(s) for s in range(self.scale_count)])
 
-    @property
+    @cached_property
     def window_count(self) -> int:
         return int(self._offsets[-1])
 

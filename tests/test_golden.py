@@ -9,15 +9,16 @@ the draws on purpose updates them, and says so.
 
 None of those runs uses up its space.  ``ipw`` and ``sipw`` of
 ``configs/pedestrian.json`` on scene 0 do: both claim all 1,095,431 cells
-before their budget of 5000 is spent, and on the way they take the dented
-uniform's free-set fallback 77 (``ipw``) and 464 (``sipw``) times, so their
-digests pin the fallback and the late, nearly exhausted part of a run.
+before their budget of 5000 is spent, so their digests pin the late, nearly
+exhausted part of a run, where the dented uniform draws by rank from a
+nearly full book.
 
-Every ``ipw`` and ``sipw`` digest here, and the synthetic ``compare``
-grid's, was computed when the rejection samplers began to draw each group of
-proposals in one pass, which moved their random stream; the ``sw`` and
-``mpw`` digests, and the synthetic ``sweep``'s, whose first detector is
-``sw``, stayed the same.  The face grid's digests were pinned after that.
+Every ``ipw`` and ``sipw`` digest here, and the ``compare`` grids' files
+that hold them, were computed when the incremental detectors stopped
+searching a mixture that came up empty and the dented uniform began to draw
+by rank, which moved their random stream; the ``sw`` and ``mpw`` digests,
+the ``summary.json`` of ``ipw`` and ``sipw``, face's ``rates.csv`` and both
+``sweep`` files stayed the same.
 
 ``GOLDEN_GRID`` pins the files ``compare`` and ``sweep`` write for
 ``configs/synthetic.json`` and ``configs/face.json``: every row of the
@@ -41,12 +42,12 @@ from pwsearch.cli import EXIT_OK, main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
-    ("ipw", 0): "5290e6c4ad71ec8234d5628e1117ddb58c1f40b38b145f1d06bffa0978a4eccd",
-    ("ipw", 1): "cbf69c95c4e5bc5359c6651a3c9af0473e0980d23d3d430dda20d4398a6469a9",
-    ("ipw", 2): "01fa2fc4422145657f298c00f7afe254b72fa73a46c25bbc20f13e26fcdf4cbd",
-    ("sipw", 0): "6bb5ff2505b00ed01992288de53cad803b6c181f2db2f06e4a17c1dcad46a8ec",
-    ("sipw", 1): "f098b155d9b8157d5ca9afbc41f26b936f86086c8a82426d4ad4f798a2f24554",
-    ("sipw", 2): "e1a8650c5b6a84924ef8dc939bc125d707f7e8629cedc5ab6a2b2ed6a22e9b94",
+    ("ipw", 0): "f7154308a2cfce64503cc76b5d8cecd4fbd213e8e35995dbf89ab3ca5d7a8d75",
+    ("ipw", 1): "9f8c066a5f4f78d62efe2532337f5292dfaf1340b534d6c456dc63df9dd4b16a",
+    ("ipw", 2): "83d34dabc1e7bf52ee8dca0385834c717e10938d616407e326d588221bbfc25b",
+    ("sipw", 0): "c11cb7896a7c28a81ecec4622405a042a857c0e6afb22323e05886ee6698abc4",
+    ("sipw", 1): "611a6c54f9541d594d87fc91866d63460d88f12c5ffdd6b98bca11d298468394",
+    ("sipw", 2): "57098ba030b6e15f820c3d019eb5aa45c2cd151a70370c2e3c8ed205b6e33958",
     ("mpw", 0): "de8720fb3486cbadb9833d8310756bbe278e4e4925caeb0656f7554ba2ff6d50",
     ("mpw", 1): "348ad97c265557bbd714d0a6ebee7a12884a01c7f2e49a0cc6eadf460c99021f",
     ("mpw", 2): "e16854f275aabccb70ef2a16b19347064dc3027d8df428ab7bab5b6995bad9c7",
@@ -56,17 +57,17 @@ GOLDEN = {
 }
 
 GOLDEN_CASCADE = {
-    ("ipw", 0): "31cfd0ab30c8ead661698b890afecaa4745ae847ca3e31293369a1d95aa2b006",
-    ("ipw", 1): "f91b478b4d5f96fc248e852f27ef9c4a73c64c446e5b345515b6155f2b60c60f",
-    ("ipw", 2): "00c5c09eac4530f5cf1e310dead4b6320236485ce6673c9d4ce176fad4e74be9",
+    ("ipw", 0): "89ef60db7fcad05ea2c67711fee1bdcb799f4b0c6cf49c2aad1317448b0fb999",
+    ("ipw", 1): "b88123e122818131caf7a6478196660b43a76a409cfc5b200347fc68d1497aed",
+    ("ipw", 2): "272fb53a4060ca06e50eefc46a6f6e5eda43861433874bd47cacda74581aa848",
     ("mpw", 0): "b4a3ff6b37c85ed884343a7a14bf03d876821cefddc553112d38bf29b92d8a0f",
     ("mpw", 1): "305d24bc42031026e2859f62cb66d616ffbdc03ca1d2fe592fb8f779d04de1a7",
     ("mpw", 2): "7bdc067adad3a71e791f92560af0960f2a3855c3ebcf21f20d8be0ee8db0e739",
 }
 
 GOLDEN_EXHAUSTING = {
-    "ipw": "8b615d48d9fdffcc34da8a836321fbaaf87063e09e14e2ac90e278bb46dcdf2d",
-    "sipw": "8f37e7ff32124289d59c6cc6e3944a0cd713a68afe2d5a17bc45924abe9315da",
+    "ipw": "16acd956405e4d5b4216164261219fb6d0adfc2ad661f67fa8fa83cf4bb30a2e",
+    "sipw": "808ac3ff8182623329603da39a5489f1314b03ea73577435b4503125fa19ea76",
 }
 
 GOLDEN_RUN_FILES = {
@@ -74,20 +75,20 @@ GOLDEN_RUN_FILES = {
     ("sw", "summary.json"): "9d422f2e4f8feace44db01ff33810bdfd67f7e27b5eb49f88f3a001088db29a7",
     ("mpw", "curves.csv"): "1255054787ddb943b68e48c19f79f5f57a6ba285d17b02568500e369e212493f",
     ("mpw", "summary.json"): "1d889d676b02d85ca92b5387b65d5931a7eb17d22c1545dbf54d168106af33b6",
-    ("ipw", "curves.csv"): "1d851f9c0451897ea9f343f44d453284e2be3ba75c4db93897c2af0d52e7cfaf",
+    ("ipw", "curves.csv"): "e064c008120be7ceade1c6cf634605851b947405645542c210046e209cc9a8c0",
     ("ipw", "summary.json"): "1bb647263afe5d536ce9f44c0e9947447e2477ef4f55104c8f247f0710aaef8b",
-    ("sipw", "curves.csv"): "53d5df8d6168dbc602e79a92d56809e878cee39d3174862ec843839ffa75c087",
+    ("sipw", "curves.csv"): "fddf4eafbae8edcbeccb2815c0a90776cd5f2d6ac32f36033aa027d820c8b4be",
     ("sipw", "summary.json"): "acf6b1d6864072691361a0689889c346add85c4b42b37d76d437bb644c208294",
 }
 
 GOLDEN_GRID = {
-    ("synthetic.json", "compare", "results.jsonl"): "11e11f476b5299a78ab7341f218d13367fea9b55ed7e3fa196ef0b57b30767e3",
-    ("synthetic.json", "compare", "rates.csv"): "1a5d669e60705c3d4aad3628bce57aa51cace304ab56efa0f8ae37f2fc1e805b",
-    ("synthetic.json", "compare", "ratios.csv"): "1d7b8195ae86c804715234b7fd47ad85c309e1878b1f2008edf066223f21ae81",
+    ("synthetic.json", "compare", "results.jsonl"): "bce929b0129eecc54a1f1a6ca592f5ca9eff557c2330c0c43014fd6c4569ebcb",
+    ("synthetic.json", "compare", "rates.csv"): "07bf66cb6c20f9faecbfc887fc8ae597abbd103d0503d48ed33e9dbf512e6551",
+    ("synthetic.json", "compare", "ratios.csv"): "7ecd65d864fa9a9e908c01e28ca9e1516417d0e3651edb88442f0e1a30810828",
     ("synthetic.json", "sweep", "operating_points.csv"): "2fa8dc5cc9a68719efee27831f3b1d42ec5fe5eb47b3904b3b2b592073907b47",
-    ("face.json", "compare", "results.jsonl"): "1754ebf3c4a95f49169efc961b43dcd29bea7e6b4f34d5c265799db1c58ef75e",
+    ("face.json", "compare", "results.jsonl"): "934d10ce1b8a0653a4dbb4fed6b9d5cb7a27741d98039f2d52d3afe3d22689dc",
     ("face.json", "compare", "rates.csv"): "9fb9e5589d1f2e38e15fd7e37f3d1b8b9aa458bbf602a841c293df8b32765bc2",
-    ("face.json", "compare", "ratios.csv"): "38424f5b6fe9a80cf2ef32ead7ed022d449648314c7a8d0f44142c51a0769538",
+    ("face.json", "compare", "ratios.csv"): "0349e3e39244ebc1ee1a1fb4c59d54b49dfed1eda69e17d8290670733ecf86ca",
     ("face.json", "sweep", "operating_points.csv"): "9122d1c7959c7a5e4a49b4df26e00b0aa78700f0fc77faf320be4d4e5e8610a8",
 }
 

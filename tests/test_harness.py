@@ -385,8 +385,9 @@ def test_summaries_shape():
 @pytest.mark.parametrize("run", [run_sw, run_mpw, run_ipw, run_sipw], ids=lambda run: run.__name__)
 def test_trace_jsonl_round_trip(run, tmp_path, bench_space, bench_scenes, bench_table):
     """Every detector's trace comes back equal: ``sw`` and ``mpw`` with a
-    ``null`` ``p_uniform``, ``sipw`` with its rebuilds."""
-    config = make_detector(run.__name__.removeprefix("run_"), 120, bench_table)
+    ``null`` ``p_uniform``, ``sipw`` with its rebuilds.  The budget is
+    ``configs/synthetic.json``'s, at which every sampler here accepts."""
+    config = make_detector(run.__name__.removeprefix("run_"), 410, bench_table)
     trace = run(bench_space, build_scorer(bench_scenes[1]), config, seed=31)
     assert (trace.records[0].p_uniform is None) == (config.algorithm in ("sw", "mpw"))
     assert bool(trace.rebuilds) == (config.algorithm == "sipw")

@@ -101,17 +101,17 @@ def test_uniform_exhausts_to_none(rng):
     sp = SearchSpace(16, 16, 8, 8, stride=8, scale_factor=2.0, scale_count=1)
     book = RegionBook(sp)
     mark_cells(book, sp, range(sp.window_count))
-    assert DentedUniform(book, sp).sample(rng, n_max=200) is None
+    assert DentedUniform(book, sp).sample(rng) is None
 
 
-def test_uniform_finds_a_needle_past_the_rejection_loop(flat_space, rng):
-    """A single surviving cell is found even when every proposal misses."""
+def test_uniform_finds_a_single_free_cell(flat_space, rng):
+    """A single surviving cell is drawn every time, in one generator call."""
     book = RegionBook(flat_space)
     keep = 777
     mark_cells(book, flat_space, [i for i in range(flat_space.window_count) if i != keep])
     sampler = DentedUniform(book, flat_space)
     for _ in range(20):
-        assert sampler.sample(rng, n_max=1) == flat_space.window_at(keep)
+        assert sampler.sample(rng) == flat_space.window_at(keep)
 
 
 def test_uniform_deterministic_under_seed(flat_space):
@@ -356,13 +356,13 @@ def test_stage_draws_fall_back_to_the_uniform_after_n_max_empty_landings(rng):
     assert pooled_chisquare_pvalue(stage_counts(space, x[~gaussian], y[~gaussian], s[~gaussian]), uniform) > 0.001
 
 
-# --- rejection loops against a group-at-a-time reference -------------------
+# --- samplers against brute-force references -------------------------------
 
 
-def groups(n_max, first):
-    """``(start, count)`` of each group of proposals a search of up to
-    ``n_max`` draws: ``first`` proposals, then twice as many, up to 1024."""
-    start, size = 0, first
+def groups(n_max):
+    """``(start, count)`` of each group of proposals a mixture search of up
+    to ``n_max`` draws: 64 proposals, then twice as many, up to 1024."""
+    start, size = 0, 64
     while start < n_max:
         count = min(size, n_max - start)
         yield start, count
@@ -370,26 +370,20 @@ def groups(n_max, first):
         size = min(2 * size, 1024)
 
 
-def reference_uniform(book, space, rng, n_max):
-    """(window, hit): groups from 64 proposals, one ``integers`` call each,
-    scalar checks; ``hit`` is the accepted proposal's position, or None when
-    no proposal was free."""
+def reference_uniform(book, space, rng):
+    """The FREE cell of a uniformly drawn rank, from a scan of the book."""
     if book.free_count == 0:
-        return None, None
-    for start, count in groups(n_max, 64):
-        for position, index in enumerate(rng.integers(0, space.window_count, size=count)):
-            if book.flat[index] == 0:
-                return space.window_at(int(index)), start + position
-    free = np.flatnonzero(book.flat == 0)
-    return space.window_at(int(rng.choice(free))), None
+        return None
+    return space.window_at(int(np.flatnonzero(book.flat == 0)[rng.integers(book.free_count)]))
 
 
-def reference_mixture(components, book, space, rng, n_max, first):
-    """The mixture's draw rule, one group of proposals at a time from a first
-    group of ``first``, one proposal at a time."""
+def reference_mixture(components, book, space, rng, n_max):
+    """(window, hit): the mixture's draw rule, one group of proposals at a
+    time, one proposal at a time; ``hit`` is the accepted proposal's
+    position, or None when no proposal was free."""
     weights = np.array([weight for _, weight, _ in components])
     cumulative = np.cumsum(weights / weights.sum())
-    for _, k in groups(n_max, first):
+    for start, k in groups(n_max):
         u = rng.random(k)
         z = rng.standard_normal((k, 3))
         for j in range(k):
@@ -409,8 +403,8 @@ def reference_mixture(components, book, space, rng, n_max, first):
             y = min(max(round(gy + z[j, 1] * sy), 0), ny - 1)
             w = Window(x, y, s)
             if book.state_at(w) == RegionKind.FREE:
-                return w
-    return None
+                return w, start + j
+    return None, None
 
 
 # three scales with windows and a fourth whose grid is empty
@@ -422,11 +416,12 @@ DENTS = {"none": 0.0, "half": 0.5, "heavy": None}  # heavy: all but three cells 
 @pytest.mark.parametrize("dent", sorted(DENTS))
 @pytest.mark.parametrize("space", [FLAT, PYRAMID], ids=["flat", "pyramid"])
 def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
-    """Same window and same generator state as a loop that draws each group
-    of proposals as one batch, call after call, also for searches that span
-    several groups."""
+    """Same window and same generator state as the references, call after
+    call: the mixture against a loop that draws each group of proposals as
+    one batch, also for searches that span several groups or follow an
+    empty one, and the uniform against a rank drawn over a scan of the book."""
     assert PYRAMID.grid_size(3) == (0, 0)
-    nones = fallbacks = after_empty = in_remainder = 0
+    nones = after_empty = in_remainder = 0
     for seed in range(8):
         setup = np.random.default_rng(1000 + seed)
         book = RegionBook(space)
@@ -444,20 +439,19 @@ def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         empty = False  # whether the mixture's last search came up empty
         for _ in range(4):
-            after_empty += empty  # then this search starts with a group of 1024
+            after_empty += empty
             got = mixture.sample(rng, n_max)
-            assert got == reference_mixture(components, book, space, ref, n_max, 1024 if empty else 64)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            empty = got is None
-            nones += empty
-            got = uniform.sample(rng, n_max)
-            expected, hit = reference_uniform(book, space, ref, n_max)
+            expected, hit = reference_mixture(components, book, space, ref, n_max)
             assert got == expected
             assert rng.bit_generator.state == ref.bit_generator.state
-            fallbacks += hit is None
-            in_remainder += hit is not None and hit >= 64  # past the uniform's first group
+            empty = got is None
+            assert mixture._missed == empty
+            nones += empty
+            in_remainder += hit is not None and hit >= 64  # past the first group
+            assert uniform.sample(rng) == reference_uniform(book, space, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
     if dent == "heavy" and n_max <= 65:
-        assert nones > 0 and fallbacks > 0
+        assert nones > 0
     if dent == "heavy":
         assert after_empty > 0
         assert in_remainder > 0 or n_max < 1000
@@ -491,10 +485,10 @@ def test_uniform_free_set_follows_the_book(space):
     """A sampler kept while the book fills draws what a fresh scan would.
 
     Every returned cell is claimed before the next call, and now and then a
-    rectangle around a random cell, so the free set the fallback keeps goes
-    stale between calls and has to shrink with the book, until None.
+    rectangle around a random cell, so the book's free counts change between
+    calls, until None.
     """
-    fallbacks = 0
+    draws = 0
     for seed in range(4):
         setup = np.random.default_rng(2000 + seed)
         book = RegionBook(space)
@@ -503,19 +497,18 @@ def test_uniform_free_set_follows_the_book(space):
         uniform = DentedUniform(book, space)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         while True:
-            got = uniform.sample(rng, 16)
-            expected, hit = reference_uniform(book, space, ref, 16)
-            assert got == expected
+            got = uniform.sample(rng)
+            assert got == reference_uniform(book, space, ref)
             assert rng.bit_generator.state == ref.bit_generator.state
             if got is None:
                 break
-            fallbacks += hit is None
+            draws += 1
             book.claim_cell(got)
             if setup.random() < 0.2:
                 w = space.window_at(int(setup.integers(n)))
                 book.mark_rect(w.s, w.x, w.y, 1, 1)
         assert book.free_count == 0
-    assert fallbacks > 40
+    assert draws > 240  # of the 4 x 80 free cells, most are drawn rather than marked
 
 
 def test_grown_mixture_equals_a_fresh_build():

@@ -16,6 +16,8 @@ from pwsearch import (
 )
 from pwsearch.regions import ContractViolation
 
+from conftest import PYRAMID
+
 NEG_INF = float("-inf")
 
 
@@ -179,6 +181,36 @@ def test_counters_match_brute_force(pyramid, rng):
     assert book.n_rejected == sum(s is RegionKind.REJECTED for s in states)
     assert book.n_accepted == sum(s is RegionKind.ACCEPTED for s in states)
     assert book.free_count == sum(s is RegionKind.FREE for s in states)
+
+
+def test_row_free_counts_match_a_recount(rng):
+    """The book's FREE count per grid row equals a recount of the grids after
+    every claim and propagated mark, on a pyramid with an empty top scale, and
+    ``free_cell`` gives the FREE cells in dense index order."""
+    space = PYRAMID
+    assert space.grid_size(3) == (0, 0)
+    book = RegionBook(space)
+    table = table_from([(NEG_INF, 0.25, 0.25), (-4.0, 0.1, 0.1)], active=2)
+    spread = ScalePropagation(span=2, shrink=0.8)
+    for step in range(120):
+        w = space.window_at(int(rng.integers(space.window_count)))
+        roll = rng.random()
+        if roll < 0.5:
+            book.claim_cell(w, RegionKind.REJECTED if roll < 0.4 else RegionKind.ACCEPTED)
+        elif roll < 0.8:
+            mark_rejection(book, space, w, float(rng.uniform(-6.0, -2.5)), table, -2.0, spread)
+        else:
+            mark_acceptance(book, space, w, 1.0, int(rng.integers(4)), int(rng.integers(4)), 0.0, spread)
+        recount = np.concatenate([(grid == 0).sum(axis=1) for grid in book.grids])
+        assert book._row_free.tolist() == recount.tolist()
+        if step % 20 == 0:
+            free = np.flatnonzero(book.flat == 0)
+            assert [book.free_cell(r) for r in range(book.free_count)] == free.tolist()
+    assert 0 < book.free_count < space.window_count
+    with pytest.raises(IndexError):
+        book.free_cell(book.free_count)
+    with pytest.raises(IndexError):
+        book.free_cell(-1)
 
 
 # --- marking helpers ------------------------------------------------------
