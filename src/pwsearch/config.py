@@ -138,19 +138,15 @@ def _check_floor(floor: float, detectors: tuple[DetectorConfig, ...], field: str
 
 
 def _check_scene_params(params: SceneParams) -> None:
-    """Raise unless each peak range is ordered above the floor and each scale index
-    is in the pyramid with the template inside the image, as ``_place_target`` tests."""
+    """Raise unless each peak range is ordered above the floor and each scale
+    index is in the pyramid, whose every scale holds windows."""
     for key in ("object_peak", "distractor_peak"):
         low, high = getattr(params, key)
         if not params.floor < low <= high:
             raise ConfigError(f"scenes.params.{key}", f"[{low}, {high}] is not ordered above floor {params.floor}")
-    space = params.space
     for idx in params.scale_indices:
-        if idx >= space.scale_count:
+        if idx >= params.space.scale_count:
             raise ConfigError("scenes.params.scale_indices", f"scale index {idx} outside the pyramid")
-        z = space.zoom(idx)
-        if space.template_w * z > space.image_w or space.template_h * z > space.image_h:
-            raise ConfigError("scenes.params.scale_indices", f"the template exceeds the image at scale index {idx}")
 
 
 def _check_cascade_thresholds(detectors: tuple[DetectorConfig, ...]) -> None:
@@ -227,8 +223,6 @@ def load_config(path: str | Path) -> LoadedConfig:
 
     space_data = data["space"]
     space = _build(SearchSpace, space_data, "space")
-    if space.window_count == 0:
-        raise ConfigError("space", "no window fits: template exceeds the image at every scale")
 
     detectors = tuple(_build_detector(d, i) for i, d in enumerate(data["detectors"]))
     names = [d.name for d in detectors]

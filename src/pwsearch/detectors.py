@@ -25,9 +25,7 @@ accepted trace kinds (RPW / ABPW / APW).
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,7 +196,7 @@ def _record_batch(
     trace: RunTrace,
     config: DetectorConfig,
     windows: list[Window],
-    sources: Iterable[str],
+    source: str,
     responses: np.ndarray,
     stages: np.ndarray,
     n_ab: int,
@@ -207,7 +205,7 @@ def _record_batch(
     one; returns the running count of ambiguous windows.  These detectors
     mark nothing, so the claimed-cell counters stay 0."""
     i = len(trace.records)
-    for w, source, response, n_stages in zip(windows, sources, responses.tolist(), stages.tolist()):
+    for w, response, n_stages in zip(windows, responses.tolist(), stages.tolist()):
         i += 1
         kind = _classify(response, config)
         if kind == KIND_AMBIGUOUS:
@@ -230,7 +228,7 @@ def run_sw(
     x, y, s = space.grid_coordinates()
     responses, stages = scorer.score_many(space, x, y, s)
     windows = list(map(Window, x.tolist(), y.tolist(), s.tolist()))
-    _record_batch(trace, config, windows, itertools.repeat(SOURCE_SCAN), responses, stages, 0)
+    _record_batch(trace, config, windows, SOURCE_SCAN, responses, stages, 0)
     trace.complete = True
     return trace
 
@@ -277,8 +275,6 @@ def run_mpw(
     Each later stage is drawn in one batch from the undented mixture of the
     previous stage's windows, built on a book that is never marked.
     """
-    if space.window_count == 0:
-        raise ValueError("search space has no windows")
     rng = _rng(seed)
     trace = RunTrace(config.name, "mpw", seed, space.window_count)
     schedule = schedule_for_budget(config.budget, config.gamma, config.mpw_stage_count)
@@ -288,14 +284,14 @@ def run_mpw(
     for n_draw in schedule:
         if stage:
             mixture = _mixture_from_batch(stage, book, space)
-            x, y, s, gaussian = draw_gaussian_window(mixture, rng, n_draw, config.n_max)
-            sources = [SOURCE_GAUSSIAN if g else SOURCE_UNIFORM for g in gaussian.tolist()]
+            x, y, s = draw_gaussian_window(mixture, rng, n_draw)
+            source = SOURCE_GAUSSIAN
         else:
             x, y, s = space.coordinates_at(rng.integers(space.window_count, size=n_draw))
-            sources = itertools.repeat(SOURCE_UNIFORM)
+            source = SOURCE_UNIFORM
         responses, stages = scorer.score_many(space, x, y, s)
         windows = list(map(Window, x.tolist(), y.tolist(), s.tolist()))
-        n_ab = _record_batch(trace, config, windows, sources, responses, stages, n_ab)
+        n_ab = _record_batch(trace, config, windows, source, responses, stages, n_ab)
         stage = list(zip(windows, responses.tolist()))
     return trace
 

@@ -166,12 +166,16 @@ def _place_target(
     space = params.space
     for _ in range(params.max_retries):
         s = int(rng.choice(np.asarray(params.scale_indices)))
+        if space.grid_size(s) == (0, 0):
+            continue
         w = space.template_w * space.zoom(s)
         h = space.template_h * space.zoom(s)
-        if w > space.image_w or h > space.image_h:
-            continue
-        cx = float(rng.uniform(w / 2.0, space.image_w - w / 2.0))
-        cy = float(rng.uniform(h / 2.0, space.image_h - h / 2.0))
+        # A scale with windows may still round w or h an ulp past the image;
+        # the centre's range then shrinks to the image's middle, not below it.
+        half_w = min(w, space.image_w) / 2.0
+        half_h = min(h, space.image_h) / 2.0
+        cx = float(rng.uniform(half_w, space.image_w - half_w))
+        cy = float(rng.uniform(half_h, space.image_h - half_h))
         box = Box(cx, cy, w, h)
         if all(overlap(box, other) <= params.max_overlap for other in existing):
             peak = float(rng.uniform(*peak_range))
@@ -480,17 +484,20 @@ def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
 
 
 class TraceFormatError(ValueError):
-    """A trace file that is missing, holds no records or ends without its footer."""
+    """A trace file that is missing or unreadable, holds no records or ends without its footer."""
 
 
 def read_trace_jsonl(path: str | Path) -> RunTrace:
     """The trace that :func:`write_trace_jsonl` wrote.  A line that is not
     JSON or lacks a key of its kind raises :class:`TraceFormatError` naming
-    the line, as does a missing file or one without records."""
+    the line, as does a missing or unreadable file or one without records."""
     path = Path(path)
     if not path.exists():
         raise TraceFormatError(f"no such trace file: {path}")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceFormatError(f"cannot read trace file {path}: {exc}") from exc
     if len(lines) < 2:
         raise TraceFormatError("trace file has no records")
     number = len(lines)

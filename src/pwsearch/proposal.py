@@ -16,7 +16,9 @@ proposal law is the weighted sum of each component's rounded and clamped
 normal masses, computed as CDF differences per axis.
 
 ``draw_gaussian_window`` draws a whole ``mpw`` stage from a mixture's
-undented proposal law, with the proposals ``sample`` makes.
+undented proposal law in one pass, with the proposals ``sample`` makes.
+Every proposal lands on a cell, because every scale of a space holds
+windows.
 
 Mixture components are centered on previously drawn windows and share one
 spread: one eighth of the template extent in grid cells per spatial axis and
@@ -93,8 +95,6 @@ class DentedUniform:
     """Uniform over FREE cells, drawn by rank from the book's free counts."""
 
     def __init__(self, book: RegionBook, space: SearchSpace):
-        if space.window_count == 0:
-            raise ValueError("search space has no windows")
         self.book = book
         self.space = space
 
@@ -159,7 +159,7 @@ class DentedGaussianMixture:
     @functools.cached_property
     def _table(self) -> np.ndarray:
         """Probability that one undented proposal lands on each cell, in
-        dense index order; proposals on an empty scale land nowhere."""
+        dense index order; it sums to 1."""
         on_scale = _rounded_normal_mass(self._mean_s, self._ss, self.space.scale_count)
         on_scale *= np.diff(self._cumulative, prepend=0.0)
         parts = []
@@ -184,20 +184,19 @@ class DentedGaussianMixture:
         return float(table[self.space.index_of(w)] / mass) if mass > 0.0 else 0.0
 
     def _proposer(self, rng: np.random.Generator):
-        """``propose(count) -> (x, y, s, index, valid)``: ``count`` undented
+        """``propose(count) -> (x, y, s, index)``: ``count`` undented
         proposals in one pass.  ``rng.random(count)`` picks each proposal's
         component and the row of ``rng.standard_normal((count, 3))`` (x, y, s)
         is quantized around its mean, the scale first, then the position in
-        that scale's grid, each rounded and clamped.  A scale past the last
-        nonempty one has no cells: ``valid`` is False and ``index`` void."""
+        that scale's grid, each rounded and clamped."""
         if not len(self):
             raise ValueError("cannot sample from an empty mixture")
         space = self.space
         n = len(self)
         top = space.scale_count - 1
         nx_table = space._nx_table
-        x_hi = np.maximum(nx_table - 1, 0)
-        y_hi = np.maximum(space._ny_table - 1, 0)
+        x_hi = nx_table - 1
+        y_hi = space._ny_table - 1
         gx = self._gx.ravel()
         gy = self._gy.ravel()
 
@@ -215,8 +214,7 @@ class DentedGaussianMixture:
             np.minimum(x, x_hi.take(s), out=x)
             np.maximum(y, 0, out=y)
             np.minimum(y, y_hi.take(s), out=y)
-            nx = nx_table.take(s)
-            return x, y, s, space._offsets.take(s) + y * nx + x, nx > 0
+            return x, y, s, space._offsets.take(s) + y * nx_table.take(s) + x
 
         return propose
 
@@ -233,8 +231,8 @@ class DentedGaussianMixture:
         start, size = 0, _BATCH
         while start < n_max:
             count = min(size, n_max - start)
-            x, y, s, index, valid = propose(count)
-            free = valid & (flat.take(np.where(valid, index, 0)) == 0)
+            x, y, s, index = propose(count)
+            free = flat.take(index) == 0
             j = int(free.argmax())
             if free[j]:
                 self._missed = False
@@ -249,26 +247,9 @@ def draw_gaussian_window(
     mixture: DentedGaussianMixture,
     rng: np.random.Generator,
     count: int,
-    n_max: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` draws from the mixture's undented proposal law, as
-    ``(x, y, s, gaussian)`` arrays; on a book never marked, the law
-    ``density_at`` reports.  Each round proposes once for every window not
-    yet placed, and a proposal on an empty scale places nothing.  A window
-    still unplaced after ``n_max`` rounds is uniform, ``gaussian`` False.
-    """
-    propose = mixture._proposer(rng)
-    x, y, s = (np.zeros(count, dtype=np.int64) for _ in range(3))
-    todo = np.arange(count)
-    for _ in range(n_max):
-        if not todo.size:
-            break
-        px, py, ps, _, valid = propose(todo.size)
-        placed = todo[valid]
-        x[placed], y[placed], s[placed] = px[valid], py[valid], ps[valid]
-        todo = todo[~valid]
-    gaussian = np.ones(count, dtype=bool)
-    gaussian[todo] = False
-    space = mixture.space
-    x[todo], y[todo], s[todo] = space.coordinates_at(rng.integers(space.window_count, size=todo.size))
-    return x, y, s, gaussian
+    ``(x, y, s)`` arrays, in one pass of :meth:`DentedGaussianMixture._proposer`;
+    on a book never marked, the law ``density_at`` reports."""
+    x, y, s, _ = mixture._proposer(rng)(count)
+    return x, y, s

@@ -7,6 +7,9 @@ grid indices in the zoomed image of their own scale.  ``centre`` maps a cell
 to its original-image centre and ``grid_at`` maps a point back onto any scale:
 the boxes, the synthetic scorers, the mixture's component centres and the
 region marks' cross-scale rectangles all use this one map.
+
+Every scale of a space holds at least one window: a pyramid that runs past
+the scale where the template still fits the image is refused when built.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ class SearchSpace:
     ``stride`` is the grid pitch in zoomed-image pixels.  Particle-style
     samplers run on a stride-1 space; an exhaustive scan typically uses a
     coarser one (see :meth:`at_stride`).
+
+    Every scale below ``scale_count`` holds at least one window.  The grid
+    only shrinks as ``s`` grows and its emptiness does not depend on
+    ``stride``, so checking the top scale is enough, at any stride.
     """
 
     image_w: int
@@ -65,12 +72,18 @@ class SearchSpace:
             raise ValueError("scale_factor must be > 1")
         if self.scale_count < 1:
             raise ValueError("scale_count must be >= 1")
+        if self.grid_size(self.scale_count - 1) == (0, 0):
+            fit = next(s for s in range(self.scale_count) if self.grid_size(s) == (0, 0))
+            raise ValueError(
+                f"scale_count {self.scale_count} runs past the image: the template fits at {fit} of its scales"
+            )
 
     def zoom(self, s: int) -> float:
         return self.scale_factor ** s
 
     def grid_size(self, s: int) -> tuple[int, int]:
-        """(nx, ny) valid template positions at scale s; (0, 0) if it no longer fits."""
+        """(nx, ny) valid template positions at scale s; (0, 0) where the
+        template no longer fits, which lies past ``scale_count``."""
         zw = int(self.image_w / self.zoom(s))
         zh = int(self.image_h / self.zoom(s))
         if zw < self.template_w or zh < self.template_h:

@@ -14,8 +14,8 @@ from pwsearch import (
 )
 from pwsearch.harness import SceneParams, generate_scenes
 
-# Four scales; the template no longer fits at the top one, so it has no windows.
-PYRAMID = SearchSpace(40, 40, 16, 16, stride=1, scale_factor=1.5, scale_count=4)
+# Three scales, as many as fit: the template no longer fits at a fourth.
+PYRAMID = SearchSpace(40, 40, 16, 16, stride=1, scale_factor=1.5, scale_count=3)
 
 
 def pyramid_scene():

@@ -328,6 +328,15 @@ def test_curves_missing_trace_is_config_error(tmp_path):
     )
 
 
+def test_curves_unreadable_trace_is_config_error(tmp_path, capsys):
+    """A trace path that is a directory, or a file that is not UTF-8, exits 2."""
+    binary = tmp_path / "binary.jsonl"
+    binary.write_bytes(b"\xff\xfe\x00{}\n" * 3)
+    for trace in (tmp_path, binary):
+        assert main(["curves", "--trace", str(trace), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert "config error: --trace: cannot read trace file " in capsys.readouterr().err
+
+
 def test_curves_trace_cut_before_its_footer_is_config_error(config_path, tmp_path, capsys):
     """A trace cut at a line end or mid-line, or with a record that lacks a
     key, exits 2 and names the line at fault."""
@@ -355,6 +364,41 @@ def test_missing_config_file(tmp_path):
     )
 
 
+def test_a_scale_with_windows_places_its_targets(tmp_path):
+    """``grid_size`` alone says whether the template fits at a scale: 187 / 1.1
+    is 170, so scale 1 holds one window of a 170-px template, though
+    170 * 1.1 rounds an ulp past 187.  The config validates, and each scene
+    centres its target at scale 1 in the image."""
+    from pwsearch.config import load_config
+
+    cfg = tiny_config()
+    cfg["space"].update(image_w=187, image_h=187, template_w=170, template_h=170, scale_factor=1.1, scale_count=2)
+    cfg["scenes"]["params"].update(scale_indices=[1], distractor_count=0)
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_OK
+    for scene in load_config(path).load_scenes():
+        (box, _), = scene.objects
+        assert (box.cx, box.cy, box.w, box.h) == (93.5, 93.5, 170 * 1.1, 170 * 1.1)
+
+
+def test_a_pyramid_past_the_image_exits_2_before_anything_runs(tmp_path, capsys):
+    """The template fits ``synthetic.json``'s image at 6 scales.  At
+    ``scale_count`` 9 every command refuses the config, naming both, and
+    writes nothing."""
+    cfg = json.loads((CONFIGS_DIR / "synthetic.json").read_text())
+    cfg["space"]["scale_count"] = 9
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("validate-config", "run", "compare", "sweep"):
+        out = tmp_path / command
+        argv = [command, "--config", str(path), "--quiet"]
+        assert main(argv if command == "validate-config" else argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: space: scale_count 9 runs past the image: the template fits at 6 of" in err
+        assert not out.exists()
+
+
 def test_schema_violation_is_config_error(tmp_path):
     cfg = tiny_config()
     cfg["detectors"][0]["alpha"] = 2.5
@@ -377,12 +421,13 @@ def test_semantic_config_errors(tmp_path, capsys):
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
     # generated scenes the generator cannot draw: a peak range out of order
-    # or not above the floor, a scale at which the template exceeds the
-    # image, targets that cannot be placed apart
+    # or not above the floor, a scale index past the pyramid or a pyramid
+    # past the image, targets that cannot be placed apart
     for name, space, params, field in (
         ("peak_floor", {}, {"object_peak": [-6.0, -5.5]}, "scenes.params.object_peak"),
         ("peak_order", {}, {"distractor_peak": [-0.4, -1.2]}, "scenes.params.distractor_peak"),
-        ("unfit_scale", {"scale_count": 8}, {"scale_indices": [7]}, "scenes.params.scale_indices"),
+        ("past_pyramid", {}, {"scale_indices": [3]}, "scenes.params.scale_indices"),
+        ("unfit_scale", {"scale_count": 8}, {"scale_indices": [7]}, "space"),
         ("crowded", {}, {"object_count": 40, "max_overlap": 0.0}, "scenes.params"),
     ):
         cfg = tiny_config()

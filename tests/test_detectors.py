@@ -193,25 +193,24 @@ def reference_mpw(space, scorer, config, seed):
     """The staged sampler scored one window at a time: the first stage is
     uniform, each later one is drawn with ``draw_gaussian_window`` from the
     undented mixture of the previous stage, and every window is scored and
-    recorded alone.  Returns the records, the accepted windows, the generator
-    and how many draws fell back to the uniform."""
+    recorded alone.  Returns the records, the accepted windows and the
+    generator."""
     rng = np.random.Generator(np.random.PCG64(seed))
     records, accepted, stage = [], [], []
-    n_ab = fallbacks = 0
+    n_ab = 0
     for n_draw in schedule_for_budget(config.budget, config.gamma, config.mpw_stage_count):
         if stage:
             means = np.array([(w.x, w.y, w.s) for w, _ in stage], dtype=np.int64).T
             weights = normalize_weights([r for _, r in stage])
             mixture = DentedGaussianMixture(means, weights, default_sigma(space), RegionBook(space), space)
-            x, y, s, gaussian = draw_gaussian_window(mixture, rng, n_draw, config.n_max)
+            x, y, s = draw_gaussian_window(mixture, rng, n_draw)
             windows = [Window(int(a), int(b), int(c)) for a, b, c in zip(x, y, s)]
-            sources = ["GAUSSIAN" if g else "UNIFORM" for g in gaussian]
-            fallbacks += int((~gaussian).sum())
+            source = "GAUSSIAN"
         else:
             windows = [space.window_at(int(i)) for i in rng.integers(space.window_count, size=n_draw)]
-            sources = ["UNIFORM"] * n_draw
+            source = "UNIFORM"
         stage = []
-        for w, source in zip(windows, sources):
+        for w in windows:
             result = scorer.score(space, w)
             response, n_stages = result.response, result.stages_evaluated
             kind = "RPW" if response < config.t_l else "APW" if response >= config.t_h else "ABPW"
@@ -221,34 +220,29 @@ def reference_mpw(space, scorer, config, seed):
             stage.append((w, response))
             i = len(records) + 1
             records.append(TraceRecord(i, w, response, kind, source, 0, 0, n_ab, None, n_stages))
-    return records, accepted, rng, fallbacks
+    return records, accepted, rng
 
 
 @pytest.mark.parametrize("scorer_kind", ["synthetic", "cascade"])
 def test_batched_staged_run_matches_a_window_at_a_time_reference(table, scorer_kind, monkeypatch):
     """Drawing and scoring a stage in one batch changes neither the draws nor
-    the records, with an empty top scale that sends some draws to the uniform."""
+    the records, on a pyramid whose top scale is the last that fits."""
     space = PYRAMID
-    assert space.grid_size(3) == (0, 0)
     scorer = build_scorer(pyramid_scene(), scorer_kind)
     t_l, t_h = (-2.0, 0.0) if scorer_kind == "synthetic" else (0.2, 0.8)
-    config = make_detector("mpw", 300, table, t_l=t_l, t_h=t_h, gamma=0.44, n_max=2)
+    config = make_detector("mpw", 300, table, t_l=t_l, t_h=t_h, gamma=0.44)
     generators = []  # the generator each run_mpw call draws from
     make_rng = detectors._rng
     monkeypatch.setattr(detectors, "_rng", lambda seed: generators.append(make_rng(seed)) or generators[-1])
-    total_fallbacks = 0
     for seed in range(6):
         trace = run_mpw(space, scorer, config, seed=seed)
-        records, accepted, rng, fallbacks = reference_mpw(space, scorer, config, seed)
-        total_fallbacks += fallbacks
+        records, accepted, rng = reference_mpw(space, scorer, config, seed)
         assert trace.records == records
         assert trace.accepted == accepted
         assert generators[-1].bit_generator.state == rng.bit_generator.state
         assert all(type(r.response) is float and type(r.stages_evaluated) is int for r in trace.records)
         assert all(type(v) is int for r in trace.records for v in (r.window.x, r.window.y, r.window.s))
-    assert total_fallbacks > 0
-    sources = {rec.source for rec in trace.records[schedule_for_budget(300, 0.44, 5)[0]:]}
-    assert sources == {"UNIFORM", "GAUSSIAN"}
+    assert {rec.window.s for rec in trace.records} == set(range(space.scale_count))
 
 
 # --- incremental ----------------------------------------------------------
@@ -357,11 +351,12 @@ def test_incremental_step_claims_every_scored_cell(table):
 
 @pytest.mark.parametrize("run", [run_mpw, run_ipw, run_sipw], ids=lambda run: run.__name__)
 def test_sampling_detectors_refuse_an_empty_space(run, table):
-    space = SearchSpace(8, 8, 16, 16)
+    """No sampling detector is handed a space without windows: the space the
+    template does not fit is refused before the detector runs."""
     scorer = build_scorer(SyntheticScene(8, 8, (), (), floor=-5.0, sharpness=3.0))
     config = make_detector(run.__name__.removeprefix("run_"), 10, table)
-    with pytest.raises(ValueError, match="search space has no windows"):
-        run(space, scorer, config, seed=0)
+    with pytest.raises(ValueError, match="scale_count 1 runs past the image: the template fits at 0 of"):
+        run(SearchSpace(8, 8, 16, 16), scorer, config, seed=0)
 
 
 def test_incremental_deterministic(bench_space, bench_scenes, table):

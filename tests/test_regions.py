@@ -185,10 +185,9 @@ def test_counters_match_brute_force(pyramid, rng):
 
 def test_row_free_counts_match_a_recount(rng):
     """The book's FREE count per grid row equals a recount of the grids after
-    every claim and propagated mark, on a pyramid with an empty top scale, and
+    every claim and propagated mark, on a three-scale pyramid, and
     ``free_cell`` gives the FREE cells in dense index order."""
     space = PYRAMID
-    assert space.grid_size(3) == (0, 0)
     book = RegionBook(space)
     table = table_from([(NEG_INF, 0.25, 0.25), (-4.0, 0.1, 0.1)], active=2)
     spread = ScalePropagation(span=2, shrink=0.8)

@@ -1,5 +1,7 @@
 """Grid geometry: enumeration, indexing, box conversion, overlap."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +32,19 @@ def test_grid_size_formula():
     assert sp.grid_size(1) == ((66 - 20) // 7 + 1, (40 - 10) // 7 + 1)
 
 
+def test_a_pyramid_past_the_image_is_refused():
+    """Every scale of a space holds windows: a ``scale_count`` whose top scale
+    is empty is refused, naming how many scales fit."""
+    with pytest.raises(ValueError, match="scale_count 2 runs past the image: the template fits at 1 of"):
+        SearchSpace(32, 32, 20, 20, stride=1, scale_factor=2.0, scale_count=2)
+    with pytest.raises(ValueError, match="scale_count 1 runs past the image: the template fits at 0 of"):
+        SearchSpace(8, 8, 16, 16)
+
+
 def test_template_too_big_gives_empty_scale():
-    sp = SearchSpace(32, 32, 20, 20, stride=1, scale_factor=2.0, scale_count=2)
+    """``grid_size`` past the pyramid reports the empty grid of a scale the
+    template no longer fits; the space counts only the scales it holds."""
+    sp = SearchSpace(32, 32, 20, 20, stride=1, scale_factor=2.0, scale_count=1)
     assert sp.grid_size(0) == (13, 13)
     assert sp.grid_size(1) == (0, 0)  # zoomed image is 16x16, template will not fit
     assert sp.window_count == 13 * 13
@@ -51,7 +64,7 @@ def test_index_round_trip(small_space):
 
 @pytest.mark.parametrize("name", ["small", "pyramid"])
 def test_coordinates_at_matches_window_at(small_space, name):
-    space = small_space if name == "small" else PYRAMID  # PYRAMID's top scale is empty
+    space = small_space if name == "small" else PYRAMID
     x, y, s = space.coordinates_at(np.arange(space.window_count))
     assert list(map(Window, x.tolist(), y.tolist(), s.tolist())) == list(space.windows())
 
@@ -134,30 +147,42 @@ def test_overlap_known_values():
     assert overlap(a, contained) == pytest.approx(0.25)
 
 
-spaces = st.builds(
-    SearchSpace,
-    image_w=st.integers(12, 60),
-    image_h=st.integers(12, 60),
-    template_w=st.integers(4, 12),
-    template_h=st.integers(4, 12),
-    stride=st.integers(1, 4),
-    scale_factor=st.floats(1.1, 2.0),
-    scale_count=st.integers(1, 4),
-)
+@st.composite
+def spaces(draw):
+    """A valid pyramid: the drawn ``scale_count`` is clamped to the scales
+    whose grid the template still fits (scale 0 always does here)."""
+    base = draw(
+        st.builds(
+            SearchSpace,
+            image_w=st.integers(12, 60),
+            image_h=st.integers(12, 60),
+            template_w=st.integers(4, 12),
+            template_h=st.integers(4, 12),
+            stride=st.integers(1, 4),
+            scale_factor=st.floats(1.1, 2.0),
+        )
+    )
+    wanted = draw(st.integers(1, 4))
+    return replace(base, scale_count=sum(base.grid_size(s) != (0, 0) for s in range(wanted)))
 
 
 @settings(max_examples=50, deadline=None)
-@given(spaces)
+@given(spaces(), st.integers(1, 8))
+def test_every_scale_holds_windows_at_any_stride(sp, k):
+    for space in (sp, sp.at_stride(k)):
+        assert all(min(space.grid_size(s)) >= 1 for s in range(space.scale_count))
+
+
+@settings(max_examples=50, deadline=None)
+@given(spaces())
 def test_enumeration_count_property(sp):
     assert sum(np.prod(sp.grid_size(s)) for s in range(sp.scale_count)) == sp.window_count
     assert len(list(sp.windows())) == sp.window_count
 
 
 @settings(max_examples=30, deadline=None)
-@given(spaces, st.integers(0, 10**6))
+@given(spaces(), st.integers(0, 10**6))
 def test_index_bijection_property(sp, raw):
-    if sp.window_count == 0:
-        return
     i = raw % sp.window_count
     w = sp.window_at(i)
     assert sp.contains(w)
@@ -165,7 +190,7 @@ def test_index_bijection_property(sp, raw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(spaces)
+@given(spaces())
 def test_centre_on_arrays_equals_the_scalar_call(sp):
     """``centre`` and ``grid_at`` on arrays equal their scalar calls bit for
     bit (the scorers' ``score``/``score_many`` agreement and the mixture's
