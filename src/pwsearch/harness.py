@@ -10,7 +10,10 @@ Each output row is defined once: a ``trace.jsonl`` line by ``TRACE_KEYS``,
 derived from ``TraceRecord``'s fields and used by writer and reader alike; a
 ``curves.csv`` row by ``extract_curves``, written by :func:`write_csv` like
 every table; the per-(budget, detector) means of ``compare`` and ``sweep`` by
-``cell_means``.
+``cell_means``.  The writer formats every record line with one ``%`` template,
+built at import from ``TRACE_KEYS`` and the declared types of ``TraceRecord``'s
+and ``Window``'s fields, so a new trace field changes only ``TraceRecord``;
+each line equals ``json.dumps`` of :func:`trace_record_to_dict`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -455,7 +458,33 @@ _line_values = itemgetter(*TRACE_KEYS)
 _HEADER_KEYS = ("detector", "algorithm", "seed", "window_count")
 
 
+def _conversion(kind) -> str:
+    """The ``%`` conversion that writes a field of declared type ``kind`` as
+    ``json.dumps`` does: ``repr`` is ``float.__repr__`` for a float, and
+    ``_JSON_SPELLINGS`` turns the few values that ``repr`` spells otherwise
+    into JSON.  The kind and source strings are plain ASCII constants, so
+    quoting them is all the escaping they need."""
+    if kind is int:
+        return "%d"
+    if kind is str:
+        return '"%s"'
+    if kind in (float, float | None):
+        return "%r"
+    raise TypeError(f"no trace line conversion for a field of type {kind}")
+
+
+_hints = {**get_type_hints(TraceRecord), **get_type_hints(Window)}
+_kinds = (*map(_hints.get, _BEFORE), *map(_hints.get, _WINDOW_AXES), *map(_hints.get, _AFTER))
+# One trace line: the record's values in TRACE_KEYS order, formatted in one pass.
+_LINE = "{" + ", ".join(f'"{key}": {_conversion(kind)}' for key, kind in zip(TRACE_KEYS, _kinds)) + "}\n"
+# ``repr``'s spellings of a None, NaN or infinite value, and JSON's.  In a
+# record line only values follow ": " unquoted, so a replace touches nothing else.
+_JSON_SPELLINGS = ((": None", ": null"), (": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity"))
+
+
 def trace_record_to_dict(rec: TraceRecord) -> dict:
+    """A record as the dict its trace line spells; ``json.dumps`` of it is the
+    reference that the ``_LINE`` writer is tested against."""
     return dict(zip(TRACE_KEYS, _record_values(rec)))
 
 
@@ -466,21 +495,25 @@ def _record_from_line(line: str) -> TraceRecord:
 
 
 def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
-    """Header line, then one line per draw, then a footer with the outcome."""
-    lines = [json.dumps({key: getattr(trace, key) for key in _HEADER_KEYS})]
-    lines.extend(json.dumps(trace_record_to_dict(rec)) for rec in trace.records)
-    lines.append(
-        json.dumps(
-            {
-                "complete": trace.complete,
-                "accepted": [
-                    {"x": w.x, "y": w.y, "s": w.s, "response": r} for w, r in trace.accepted
-                ],
-                "rebuilds": trace.rebuilds,
-            }
-        )
+    """Header line, then one line per draw, then a footer with the outcome.
+
+    Each record line is ``_LINE`` filled with the record's values, and equals
+    ``json.dumps(trace_record_to_dict(rec))``; header and footer are
+    ``json.dumps`` of their dicts."""
+    header = json.dumps({key: getattr(trace, key) for key in _HEADER_KEYS})
+    records = "".join(map(_LINE.__mod__, map(_record_values, trace.records)))
+    for python, spelled in _JSON_SPELLINGS:
+        records = records.replace(python, spelled)
+    footer = json.dumps(
+        {
+            "complete": trace.complete,
+            "accepted": [
+                {"x": w.x, "y": w.y, "s": w.s, "response": r} for w, r in trace.accepted
+            ],
+            "rebuilds": trace.rebuilds,
+        }
     )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(f"{header}\n{records}{footer}\n")
 
 
 class TraceFormatError(ValueError):
@@ -522,11 +555,23 @@ def write_results_jsonl(path: str | Path, results: list[RunResult]) -> None:
 
 
 def write_csv(path: str | Path, rows: list[dict]) -> None:
+    """A header of the first row's keys, then each row's values in that order;
+    an empty file for no rows.  A row whose keys differ from the first row's
+    raises ``ValueError`` before the file is opened."""
     if not rows:
         Path(path).write_text("")
         return
-    fieldnames = list(rows[0].keys())
+    fieldnames = tuple(rows[0])
+    try:
+        if any(len(row) != len(fieldnames) for row in rows):
+            raise KeyError  # a row with a key the header lacks
+        table = list(map(itemgetter(*fieldnames), rows))  # KeyError: a row lacks one of them
+    except KeyError:
+        index = next(i for i, row in enumerate(rows) if row.keys() != rows[0].keys())
+        raise ValueError(f"row {index} has keys {list(rows[index])}, not the header's {list(fieldnames)}") from None
+    if len(fieldnames) == 1:  # itemgetter of one key gives the value, not a 1-tuple
+        table = [(value,) for value in table]
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(handle)
+        writer.writerow(fieldnames)
+        writer.writerows(table)

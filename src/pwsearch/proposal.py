@@ -112,7 +112,7 @@ class DentedUniform:
         free_count = self.book.free_count
         if free_count == 0:
             return None
-        return self.space.window_at(self.book.free_cell(int(rng.integers(free_count))))
+        return self.book.free_cell(int(rng.integers(free_count)))
 
 
 class DentedGaussianMixture:

@@ -5,8 +5,9 @@ FREE, REJECTED, or ACCEPTED.  A scored window claims its own cell and may mark
 a rectangle around it; marks never change an already-claimed cell (first mark
 wins), which keeps the three counters single-owner and makes
 ``n_rejected + n_accepted + free_count == window_count`` a standing identity.
-The book also counts the FREE cells of every grid row, so ``free_cell`` finds
-the FREE cell of a given rank without scanning the whole book.
+The book also counts the FREE cells of every scale and of every grid row, so
+``free_cell`` finds the FREE cell of a given rank by searching the scales,
+then one scale's rows, then one row, without scanning the whole book.
 
 Rejection radii come from a :class:`RadiusTable`: the lower a window's
 response, the farther from any object it must be, so the larger the
@@ -19,7 +20,6 @@ shrinkage (:class:`ScalePropagation`).
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,7 +120,7 @@ NO_PROPAGATION = ScalePropagation(span=0, shrink=1.0)
 
 
 class RegionBook:
-    """Per-scale occupancy grids with O(1) counters, per-row FREE counts and cell classification."""
+    """Per-scale occupancy grids with O(1) counters, per-scale and per-row FREE counts and cell classification."""
 
     def __init__(self, space: SearchSpace):
         self.space = space
@@ -131,13 +131,9 @@ class RegionBook:
             self.flat[space._offsets[s] : space._offsets[s + 1]].reshape(ny, nx)
             for s, (nx, ny) in enumerate(space._per_scale)
         ]
-        # Grid rows follow one another in dense index order, across scales too: row y
-        # of scale s is row r = _first_row[s] + y, the cells flat[_row_start[r] :
-        # _row_start[r + 1]], of which _row_free[r] are FREE.
-        widths = [nx for nx, ny in space._per_scale for _ in range(ny)]
-        self._row_start = np.concatenate(([0], np.cumsum(widths, dtype=np.int64)))
-        self._row_free = np.array(widths, dtype=np.int64)
-        self._first_row = list(itertools.accumulate((ny for _, ny in space._per_scale), initial=0))
+        # FREE cells per scale, and per grid row of each scale: _row_free[s][y].
+        self._scale_free = [nx * ny for nx, ny in space._per_scale]
+        self._row_free = [np.full(ny, nx, dtype=np.int64) for nx, ny in space._per_scale]
         self._n_rejected = 0
         self._n_accepted = 0
 
@@ -174,8 +170,8 @@ class RegionBook:
         n = int(per_row.sum())
         if n:
             view[free] = kind
-            row = self._first_row[s]
-            self._row_free[row + y0 : row + y1] -= per_row
+            self._row_free[s][y0:y1] -= per_row
+            self._scale_free[s] -= n
             if kind == RegionKind.REJECTED:
                 self._n_rejected += n
             else:
@@ -190,23 +186,29 @@ class RegionBook:
         if self.flat[i]:  # not FREE; comparing a numpy scalar with an IntEnum costs ~9 µs
             return 0
         self.flat[i] = kind
-        self._row_free[self._first_row[w.s] + w.y] -= 1
+        self._row_free[w.s][w.y] -= 1
+        self._scale_free[w.s] -= 1
         if kind == RegionKind.REJECTED:
             self._n_rejected += 1
         else:
             self._n_accepted += 1
         return 1
 
-    def free_cell(self, rank: int) -> int:
-        """Dense index of the FREE cell with ``rank`` FREE cells before it
-        in dense index order, for ``0 <= rank < free_count``."""
+    def free_cell(self, rank: int) -> Window:
+        """The FREE cell with ``rank`` FREE cells before it in dense index
+        order, for ``0 <= rank < free_count``: its scale from the per-scale
+        counts, its row from that scale's row counts, then its column."""
         if not 0 <= rank < self.free_count:
             raise IndexError(f"free cell rank {rank} out of range")
-        through = np.cumsum(self._row_free)
-        r = int(through.searchsorted(rank, side="right"))
-        start, stop = self._row_start[r], self._row_start[r + 1]
-        before = int(through[r]) - int(self._row_free[r])
-        return int(start) + int(np.flatnonzero(self.flat[start:stop] == 0)[rank - before])
+        s = 0
+        while rank >= self._scale_free[s]:
+            rank -= self._scale_free[s]
+            s += 1
+        rows = self._row_free[s]
+        through = np.cumsum(rows)
+        y = int(through.searchsorted(rank, side="right"))
+        rank -= int(through[y]) - int(rows[y])
+        return Window(int(np.flatnonzero(self.grids[s][y] == 0)[rank]), y, s)
 
 
 def _mark_region(

@@ -4,8 +4,9 @@ The digests are sha256 values of the ``trace.jsonl`` that ``run`` writes on
 scenes 0-2 for each detector of ``configs/synthetic.json`` (synthetic scorer)
 and for ``mpw`` and ``ipw`` of ``configs/face.json`` (cascade scorer; ``mpw``
 draws and scores a stage in one batch, ``ipw`` one window at a time).  A speed-up of
-the samplers or of scoring must reproduce them exactly.  A change that alters
-the draws on purpose updates them, and says so.
+the samplers, of scoring or of serialization (how a trace line or a
+``curves.csv`` row is formatted) must reproduce them exactly.  A change that
+alters the draws on purpose updates them, and says so.
 
 None of those runs uses up its space.  ``ipw`` and ``sipw`` of
 ``configs/pedestrian.json`` on scene 0 do: both claim all 1,095,431 cells

@@ -1,6 +1,8 @@
 """Experiment plumbing: probabilities, metrics, scenes, grids, serialization."""
 
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -29,6 +31,14 @@ from pwsearch import (
 )
 from pwsearch import harness
 from pwsearch.config import LoadedConfig
+from pwsearch.detectors import (
+    KIND_ACCEPTED,
+    KIND_AMBIGUOUS,
+    KIND_REJECTED,
+    SOURCE_GAUSSIAN,
+    SOURCE_SCAN,
+    SOURCE_UNIFORM,
+)
 from pwsearch.harness import (
     SceneGenerationError,
     SceneParams,
@@ -414,6 +424,57 @@ def test_trace_jsonl_round_trip(run, tmp_path, bench_space, bench_scenes, bench_
     assert back == trace
 
 
+def _write_records(path, records) -> list[str]:
+    """The record lines ``write_trace_jsonl`` writes for ``records``."""
+    write_trace_jsonl(path, RunTrace("probe", "ipw", 2**40, 2**33, records, complete=True, rebuilds=[3]))
+    return path.read_text().splitlines()[1:-1]
+
+
+def test_trace_lines_are_json_dumps_of_their_records(tmp_path):
+    """Each record line equals ``json.dumps(trace_record_to_dict(rec))`` and
+    reads back equal: every kind and source, ``p_uniform`` None and a float,
+    floats that ``json`` writes as ``-0.0``, ``1e-07`` and ``1e+16``, ints
+    above 2**31, and cascade records with stages evaluated."""
+    responses = [-0.0, 1e-07, 1e16, 0.1, -3.25, 5e-324, 1.7976931348623157e308, 2.0, -4.999999999999999]
+    pairs = itertools.product((KIND_REJECTED, KIND_AMBIGUOUS, KIND_ACCEPTED), (SOURCE_UNIFORM, SOURCE_GAUSSIAN, SOURCE_SCAN))
+    records = [
+        TraceRecord(
+            2**31 + i,
+            Window(i, 2**32 + i, i % 3),
+            response,
+            kind,
+            source,
+            2**33 + i,
+            i,
+            2**35,
+            None if i % 2 else 1.0 / (i + 3),
+            i % 4,
+        )
+        for i, ((kind, source), response) in enumerate(zip(pairs, responses))
+    ]
+    assert len(records) == 9 and any(rec.stages_evaluated > 0 for rec in records)
+    path = tmp_path / "trace.jsonl"
+    assert _write_records(path, records) == [json.dumps(trace_record_to_dict(rec)) for rec in records]
+    assert read_trace_jsonl(path).records == records
+
+
+def test_trace_lines_spell_non_finite_responses_as_json_does(tmp_path):
+    """A NaN or infinite response is written as ``json.dumps`` writes it
+    (``NaN``, ``Infinity``, ``-Infinity``), never as a bare ``nan``, and
+    reads back as the same value."""
+    responses = [math.nan, math.inf, -math.inf]
+    records = [
+        TraceRecord(i + 1, Window(i, 0, 0), r, KIND_REJECTED, SOURCE_UNIFORM, 0, 0, 0, 0.5, 0)
+        for i, r in enumerate(responses)
+    ]
+    path = tmp_path / "trace.jsonl"
+    lines = _write_records(path, records)
+    assert lines == [json.dumps(trace_record_to_dict(rec)) for rec in records]
+    assert [line.split('"response": ')[1].split(",")[0] for line in lines] == ["NaN", "Infinity", "-Infinity"]
+    back = [rec.response for rec in read_trace_jsonl(path).records]
+    assert math.isnan(back[0]) and back[1:] == [math.inf, -math.inf]
+
+
 def test_results_jsonl_and_csv(tmp_path):
     results = run_experiment(*small_experiment())
     jsonl_path = tmp_path / "results.jsonl"
@@ -447,3 +508,40 @@ def test_empty_csv(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(path, [])
     assert path.read_text() == ""
+
+
+def test_csv_writes_what_dict_writer_writes(tmp_path):
+    """Header from the first row, every row in its order whatever the order
+    of its own keys, and the values ``csv.DictWriter`` would write: None as
+    an empty cell, floats by ``repr``, quoted text."""
+    rows = [
+        {"budget": 5, "rate": 0.1, "p": None, "name": "a,b"},
+        {"rate": 1e-07, "budget": 2**40, "name": 'say "hi"', "p": math.nan},
+    ]
+    expected = io.StringIO(newline="")
+    writer = csv.DictWriter(expected, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    path = tmp_path / "table.csv"
+    write_csv(path, rows)
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_csv_with_one_column(tmp_path):
+    path = tmp_path / "one.csv"
+    write_csv(path, [{"label": "xy"}, {"label": 3}])
+    assert path.read_bytes() == b"label\r\nxy\r\n3\r\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{"a": 3}, {"a": 3, "b": 4, "c": 5}, {"a": 3, "c": 5}],
+    ids=["missing-key", "extra-key", "other-key"],
+)
+def test_csv_refuses_a_row_whose_keys_differ_from_the_header(tmp_path, row):
+    """A later row must have exactly the first row's keys; the file is not
+    written."""
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="row 2 has keys"):
+        write_csv(path, [{"a": 1, "b": 2}, {"b": 0, "a": 0}, row])
+    assert not path.exists()

@@ -184,9 +184,9 @@ def test_counters_match_brute_force(pyramid, rng):
 
 
 def test_row_free_counts_match_a_recount(rng):
-    """The book's FREE count per grid row equals a recount of the grids after
-    every claim and propagated mark, on a three-scale pyramid, and
-    ``free_cell`` gives the FREE cells in dense index order."""
+    """The book's FREE counts per grid row and per scale equal a recount of
+    the grids after every claim and propagated mark, on a three-scale
+    pyramid, and ``free_cell`` gives the FREE cells in dense index order."""
     space = PYRAMID
     book = RegionBook(space)
     table = table_from([(NEG_INF, 0.25, 0.25), (-4.0, 0.1, 0.1)], active=2)
@@ -200,11 +200,11 @@ def test_row_free_counts_match_a_recount(rng):
             mark_rejection(book, space, w, float(rng.uniform(-6.0, -2.5)), table, -2.0, spread)
         else:
             mark_acceptance(book, space, w, 1.0, int(rng.integers(4)), int(rng.integers(4)), 0.0, spread)
-        recount = np.concatenate([(grid == 0).sum(axis=1) for grid in book.grids])
-        assert book._row_free.tolist() == recount.tolist()
+        assert [rows.tolist() for rows in book._row_free] == [(grid == 0).sum(axis=1).tolist() for grid in book.grids]
+        assert book._scale_free == [int((grid == 0).sum()) for grid in book.grids]
         if step % 20 == 0:
             free = np.flatnonzero(book.flat == 0)
-            assert [book.free_cell(r) for r in range(book.free_count)] == free.tolist()
+            assert [space.index_of(book.free_cell(r)) for r in range(book.free_count)] == free.tolist()
     assert 0 < book.free_count < space.window_count
     with pytest.raises(IndexError):
         book.free_cell(book.free_count)
