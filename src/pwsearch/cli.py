@@ -153,25 +153,23 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    if not cfg.sweep_t_h:
+    if not cfg.sweep:
         raise ConfigError("experiment.sweep_t_h", "sweep requires a sweep_t_h list")
     scenes = cfg.load_scenes()
-    detector = cfg.detectors[0]
-    # Each point runs under its own name, so its cell of the grid is found by name.
-    points = tuple(replace(detector, name=str(k), t_h=t_h) for k, t_h in enumerate(cfg.sweep_t_h))
-    results = run_experiment(replace(cfg, detectors=points, budgets=(detector.budget,)), scenes, args.jobs)
+    budget = cfg.detectors[0].budget
+    results = run_experiment(replace(cfg, detectors=cfg.sweep, budgets=(budget,)), scenes, args.jobs)
     means = cell_means(results)
     rows = [
         {
             "t_h": point.t_h,
-            "detection_rate": means[detector.budget, point.name]["detection_rate"],
-            "fppi": means[detector.budget, point.name]["fppi"],
+            "detection_rate": means[budget, point.name]["detection_rate"],
+            "fppi": means[budget, point.name]["fppi"],
         }
-        for point in points
+        for point in cfg.sweep
     ]
     out = _outdir(args)
     write_csv(out / "operating_points.csv", rows)
-    _say(args, f"sweep: {len(rows)} operating points for {detector.name} -> {out}")
+    _say(args, f"sweep: {len(rows)} operating points for {cfg.detectors[0].name} -> {out}")
     return EXIT_OK
 
 

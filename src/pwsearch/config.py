@@ -11,15 +11,18 @@ dataclass: an omitted key takes the field's own default, declared only there,
 and an integral number such as ``410.0`` is cast to the field's ``int``.
 Keys no code would read are refused (``count``, ``master_seed`` or ``params``
 beside scene ``files``; ``stages`` under the synthetic scorer), and so are the
-tokens ``NaN`` and ``Infinity``, which Python's json reads and JSON lacks.
+tokens ``NaN`` and ``Infinity``, which Python's json reads and JSON lacks, and
+a number literal such as ``1e400`` that overflows to infinity.  A config or
+scene file that is missing, unreadable (a directory) or not UTF-8 is refused.
 Scene files are read relative to the config file's directory and
 checked when the scenes are loaded: against their own schema, the space's
 image size, the scene's own rules (every peak above the floor) and, under the
 synthetic scorer, every detector's ``t_l`` (the floor must lie below it, as
 for generated scenes).  Under the cascade scorer every response lies in
 [0, 1], so each detector's ``t_l`` must exceed 0 and its ``t_h`` be at most 1.
-Every ``sweep_t_h`` point must lie above the first detector's ``t_l``, the
-detector that ``sweep`` sweeps, and at most 1 under the cascade scorer.
+Each ``sweep_t_h`` point loads as the detector ``sweep`` runs for it, the
+first detector with that ``t_h``, and is checked by the same rules as every
+detector: above ``t_l`` and, under the cascade scorer, at most 1.
 All failures raise :class:`ConfigError` with the offending field's path,
 before anything runs.
 """
@@ -27,7 +30,8 @@ before anything runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -78,7 +82,7 @@ class LoadedConfig:
     seed: int
     match_iou: float
     nms_iou: float
-    sweep_t_h: tuple[float, ...]
+    sweep: tuple[DetectorConfig, ...]  # the detectors `sweep` runs, one per sweep_t_h point
     scorer_kind: str
     cascade_stages: int
     cost_model: CostModel
@@ -117,10 +121,18 @@ def _read_json(path: Path, kind: str):
     def refuse(token: str):  # Python's json reads NaN and +-Infinity; JSON does not
         raise ConfigError(str(path), f"invalid JSON: {token} is not a number")
 
+    def finite(literal: str) -> float:  # and reads 1e400 as inf
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(str(path), f"invalid JSON: {literal} is not a finite number")
+        return value
+
     try:
-        return json.loads(path.read_text(), parse_constant=refuse)
+        return json.loads(path.read_text(), parse_constant=refuse, parse_float=finite)
     except FileNotFoundError as exc:
         raise ConfigError(str(path), f"{kind} file not found") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(path), f"cannot read {kind} file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
 
@@ -149,32 +161,17 @@ def _check_scene_params(params: SceneParams) -> None:
             raise ConfigError("scenes.params.scale_indices", f"scale index {idx} outside the pyramid")
 
 
-def _check_cascade_thresholds(detectors: tuple[DetectorConfig, ...]) -> None:
+def _check_cascade_thresholds(detectors: tuple[DetectorConfig, ...], field: str | None = None) -> None:
     """Raise unless every detector can reject and accept under the cascade
-    scorer, whose responses all lie in [0, 1]."""
+    scorer, whose responses all lie in [0, 1].  The error names ``field``, or
+    else the detector's threshold."""
     for i, det in enumerate(detectors):
         for key, ok, rule in (("t_l", det.t_l > 0.0, "exceed 0"), ("t_h", det.t_h <= 1.0, "be at most 1")):
             if not ok:
                 raise ConfigError(
-                    f"detectors[{i}].{key}",
+                    field or f"detectors[{i}].{key}",
                     f"cascade responses lie in [0, 1], so {key} must {rule}, not {getattr(det, key)}",
                 )
-
-
-def _check_sweep(points: tuple[float, ...], detector: DetectorConfig, scorer_kind: str) -> None:
-    """Raise unless every ``sweep_t_h`` point is a threshold the swept
-    detector, the first, can run with: above its ``t_l`` and, under the
-    cascade scorer, at most 1."""
-    for t_h in points:
-        if not t_h > detector.t_l:
-            raise ConfigError(
-                "experiment.sweep_t_h", f"sweep point {t_h} not above detectors[0].t_l = {detector.t_l}"
-            )
-        if scorer_kind == "cascade" and t_h > 1.0:
-            raise ConfigError(
-                "experiment.sweep_t_h",
-                f"cascade responses lie in [0, 1], so sweep point {t_h} must be at most 1",
-            )
 
 
 # Keyed by annotation text: the dataclass modules postpone their annotations.
@@ -246,8 +243,16 @@ def load_config(path: str | Path) -> LoadedConfig:
         _check_floor(scene_params.floor, detectors)
     if scorer_kind == "cascade":
         _check_cascade_thresholds(detectors)
-    sweep_t_h = tuple(float(t) for t in experiment.get("sweep_t_h", ()))
-    _check_sweep(sweep_t_h, detectors[0], scorer_kind)
+    # The detectors `sweep` runs: the first at each point, named by the point's
+    # index so that its cell of the grid is found by name.
+    sweep = []
+    for k, t_h in enumerate(map(float, experiment.get("sweep_t_h", ()))):
+        try:
+            sweep.append(replace(detectors[0], name=str(k), t_h=t_h))
+        except ValueError as exc:
+            raise ConfigError("experiment.sweep_t_h", f"sweep point {t_h}: {exc}") from exc
+    if scorer_kind == "cascade":
+        _check_cascade_thresholds(tuple(sweep), "experiment.sweep_t_h")
 
     return LoadedConfig(
         space=space,
@@ -261,7 +266,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         seed=int(experiment["seed"]),
         match_iou=float(experiment.get("match_iou", 0.5)),
         nms_iou=float(experiment.get("nms_iou", 0.5)),
-        sweep_t_h=sweep_t_h,
+        sweep=tuple(sweep),
         scorer_kind=scorer_kind,
         cascade_stages=int(scorer.get("stages", 10)),
         cost_model=_build(CostModel, data.get("cost_model", {}), "cost_model"),

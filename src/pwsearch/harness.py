@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -413,13 +412,7 @@ def cell_means(results: list[RunResult]) -> dict[tuple[int, str], dict[str, floa
 def summarize_rates(results: list[RunResult], detectors: list[str], budgets: list[int]) -> list[dict]:
     """Mean detection rate per (budget, detector), one row per budget."""
     means = cell_means(results)
-    rows = []
-    for budget in budgets:
-        row: dict = {"budget": budget}
-        for name in detectors:
-            row[name] = means[budget, name]["detection_rate"] if (budget, name) in means else math.nan
-        rows.append(row)
-    return rows
+    return [{"budget": b, **{name: means[b, name]["detection_rate"] for name in detectors}} for b in budgets]
 
 
 def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: list[int]) -> list[dict]:
@@ -428,16 +421,13 @@ def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: li
     base = detectors[0]
     rows = []
     for budget in budgets:
-        present = [name for name in detectors if (budget, name) in means]
         row: dict = {"budget": budget}
-        for name in present:
+        for name in detectors:
             row[f"windows:{name}"] = means[budget, name]["windows_used"]
             row[f"cost:{name}"] = means[budget, name]["cost"]
-        if base in present and means[budget, base]["windows_used"] > 0:
-            for name in present:
-                if name != base:
-                    row[f"windows_ratio:{name}/{base}"] = row[f"windows:{name}"] / row[f"windows:{base}"]
-                    row[f"cost_ratio:{name}/{base}"] = row[f"cost:{name}"] / row[f"cost:{base}"]
+        for name in detectors[1:]:
+            row[f"windows_ratio:{name}/{base}"] = row[f"windows:{name}"] / row[f"windows:{base}"]
+            row[f"cost_ratio:{name}/{base}"] = row[f"cost:{name}"] / row[f"cost:{base}"]
         rows.append(row)
     return rows
 

@@ -364,6 +364,54 @@ def test_missing_config_file(tmp_path):
     )
 
 
+def test_unreadable_config_or_scene_file_is_config_error(tmp_path, capsys):
+    """A config that is a directory or not UTF-8, and a scene file that is a
+    directory, exit 2 and name the file."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00{}")
+    for path in (tmp_path, binary):
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert f"config error: {path}: cannot read config file: " in capsys.readouterr().err
+    (tmp_path / "scenes").mkdir()
+    cfg = tiny_config()
+    cfg["scenes"] = {"files": ["scenes"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+    assert f"config error: {tmp_path / 'scenes'}: cannot read scene file: " in capsys.readouterr().err
+
+
+def test_sweep_points_load_as_the_first_detector_at_each_t_h():
+    """``sweep`` runs the loaded points as they are: the first detector with
+    each ``sweep_t_h`` point as its ``t_h``, named by the point's index."""
+    from dataclasses import replace
+
+    from pwsearch.config import load_config
+
+    for name in ("synthetic.json", "pedestrian.json", "face.json"):
+        points = json.loads((CONFIGS_DIR / name).read_text())["experiment"]["sweep_t_h"]
+        cfg = load_config(CONFIGS_DIR / name)
+        assert cfg.sweep == tuple(replace(cfg.detectors[0], name=str(k), t_h=t) for k, t in enumerate(points)), name
+        assert all(type(point.t_h) is float for point in cfg.sweep), name
+
+
+def test_a_refused_sweep_point_is_named(tmp_path, capsys):
+    """A point is refused by the detector rules, at ``experiment.sweep_t_h``."""
+    for kind, points, message in (
+        ("synthetic", [-0.5, -3.0], "sweep point -3.0: t_l must be below t_h"),
+        ("cascade", [0.8, 1.5], "cascade responses lie in [0, 1], so t_h must be at most 1, not 1.5"),
+    ):
+        cfg = tiny_config(scorer={"kind": kind})
+        if kind == "cascade":
+            for det in cfg["detectors"]:
+                det["t_l"], det["t_h"] = 0.2, 0.8
+        cfg["experiment"]["sweep_t_h"] = points
+        path = tmp_path / f"sweep_{kind}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert f"config error: experiment.sweep_t_h: {message}\n" in capsys.readouterr().err
+
+
 def test_a_scale_with_windows_places_its_targets(tmp_path):
     """``grid_size`` alone says whether the template fits at a scale: 187 / 1.1
     is 170, so scale 1 holds one window of a 170-px template, though
@@ -493,16 +541,30 @@ def test_semantic_config_errors(tmp_path, capsys):
         assert main(run + ["--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG, field
         assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, field
         assert f"config error: {path}: invalid JSON: " in capsys.readouterr().err
+    # It also reads a literal past a float's range, such as 1e400, as inf: an
+    # inf t_h accepts nothing and an inf gamma fails mid-run.  json.dumps
+    # writes inf as Infinity, so the literal goes in as raw text.
+    for detector, field in ((0, "t_h"), (1, "gamma")):
+        cfg = tiny_config()
+        cfg["detectors"][detector][field] = "OVERFLOW"
+        path = tmp_path / f"overflow_{field}.json"
+        path.write_text(json.dumps(cfg).replace('"OVERFLOW"', "1e400"))
+        run = ["run", "--config", str(path), "--detector", cfg["detectors"][detector]["name"]]
+        assert main(run + ["--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG, field
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, field
+        assert f"config error: {path}: invalid JSON: 1e400 is not a finite number" in capsys.readouterr().err
     from pwsearch import Box, SyntheticScene
 
     scene = SyntheticScene(80, 60, ((Box(40.0, 30.0, 16.0, 24.0), 2.0),), (), floor=-5.0, sharpness=3.0).to_dict()
-    scene["objects"][0]["peak"] = math.inf
-    (tmp_path / "inf_peak.json").write_text(json.dumps(scene))
-    cfg = tiny_config()
-    cfg["scenes"] = {"files": ["inf_peak.json"]}
-    path.write_text(json.dumps(cfg))
-    assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
-    assert "inf_peak.json: invalid JSON: Infinity is not a number" in capsys.readouterr().err
+    for name, peak, message in (("inf_peak", math.inf, "Infinity is not a number"),
+                                ("overflow_peak", "OVERFLOW", "1e400 is not a finite number")):
+        scene["objects"][0]["peak"] = peak
+        (tmp_path / f"{name}.json").write_text(json.dumps(scene).replace('"OVERFLOW"', "1e400"))
+        cfg = tiny_config()
+        cfg["scenes"] = {"files": [f"{name}.json"]}
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, name
+        assert f"{name}.json: invalid JSON: {message}" in capsys.readouterr().err, name
 
 
 def test_keys_that_no_code_reads_are_config_errors(tmp_path, capsys):

@@ -288,7 +288,7 @@ def small_experiment():
         seed=99,
         match_iou=0.5,
         nms_iou=0.5,
-        sweep_t_h=(),
+        sweep=(),
         scorer_kind="synthetic",
         cascade_stages=10,
         cost_model=CostModel(),
