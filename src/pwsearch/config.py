@@ -11,8 +11,9 @@ dataclass: an omitted key takes the field's own default, declared only there,
 and an integral number such as ``410.0`` is cast to the field's ``int``.
 Keys no code would read are refused (``count``, ``master_seed`` or ``params``
 beside scene ``files``; ``stages`` under the synthetic scorer), and so are the
-tokens ``NaN`` and ``Infinity``, which Python's json reads and JSON lacks, and
-a number literal such as ``1e400`` that overflows to infinity.  A config or
+tokens ``NaN`` and ``Infinity``, which Python's json reads and JSON lacks, a
+number literal such as ``1e400`` that overflows to infinity, and an integer
+literal too large for a float, at its field.  A config or
 scene file that is missing, unreadable (a directory) or not UTF-8 is refused.
 Scene files are read relative to the config file's directory and
 checked when the scenes are loaded: against their own schema, the space's
@@ -127,8 +128,14 @@ def _read_json(path: Path, kind: str):
             raise ConfigError(str(path), f"invalid JSON: {literal} is not a finite number")
         return value
 
+    def integer(literal: str) -> int:  # and int() refuses past 4300 digits
+        try:
+            return int(literal)
+        except ValueError:
+            raise ConfigError(str(path), f"invalid JSON: a {len(literal)}-digit integer is too long") from None
+
     try:
-        return json.loads(path.read_text(), parse_constant=refuse, parse_float=finite)
+        return json.loads(path.read_text(), parse_constant=refuse, parse_float=finite, parse_int=integer)
     except FileNotFoundError as exc:
         raise ConfigError(str(path), f"{kind} file not found") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -178,6 +185,17 @@ def _check_cascade_thresholds(detectors: tuple[DetectorConfig, ...], field: str 
 _CASTS = {"int": int, "int | None": int, "float": float}
 
 
+def _cast(cast, value, field: str):
+    """``cast(value)`` for a JSON number.  JSON reads an integer literal
+    exactly, so one past a float's range (a 1 and 400 zeros) comes in whole,
+    and it is refused at ``field`` like the float literal ``1e400``."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(field, "integer too large for a float") from None
+    return cast(value)
+
+
 def _build(cls, data: dict, where: str, **given):
     """``cls`` from one schema-checked JSON section whose keys are its field
     names.  An omitted key takes the field's own default, a number is cast to
@@ -192,7 +210,7 @@ def _build(cls, data: dict, where: str, **given):
         if isinstance(value, list):
             value = tuple(value)
         elif value is not None and f.type in _CASTS:
-            value = _CASTS[f.type](value)
+            value = _cast(_CASTS[f.type], value, f"{where}.{f.name}")
         kwargs[f.name] = value
     try:
         return cls(**kwargs)
@@ -262,7 +280,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         scene_files=scene_files,
         scene_count=scene_count,
         scene_seed=scene_seed,
-        budgets=tuple(int(b) for b in experiment["budgets"]),
+        budgets=tuple(_cast(int, b, "experiment.budgets") for b in experiment["budgets"]),
         seed=int(experiment["seed"]),
         match_iou=float(experiment.get("match_iou", 0.5)),
         nms_iou=float(experiment.get("nms_iou", 0.5)),

@@ -105,9 +105,15 @@ class DetectorConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One scored window with the book state right after its marks."""
+    """One scored window with the book state right after its marks.
+
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which made building the record most of a scanned
+    window's cost.  Nothing mutates a record once it is appended, and a run's
+    trace shares its records with every ``trace_at_budget`` cut of it.
+    """
 
     i: int
     window: Window

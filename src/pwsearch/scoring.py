@@ -1,13 +1,18 @@
 """Classifier-response models over a window space.
 
 Two scorers share one interface with two entry points that compute one
-formula: ``score(space, w) -> ScoreResult`` for a single window, and
+formula: ``score(space, w) -> ScoreResult`` for a single window, in Python
+floats over the targets with one ``np.exp`` call on the list of exponents, and
 ``score_many(space, x, y, s) -> (responses, stages)`` for equal-length integer
-coordinate arrays in one numpy pass over a (windows x targets) array.  The
-results agree bit for bit, window by window.  The sliding-window scan and the
-staged sampler, whose windows do not depend on each other's scores within a
-scan or a stage, score through ``score_many``; the incremental samplers, which
-update their regions between draws, score one window at a time.
+coordinate arrays in one numpy pass over a (windows x targets) array.  Both
+make the same float operations in the same order, and both take the
+exponential from ``np.exp``, because ``math.exp`` can differ from it in the
+last bit; so the results agree bit for bit, window by window.  The
+sliding-window scan and the staged sampler, whose windows do not depend on
+each other's scores within a scan or a stage, score through ``score_many``;
+the incremental samplers, which update their regions between draws, score one
+window at a time, where numpy's broadcasting over a handful of targets would
+cost more than the arithmetic.
 
 * :class:`SyntheticScorer` evaluates a closed-form response landscape built
   from planted objects and distractors.  The response at a window is
@@ -161,23 +166,42 @@ class SyntheticScorer:
         self._w = np.array([b.w for b, _ in targets], dtype=float)
         self._h = np.array([b.h for b, _ in targets], dtype=float)
         self._peak = np.array([p for _, p in targets], dtype=float)
+        self._rise = (self._peak - scene.floor).tolist()
+        self._space: SearchSpace | None = None  # the space ``_targets`` was built for
+        self._targets: list[tuple[float, ...]] = []
 
     def score(self, space: SearchSpace, w: Window) -> ScoreResult:
         if not space.contains(w):
             raise ValueError(f"window {w} outside search space")
-        return ScoreResult(float(self._response(space, w.x, w.y, w.s)), 0)
+        return ScoreResult(self._window_response(space, w), 0)
 
     def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
         x, y, s = _checked_coordinates(space, x, y, s)
         responses = self._response(space, x[:, None], y[:, None], s[:, None])
         return responses, np.zeros(x.size, dtype=np.int64)
 
-    def _response(self, space: SearchSpace, x, y, s):
-        """Response at windows (x, y, s).
+    def _window_response(self, space: SearchSpace, w: Window) -> float:
+        """Response at one window, by :meth:`_response`'s operations in its
+        order, on Python floats.  The per-target constants are built once
+        per space and kept for the last space scored."""
+        if space is not self._space:
+            target_s = np.log(self._w / space.template_w) / math.log(space.scale_factor)
+            columns = (self._cx, self._cy, self._w, self._h, target_s)
+            self._space, self._targets = space, list(zip(*(c.tolist() for c in columns)))
+        cx, cy = space.centre(w.x, w.y, w.s)
+        s, floor, k = w.s, self.scene.floor, -self.scene.sharpness
+        exponents = [
+            k * (abs(cx - tx) / tw + abs(cy - ty) / th + abs(s - ts)) for tx, ty, tw, th, ts in self._targets
+        ]
+        return max((floor + r * e for r, e in zip(self._rise, np.exp(exponents).tolist())), default=floor)
 
-        Scalars give one response; (n, 1) columns broadcast against the
-        targets and give n, each computed by the same operations in the same
-        order as the scalar, so equal to it bit for bit.
+    def _response(self, space: SearchSpace, x, y, s):
+        """Responses at the windows given as (n, 1) integer columns.
+
+        The columns broadcast against the targets in one (n, targets) pass;
+        ``score_many``'s path.  :meth:`_window_response` makes the same
+        operations in the same order for one window, and both take
+        ``np.exp``, so the two agree bit for bit.
         """
         scene = self.scene
         cx, cy = space.centre(x, y, s)
@@ -220,7 +244,7 @@ class CascadeScorer:
     def score(self, space: SearchSpace, w: Window) -> ScoreResult:
         if not space.contains(w):
             raise ValueError(f"window {w} outside search space")
-        raw = self._landscape._response(space, w.x, w.y, w.s)
+        raw = self._landscape._window_response(space, w)
         response, stages = self._quantize(raw)
         return ScoreResult(float(response), int(stages))
 

@@ -553,6 +553,29 @@ def test_semantic_config_errors(tmp_path, capsys):
         assert main(run + ["--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG, field
         assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, field
         assert f"config error: {path}: invalid JSON: 1e400 is not a finite number" in capsys.readouterr().err
+    # An integer literal past a float's range comes in whole, as an int: a
+    # float field could not cast it, and an mpw budget overflowed mid-run.
+    # It is refused at its field, and one past int()'s digit limit by name.
+    big, too_big = "1" + "0" * 400, "integer too large for a float"
+    for keys, field, literal, message in (
+        (("detectors", 0, "t_h"), "detectors[0].t_h", big, too_big),
+        (("space", "scale_factor"), "space.scale_factor", big, too_big),
+        (("detectors", 1, "budget"), "detectors[1].budget", big, too_big),
+        (("experiment", "budgets", 1), "experiment.budgets", big, too_big),
+        (("detectors", 0, "t_l"), None, "1" * 5000, "invalid JSON: a 5000-digit integer is too long"),
+    ):
+        cfg = tiny_config()
+        target = cfg
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = "OVERFLOW"
+        path = tmp_path / f"integer_{keys[-1]}.json"
+        path.write_text(json.dumps(cfg).replace('"OVERFLOW"', literal))
+        run = ["run", "--config", str(path), "--detector", "mpw", "--out", str(tmp_path / "o"), "--quiet"]
+        assert main(run) == EXIT_CONFIG, field
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, field
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "c"), "--quiet"]) == EXIT_CONFIG, field
+        assert f"config error: {field or path}: {message}" in capsys.readouterr().err, field
     from pwsearch import Box, SyntheticScene
 
     scene = SyntheticScene(80, 60, ((Box(40.0, 30.0, 16.0, 24.0), 2.0),), (), floor=-5.0, sharpness=3.0).to_dict()

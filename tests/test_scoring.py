@@ -203,9 +203,32 @@ def batch_case(name):
     return PYRAMID, pyramid_scene()
 
 
+def two_spaces_case(kind):
+    """One scorer over two spaces of one image that differ in template and
+    scale factor, with each space's windows scored alternately by ``score``."""
+    a = SearchSpace(96, 96, 12, 12, stride=2, scale_factor=1.2, scale_count=6)
+    b = SearchSpace(96, 96, 16, 20, stride=3, scale_factor=1.5, scale_count=3)
+    objects = [(a.to_box(Window(7, 9, 4)), 2.0), (b.to_box(Window(4, 2, 1)), 1.5)]
+    scorer = SCORERS[kind](scene_with(objects, [(a.to_box(Window(10, 20, 2)), -0.8)], size=(96, 96)))
+    wa, wb = list(a.windows()), list(b.windows())
+    singles = {a: [], b: []}
+    for k in range(max(len(wa), len(wb))):
+        for space, windows in ((a, wa), (b, wb)):
+            if k < len(windows):
+                singles[space].append(scorer.score(space, windows[k]))
+    return scorer, singles
+
+
 @pytest.mark.parametrize("kind", sorted(SCORERS))
-@pytest.mark.parametrize("case", ["pedestrian-stride-8", "no-targets", "pyramid", "last-bit-zoom"])
+@pytest.mark.parametrize("case", ["pedestrian-stride-8", "no-targets", "pyramid", "last-bit-zoom", "two-spaces"])
 def test_score_many_equals_score_window_by_window(case, kind):
+    if case == "two-spaces":
+        scorer, by_space = two_spaces_case(kind)
+        for space, singles in by_space.items():
+            responses, stages = scorer.score_many(space, *space.grid_coordinates())
+            assert responses.tolist() == [r.response for r in singles]
+            assert stages.tolist() == [r.stages_evaluated for r in singles]
+        return
     space, scene = batch_case(case)
     scorer = SCORERS[kind](scene)
     x, y, s = space.grid_coordinates()
