@@ -79,6 +79,9 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _parser()  # built once: in-process callers call main() many times
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -202,7 +205,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
     except ConfigError as exc:

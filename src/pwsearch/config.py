@@ -2,9 +2,13 @@
 
 A config names the search space, one or more detectors, a scene source
 (generator parameters or scene files), the experiment grid, and the cost
-model.  Validation happens in two passes: structural (JSON Schema, shipped in
-``pwsearch/schemas/``) and semantic (cross-field rules the schema cannot
-express).  Each schema section's keys are the field names of the dataclass
+model.  Validation happens in two passes: structural and semantic
+(cross-field rules the schema cannot express).  The structural pass checks
+the JSON Schemas shipped in ``pwsearch/schemas/`` with a small walker over
+their dicts.  It implements the draft 2020-12 keywords they use, with
+jsonschema's semantics, and reports jsonschema's first error, the one at the
+least path; the tests compare the two.  A schema holding any other keyword
+is refused when it is first read.  Each schema section's keys are the field names of the dataclass
 it fills (the space, each detector with its radius table and propagations,
 the scene parameters, the cost model), and it loads straight into that
 dataclass: an omitted key takes the field's own default, declared only there,
@@ -30,13 +34,12 @@ before anything runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-
-import jsonschema
 
 from .detectors import DetectorConfig
 from .harness import CostModel, SceneGenerationError, SceneParams, generate_scenes
@@ -53,19 +56,232 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+@functools.cache
 def _load_schema(name: str) -> dict:
     text = resources.files("pwsearch.schemas").joinpath(name).read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    _audit(schema, schema.get("$defs", {}))
+    return schema
 
 
 def _schema_check(data: dict, schema_name: str, source: str) -> None:
     schema = _load_schema(schema_name)
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+    errors = _errors(data, schema, (), schema.get("$defs", {}))
     if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"{source}:{path}", err.message)
+        path, message = min(errors, key=lambda e: e[0])  # the least path; the first in schema order among equals
+        raise ConfigError(f"{source}:{'.'.join(map(str, path)) or '<root>'}", message)
+
+
+# The draft 2020-12 JSON Schema subset that the shipped schemas use, with
+# jsonschema's semantics and messages.  Each keyword's check takes (instance,
+# keyword value, schema, instance path, root $defs) and returns its errors as
+# (path, message) pairs, in schema order.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()),
+}
+_DEFS = "#/$defs/"
+
+
+def _errors(instance, schema, path: tuple, defs: dict) -> list:
+    if schema is True:
+        return []
+    errors = []
+    for key, value in schema.items():
+        errors += _KEYWORDS[key](instance, value, schema, path, defs)
+    return errors
+
+
+def _equal(one, two) -> bool:
+    """JSON equality: ``1 == 1.0``, but ``true != 1``, at any depth."""
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, list) and isinstance(two, list):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, dict) and isinstance(two, dict):
+        return one.keys() == two.keys() and all(_equal(v, two[k]) for k, v in one.items())
+    if isinstance(one, bool) or isinstance(two, bool):
+        return one is two
+    return one == two
+
+
+def _unique(items: list) -> bool:
+    """jsonschema's test: neighbours after sorting, or every pair when the
+    items do not sort (a bool never does)."""
+    if not any(isinstance(i, bool) for i in items):
+        try:
+            ordered = sorted(items)
+        except TypeError:
+            pass
+        else:
+            return not any(map(_equal, ordered, ordered[1:]))
+    return not any(_equal(a, b) for k, a in enumerate(items) for b in items[:k])
+
+
+def _evaluated(instance: dict, schema, defs: dict) -> set:
+    """The keys of ``instance`` that ``schema``'s applicators evaluate, for
+    ``unevaluatedProperties``."""
+    if not isinstance(schema, dict):
+        return set()
+    keys = schema.get("properties", {}).keys() & instance.keys()
+    if "$ref" in schema:
+        keys |= _evaluated(instance, defs[schema["$ref"][len(_DEFS):]], defs)
+    for sub in schema.get("anyOf", ()):
+        if not _errors(instance, sub, (), defs):
+            keys |= _evaluated(instance, sub, defs)
+    if "if" in schema:
+        if not _errors(instance, schema["if"], (), defs):
+            keys |= _evaluated(instance, schema["if"], defs) | _evaluated(instance, schema.get("then"), defs)
+        else:
+            keys |= _evaluated(instance, schema.get("else"), defs)
+    return keys
+
+
+def _assertion(kind: str, message):
+    """A keyword with at most one error on an instance of type ``kind``:
+    ``message(instance, value)``, unless that is false."""
+    applies = _TYPES[kind]
+
+    def check(i, v, s, p, d):
+        if applies(i) and (text := message(i, v)):
+            return [(p, text)]
+        return ()
+
+    return check
+
+
+def _no_extra_keys(kind: str, covered):
+    """``additionalProperties``/``unevaluatedProperties`` false: one error
+    naming the keys of an object that ``covered(instance, schema, defs)``
+    leaves out, sorted."""
+
+    def check(i, v, s, p, d):
+        if isinstance(i, dict):
+            keys = covered(i, s, d)
+            extras = sorted((k for k in i if k not in keys), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                return [(p, f"{kind} properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)")]
+        return ()
+
+    return check
+
+
+def _type(i, names, s, p, d):
+    if _TYPES[names](i) if isinstance(names, str) else any(_TYPES[n](i) for n in names):
+        return ()
+    names = [names] if isinstance(names, str) else names
+    return [(p, f"{i!r} is not of type {', '.join(map(repr, names))}")]
+
+
+def _enum(i, values, s, p, d):
+    return () if any(_equal(v, i) for v in values) else [(p, f"{i!r} is not one of {values!r}")]
+
+
+def _required(i, names, s, p, d):
+    return [(p, f"{k!r} is a required property") for k in names if k not in i] if isinstance(i, dict) else ()
+
+
+def _properties(i, props, s, p, d):
+    errors = []
+    if isinstance(i, dict):
+        for key, sub in props.items():
+            if key in i:
+                errors += _errors(i[key], sub, (*p, key), d)
+    return errors
+
+
+def _items(i, sub, s, p, d):
+    errors = []
+    if isinstance(i, list):
+        for k, item in enumerate(i):
+            errors += _errors(item, sub, (*p, k), d)
+    return errors
+
+
+def _any_of(i, subs, s, p, d):
+    if any(not _errors(i, sub, p, d) for sub in subs):
+        return ()
+    return [(p, f"{i!r} is not valid under any of the given schemas")]
+
+
+def _if(i, sub, s, p, d):
+    branch = "else" if _errors(i, sub, p, d) else "then"
+    return _errors(i, s[branch], p, d) if branch in s else ()
+
+
+def _nothing(i, v, s, p, d):
+    return ()
+
+
+_KEYWORDS = {
+    "$schema": _nothing,
+    "title": _nothing,
+    "$defs": _nothing,
+    "then": _nothing,  # "if" reads both branches
+    "else": _nothing,
+    "type": _type,
+    "enum": _enum,
+    "const": lambda i, v, s, p, d: () if _equal(i, v) else [(p, f"{v!r} was expected")],
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _no_extra_keys("Additional", lambda i, s, d: s.get("properties", {})),
+    "unevaluatedProperties": _no_extra_keys("Unevaluated", _evaluated),
+    "items": _items,
+    "minItems": _assertion(
+        "array", lambda i, v: len(i) < v and f"{i!r} {'should be non-empty' if v == 1 else 'is too short'}"
+    ),
+    "maxItems": _assertion(
+        "array", lambda i, v: len(i) > v and f"{i!r} {'is expected to be empty' if v == 0 else 'is too long'}"
+    ),
+    "uniqueItems": _assertion("array", lambda i, v: v and not _unique(i) and f"{i!r} has non-unique elements"),
+    "minimum": _assertion("number", lambda i, v: i < v and f"{i!r} is less than the minimum of {v!r}"),
+    "maximum": _assertion("number", lambda i, v: i > v and f"{i!r} is greater than the maximum of {v!r}"),
+    "exclusiveMinimum": _assertion(
+        "number", lambda i, v: i <= v and f"{i!r} is less than or equal to the minimum of {v!r}"
+    ),
+    "minLength": _assertion(
+        "string", lambda i, v: len(i) < v and f"{i!r} {'should be non-empty' if v == 1 else 'is too short'}"
+    ),
+    "anyOf": _any_of,
+    "if": _if,
+    "$ref": lambda i, v, s, p, d: _errors(i, d[v[len(_DEFS):]], p, d),
+}
+
+
+def _audit(schema, defs: dict) -> None:
+    """Raise :class:`NotImplementedError` for any part of ``schema`` the
+    walker does not implement exactly as jsonschema does.  That includes the
+    false schema, whose error jsonschema reports at a path that depends on
+    the keyword leading to it."""
+    if schema is True:
+        return
+    if schema is False:
+        raise NotImplementedError("the false schema is not supported")
+    for key, value in schema.items():
+        if (
+            key not in _KEYWORDS
+            or (key in ("additionalProperties", "unevaluatedProperties") and value is not False)
+            or (key == "items" and not isinstance(value, dict))
+            or (key == "$ref" and not (value.startswith(_DEFS) and value[len(_DEFS):] in defs))
+            or (key == "type" and not set([value] if isinstance(value, str) else value) <= _TYPES.keys())
+        ):
+            raise NotImplementedError(f"schema keyword {key!r}: {value!r} is not supported")
+        if key in ("properties", "$defs"):
+            subs = value.values()
+        elif key == "anyOf":
+            subs = value
+        elif key in ("items", "if", "then", "else"):
+            subs = (value,)
+        else:
+            subs = ()
+        for sub in subs:
+            _audit(sub, defs)
 
 
 @dataclass(frozen=True)

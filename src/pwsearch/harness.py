@@ -167,7 +167,7 @@ def _place_target(
 ) -> tuple[Box, float]:
     space = params.space
     for _ in range(params.max_retries):
-        s = int(rng.choice(np.asarray(params.scale_indices)))
+        s = int(params.scale_indices[rng.integers(len(params.scale_indices))])
         if space.grid_size(s) == (0, 0):
             continue
         w = space.template_w * space.zoom(s)

@@ -245,18 +245,16 @@ class CascadeScorer:
         if not space.contains(w):
             raise ValueError(f"window {w} outside search space")
         raw = self._landscape._window_response(space, w)
-        response, stages = self._quantize(raw)
-        return ScoreResult(float(response), int(stages))
+        # score_many's operations in the same order, in Python floats
+        u = min(max((raw - self.scene.floor) / (self.full_pass_response - self.scene.floor), 0.0), 1.0)
+        passed = min(int(u * self.stages + 1e-9), self.stages)
+        return ScoreResult(passed / self.stages, min(passed + 1, self.stages))
 
     def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
         raw, _ = self._landscape.score_many(space, x, y, s)
-        return self._quantize(raw)
-
-    def _quantize(self, raw):
-        """(response, stages evaluated) for a raw response, scalar or array."""
         u = (raw - self.scene.floor) / (self.full_pass_response - self.scene.floor)
         u = np.minimum(np.maximum(u, 0.0), 1.0)
-        # astype truncates toward zero, as int() does
+        # astype truncates toward zero, as int() does in score
         passed = np.minimum((u * self.stages + 1e-9).astype(np.int64), self.stages)
         return passed / self.stages, np.minimum(passed + 1, self.stages)
 
