@@ -38,7 +38,6 @@ from .regions import (
 )
 from .scoring import (
     CascadeScorer,
-    ScoreResult,
     SyntheticScene,
     SyntheticScorer,
     normalize_weights,
@@ -63,7 +62,6 @@ __all__ = [
     "RunTrace",
     "ScalePropagation",
     "SceneParams",
-    "ScoreResult",
     "SearchSpace",
     "SyntheticScene",
     "SyntheticScorer",

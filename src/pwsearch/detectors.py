@@ -346,33 +346,29 @@ def _incremental_step(
         trace.complete = True
         return False
 
-    result = scorer.score(space, w)
-    kind = _classify(result.response, config)
+    response, n_stages = scorer.score(space, w)
+    kind = _classify(response, config)
     state.book.claim_cell(w, RegionKind.ACCEPTED if kind == KIND_ACCEPTED else RegionKind.REJECTED)
     if kind == KIND_REJECTED:
-        mark_rejection(
-            state.book, space, w, result.response, config.radius_table, config.t_l, config.reject_propagation
-        )
+        mark_rejection(state.book, space, w, response, config.radius_table, config.t_l, config.reject_propagation)
     elif kind == KIND_ACCEPTED:
         r_a_x, r_a_y = config.acceptance_radii(space)
-        mark_acceptance(
-            state.book, space, w, result.response, r_a_x, r_a_y, config.t_h, config.accept_propagation
-        )
+        mark_acceptance(state.book, space, w, response, r_a_x, r_a_y, config.t_h, config.accept_propagation)
     else:
-        state.ambiguous.append((w, result.response))
+        state.ambiguous.append((w, response))
 
     trace.records.append(
         TraceRecord(
             i,
             w,
-            result.response,
+            response,
             kind,
             source,
             state.book.n_rejected,
             state.book.n_accepted,
             len(state.ambiguous),
             p_uniform,
-            result.stages_evaluated,
+            n_stages,
         )
     )
     return kind == KIND_AMBIGUOUS

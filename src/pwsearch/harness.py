@@ -141,6 +141,7 @@ class SceneParams:
     from the pyramid's own scale steps, and no two placements may overlap
     above ``max_overlap``.  Peak ranges should respect the paired detector's
     thresholds (objects at or above t_h, distractors inside [t_l, t_h)).
+    ``scale_indices`` must name scales of the pyramid (0 to scale_count - 1).
     """
 
     space: SearchSpace
@@ -168,8 +169,6 @@ def _place_target(
     space = params.space
     for _ in range(params.max_retries):
         s = int(params.scale_indices[rng.integers(len(params.scale_indices))])
-        if space.grid_size(s) == (0, 0):
-            continue
         w = space.template_w * space.zoom(s)
         h = space.template_h * space.zoom(s)
         # A scale with windows may still round w or h an ulp past the image;
@@ -536,6 +535,8 @@ def read_trace_jsonl(path: str | Path) -> RunTrace:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         what = "not the footer line; the file was cut short" if number == len(lines) else "not a trace line"
         raise TraceFormatError(f"line {number} is {what} ({type(exc).__name__}: {exc})") from exc
+    if not records:
+        raise TraceFormatError("trace file has no records")
     return RunTrace(**fields, records=records, complete=complete, rebuilds=rebuilds)
 
 

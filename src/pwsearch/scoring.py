@@ -1,18 +1,20 @@
 """Classifier-response models over a window space.
 
 Two scorers share one interface with two entry points that compute one
-formula: ``score(space, w) -> ScoreResult`` for a single window, in Python
-floats over the targets with one ``np.exp`` call on the list of exponents, and
-``score_many(space, x, y, s) -> (responses, stages)`` for equal-length integer
-coordinate arrays in one numpy pass over a (windows x targets) array.  Both
-make the same float operations in the same order, and both take the
-exponential from ``np.exp``, because ``math.exp`` can differ from it in the
-last bit; so the results agree bit for bit, window by window.  The
-sliding-window scan and the staged sampler, whose windows do not depend on
-each other's scores within a scan or a stage, score through ``score_many``;
-the incremental samplers, which update their regions between draws, score one
-window at a time, where numpy's broadcasting over a handful of targets would
-cost more than the arithmetic.
+formula and return one shape, a response and the classifier stages spent on
+it.  ``score(space, w) -> (response, stages)`` scores a single window and
+returns a Python ``float`` and ``int``; it works in Python floats over the
+targets with one ``np.exp`` call on the list of exponents.
+``score_many(space, x, y, s) -> (responses, stages)`` scores equal-length
+integer coordinate arrays and returns a float64 and an int64 array; it makes
+one numpy pass over a (windows x targets) array.  Both make the same float
+operations in the same order, and both take the exponential from ``np.exp``,
+because ``math.exp`` can differ from it in the last bit; so the results agree
+bit for bit, window by window.  The sliding-window scan and the staged
+sampler, whose windows do not depend on each other's scores within a scan or
+a stage, score through ``score_many``; the incremental samplers, which update
+their regions between draws, score one window at a time, where numpy's
+broadcasting over a handful of targets would cost more than the arithmetic.
 
 * :class:`SyntheticScorer` evaluates a closed-form response landscape built
   from planted objects and distractors.  The response at a window is
@@ -44,26 +46,17 @@ from .space import Box, SearchSpace, Window
 Placement = tuple[Box, float]
 
 
-@dataclass(frozen=True)
-class ScoreResult:
-    """Raw response plus the number of classifier stages spent on the window.
-
-    ``stages_evaluated`` is 0 for flat (single-shot) scorers.
-    """
-
-    response: float
-    stages_evaluated: int = 0
-
-
 class Scorer(Protocol):
     """A classifier over one search space's windows.
 
-    ``score_many`` returns a float array of responses and an int array of
-    stages evaluated, each entry equal to what ``score`` gives for the same
-    window.  Both raise ``ValueError`` for a window outside the space.
+    ``score`` returns the raw response and the number of classifier stages
+    spent on the window (0 for a flat, single-shot scorer) as a ``float`` and
+    an ``int``.  ``score_many`` returns a float array of responses and an int
+    array of stages, each entry equal to ``score``'s pair for the same window.
+    Both raise ``ValueError`` for a window outside the space.
     """
 
-    def score(self, space: SearchSpace, w: Window) -> ScoreResult: ...
+    def score(self, space: SearchSpace, w: Window) -> tuple[float, int]: ...
 
     def score_many(
         self, space: SearchSpace, x: np.ndarray, y: np.ndarray, s: np.ndarray
@@ -170,47 +163,45 @@ class SyntheticScorer:
         self._space: SearchSpace | None = None  # the space ``_targets`` was built for
         self._targets: list[tuple[float, ...]] = []
 
-    def score(self, space: SearchSpace, w: Window) -> ScoreResult:
+    def score(self, space: SearchSpace, w: Window) -> tuple[float, int]:
+        """:meth:`_response`'s operations in its order for one window, on
+        Python floats.  The per-target constants are built once per space and
+        kept for the last space scored."""
         if not space.contains(w):
             raise ValueError(f"window {w} outside search space")
-        return ScoreResult(self._window_response(space, w), 0)
-
-    def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
-        x, y, s = _checked_coordinates(space, x, y, s)
-        responses = self._response(space, x[:, None], y[:, None], s[:, None])
-        return responses, np.zeros(x.size, dtype=np.int64)
-
-    def _window_response(self, space: SearchSpace, w: Window) -> float:
-        """Response at one window, by :meth:`_response`'s operations in its
-        order, on Python floats.  The per-target constants are built once
-        per space and kept for the last space scored."""
         if space is not self._space:
-            target_s = np.log(self._w / space.template_w) / math.log(space.scale_factor)
-            columns = (self._cx, self._cy, self._w, self._h, target_s)
+            columns = (self._cx, self._cy, self._w, self._h, self._target_scales(space))
             self._space, self._targets = space, list(zip(*(c.tolist() for c in columns)))
         cx, cy = space.centre(w.x, w.y, w.s)
         s, floor, k = w.s, self.scene.floor, -self.scene.sharpness
         exponents = [
             k * (abs(cx - tx) / tw + abs(cy - ty) / th + abs(s - ts)) for tx, ty, tw, th, ts in self._targets
         ]
-        return max((floor + r * e for r, e in zip(self._rise, np.exp(exponents).tolist())), default=floor)
+        return max((floor + r * e for r, e in zip(self._rise, np.exp(exponents).tolist())), default=floor), 0
+
+    def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
+        x, y, s = _checked_coordinates(space, x, y, s)
+        responses = self._response(space, x[:, None], y[:, None], s[:, None])
+        return responses, np.zeros(x.size, dtype=np.int64)
+
+    def _target_scales(self, space: SearchSpace) -> np.ndarray:
+        """Each target's (fractional) pyramid position, from its width."""
+        return np.log(self._w / space.template_w) / math.log(space.scale_factor)
 
     def _response(self, space: SearchSpace, x, y, s):
         """Responses at the windows given as (n, 1) integer columns.
 
         The columns broadcast against the targets in one (n, targets) pass;
-        ``score_many``'s path.  :meth:`_window_response` makes the same
-        operations in the same order for one window, and both take
-        ``np.exp``, so the two agree bit for bit.
+        ``score_many``'s path.  :meth:`score` makes the same operations in
+        the same order for one window, and both take ``np.exp``, so the two
+        agree bit for bit.
         """
         scene = self.scene
         cx, cy = space.centre(x, y, s)
-        log_sf = math.log(space.scale_factor)
-        target_s = np.log(self._w / space.template_w) / log_sf
         d = (
             np.abs(cx - self._cx) / self._w
             + np.abs(cy - self._cy) / self._h
-            + np.abs(s - target_s)
+            + np.abs(s - self._target_scales(space))
         )
         values = scene.floor + (self._peak - scene.floor) * np.exp(-scene.sharpness * d)
         # No value falls below the floor, so ``initial`` only answers a scene without targets.
@@ -241,14 +232,12 @@ class CascadeScorer:
             self.full_pass_response = scene.floor + 1.0
         self._landscape = SyntheticScorer(scene)
 
-    def score(self, space: SearchSpace, w: Window) -> ScoreResult:
-        if not space.contains(w):
-            raise ValueError(f"window {w} outside search space")
-        raw = self._landscape._window_response(space, w)
+    def score(self, space: SearchSpace, w: Window) -> tuple[float, int]:
+        raw, _ = self._landscape.score(space, w)
         # score_many's operations in the same order, in Python floats
         u = min(max((raw - self.scene.floor) / (self.full_pass_response - self.scene.floor), 0.0), 1.0)
         passed = min(int(u * self.stages + 1e-9), self.stages)
-        return ScoreResult(passed / self.stages, min(passed + 1, self.stages))
+        return passed / self.stages, min(passed + 1, self.stages)
 
     def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
         raw, _ = self._landscape.score_many(space, x, y, s)

@@ -338,23 +338,26 @@ def test_curves_unreadable_trace_is_config_error(tmp_path, capsys):
 
 
 def test_curves_trace_cut_before_its_footer_is_config_error(config_path, tmp_path, capsys):
-    """A trace cut at a line end or mid-line, or with a record that lacks a
-    key, exits 2 and names the line at fault."""
+    """A trace cut at a line end or mid-line, with a record that lacks a
+    key, or cut down to its header and footer, exits 2, writes no curves and
+    names the line at fault or the missing records."""
     run_out = tmp_path / "run"
     assert main(["run", "--config", str(config_path), "--out", str(run_out), "--quiet"]) == EXIT_OK
     lines = (run_out / "trace.jsonl").read_text().splitlines(keepends=True)
     record = json.loads(lines[3])
     del record["kind"]
     cases = {
-        "at-line-end": ("".join(lines[:-1]), len(lines) - 1),
-        "mid-line": ("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], len(lines)),
-        "without-kind": ("".join(lines[:3]) + json.dumps(record) + "\n" + "".join(lines[4:]), 4),
+        "at-line-end": ("".join(lines[:-1]), f"line {len(lines) - 1} is "),
+        "mid-line": ("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], f"line {len(lines)} is "),
+        "without-kind": ("".join(lines[:3]) + json.dumps(record) + "\n" + "".join(lines[4:]), "line 4 is "),
+        "no-records": (lines[0] + lines[-1], "trace file has no records"),
     }
-    for name, (text, number) in cases.items():
+    for name, (text, message) in cases.items():
         cut = tmp_path / f"{name}.jsonl"
         cut.write_text(text)
         assert main(["curves", "--trace", str(cut), "--out", str(tmp_path / name), "--quiet"]) == EXIT_CONFIG
-        assert f"config error: --trace: line {number} is " in capsys.readouterr().err
+        assert f"config error: --trace: {message}" in capsys.readouterr().err
+        assert not (tmp_path / name / "curves.csv").exists()
 
 
 def test_missing_config_file(tmp_path):

@@ -211,8 +211,7 @@ def reference_mpw(space, scorer, config, seed):
             source = "UNIFORM"
         stage = []
         for w in windows:
-            result = scorer.score(space, w)
-            response, n_stages = result.response, result.stages_evaluated
+            response, n_stages = scorer.score(space, w)
             kind = "RPW" if response < config.t_l else "APW" if response >= config.t_h else "ABPW"
             if kind == "APW":
                 accepted.append((w, response))

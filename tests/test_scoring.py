@@ -48,27 +48,27 @@ def test_peak_response_at_exact_center(space):
     w = Window(10, 8, 0)
     scene = scene_with(objects=[centered_target(space, w, 2.0)])
     scorer = SyntheticScorer(scene)
-    assert scorer.score(space, w).response == pytest.approx(2.0)
+    assert scorer.score(space, w)[0] == pytest.approx(2.0)
 
 
 def test_response_far_from_target_is_floor(space):
     scene = scene_with(objects=[(Box(6.0, 6.0, 12.0, 12.0), 2.0)])
     far = Window(50, 30, 0)
-    got = SyntheticScorer(scene).score(space, far).response
+    got, _ = SyntheticScorer(scene).score(space, far)
     assert got == pytest.approx(-5.0, abs=1e-3)
 
 
 def test_empty_scene_scores_floor_everywhere(space):
     scorer = SyntheticScorer(scene_with(floor=-3.5))
     for w in [Window(0, 0, 0), Window(20, 10, 0), Window(5, 5, 1)]:
-        assert scorer.score(space, w).response == -3.5
+        assert scorer.score(space, w) == (-3.5, 0)
 
 
 def test_response_decays_with_distance(space):
     w = Window(20, 15, 0)
     scene = scene_with(objects=[centered_target(space, w, 2.0)])
     scorer = SyntheticScorer(scene)
-    responses = [scorer.score(space, Window(20 + dx, 15, 0)).response for dx in range(8)]
+    responses = [scorer.score(space, Window(20 + dx, 15, 0))[0] for dx in range(8)]
     assert all(a > b for a, b in zip(responses, responses[1:]))
 
 
@@ -78,19 +78,19 @@ def test_response_is_max_over_targets(space):
         objects=[centered_target(space, w1, 1.5), centered_target(space, w2, 2.5)]
     )
     scorer = SyntheticScorer(scene)
-    assert scorer.score(space, w1).response == pytest.approx(1.5)
-    assert scorer.score(space, w2).response == pytest.approx(2.5)
+    assert scorer.score(space, w1)[0] == pytest.approx(1.5)
+    assert scorer.score(space, w2)[0] == pytest.approx(2.5)
 
 
 def test_wrong_scale_scores_lower(space):
     w = Window(20, 15, 0)
     scene = scene_with(objects=[centered_target(space, w, 2.0)])
     scorer = SyntheticScorer(scene)
-    right = scorer.score(space, w).response
+    right, _ = scorer.score(space, w)
     # same original-image center, one pyramid level up
     gx, gy = space.grid_at(*space.centre(w.x, w.y, w.s), 1)
     off = Window(round(gx), round(gy), 1)
-    wrong = scorer.score(space, off).response
+    wrong, _ = scorer.score(space, off)
     assert wrong < right
 
 
@@ -98,13 +98,14 @@ def test_distractors_pull_toward_their_own_peak(space):
     w = Window(20, 15, 0)
     scene = scene_with(distractors=[centered_target(space, w, -0.8)])
     scorer = SyntheticScorer(scene)
-    assert scorer.score(space, w).response == pytest.approx(-0.8)
-    assert scorer.score(space, Window(0, 0, 0)).response < -0.8
+    assert scorer.score(space, w)[0] == pytest.approx(-0.8)
+    assert scorer.score(space, Window(0, 0, 0))[0] < -0.8
 
 
 def test_flat_scorer_reports_no_stages(space):
     scene = scene_with(objects=[centered_target(space, Window(3, 3, 0), 2.0)])
-    assert SyntheticScorer(scene).score(space, Window(3, 3, 0)).stages_evaluated == 0
+    _, stages = SyntheticScorer(scene).score(space, Window(3, 3, 0))
+    assert stages == 0
 
 
 def test_scene_json_round_trip(tmp_path, space):
@@ -134,25 +135,23 @@ def test_cascade_full_pass_at_center(space):
     w = Window(10, 8, 0)
     scene = scene_with(objects=[centered_target(space, w, 1.5)])
     scorer = CascadeScorer(scene, stages=10)
-    got = scorer.score(space, w)
-    assert got.response == pytest.approx(1.0)
-    assert got.stages_evaluated == 10
+    response, stages = scorer.score(space, w)
+    assert response == pytest.approx(1.0)
+    assert stages == 10
 
 
 def test_cascade_background_fails_first_stage(space):
     scene = scene_with(objects=[(Box(6.0, 6.0, 12.0, 12.0), 1.5)])
-    got = CascadeScorer(scene, stages=10).score(space, Window(50, 30, 0))
-    assert got.response == 0.0
-    assert got.stages_evaluated == 1
+    assert CascadeScorer(scene, stages=10).score(space, Window(50, 30, 0)) == (0.0, 1)
 
 
 def test_cascade_responses_live_on_a_lattice(space):
     scene = scene_with(objects=[(Box(20.0, 20.0, 12.0, 12.0), 2.0)])
     scorer = CascadeScorer(scene, stages=8)
     for w in space.windows():
-        r = scorer.score(space, w)
-        assert r.response * 8 == pytest.approx(round(r.response * 8))
-        assert 1 <= r.stages_evaluated <= 8
+        response, stages = scorer.score(space, w)
+        assert response * 8 == pytest.approx(round(response * 8))
+        assert 1 <= stages <= 8
 
 
 def test_cascade_midpoint_response(space):
@@ -161,10 +160,10 @@ def test_cascade_midpoint_response(space):
     scorer = CascadeScorer(scene, stages=10)
     assert scorer.full_pass_response == 1.5
     w = Window(12, 8, 0)  # centred at (18, 14), the grid cell nearest the object
-    raw = SyntheticScorer(scene).score(space, w).response
+    raw, _ = SyntheticScorer(scene).score(space, w)
     u = (raw - scene.floor) / (1.5 - scene.floor)
-    got = scorer.score(space, w)
-    assert got.response == pytest.approx(min(10, int(u * 10 + 1e-9)) / 10)
+    response, _ = scorer.score(space, w)
+    assert response == pytest.approx(min(10, int(u * 10 + 1e-9)) / 10)
 
 
 def test_cascade_stage_count_validation(space):
@@ -177,7 +176,7 @@ def test_cascade_monotone_toward_target(space):
     w = Window(20, 15, 0)
     scene = scene_with(objects=[centered_target(space, w, 2.5)])
     scorer = CascadeScorer(scene, stages=10)
-    rs = [scorer.score(space, Window(20 + dx, 15, 0)).response for dx in range(10)]
+    rs = [scorer.score(space, Window(20 + dx, 15, 0))[0] for dx in range(10)]
     assert all(a >= b for a, b in zip(rs, rs[1:]))
 
 
@@ -226,8 +225,8 @@ def test_score_many_equals_score_window_by_window(case, kind):
         scorer, by_space = two_spaces_case(kind)
         for space, singles in by_space.items():
             responses, stages = scorer.score_many(space, *space.grid_coordinates())
-            assert responses.tolist() == [r.response for r in singles]
-            assert stages.tolist() == [r.stages_evaluated for r in singles]
+            assert list(zip(responses.tolist(), stages.tolist())) == singles
+            assert all(type(response) is float and type(n) is int for response, n in singles)
         return
     space, scene = batch_case(case)
     scorer = SCORERS[kind](scene)
@@ -237,8 +236,9 @@ def test_score_many_equals_score_window_by_window(case, kind):
     assert responses.dtype == np.float64 and stages.dtype == np.int64
     singles = [scorer.score(space, w) for w in space.windows()]
     # exact equality: a batch must reproduce every trace bit for bit
-    assert responses.tolist() == [r.response for r in singles]
-    assert stages.tolist() == [r.stages_evaluated for r in singles]
+    assert list(zip(responses.tolist(), stages.tolist())) == singles
+    # and the pair holds Python numbers, not numpy scalars
+    assert all(type(response) is float and type(n) is int for response, n in singles)
     # scattered windows, not just the enumeration order
     order = np.random.default_rng(3).permutation(len(x))[:500]
     again, again_stages = scorer.score_many(space, x[order], y[order], s[order])
