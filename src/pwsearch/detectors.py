@@ -249,25 +249,21 @@ def _mixture_from_batch(
     weighted by its normalized response, with the default spread.  An empty
     batch gives the empty mixture.
 
-    ``previous``, the mixture of all but the batch's last window, lends its
-    means and responses, so only the last window's are appended; the weights
-    are renormalized from the responses and the mixture is built afresh.
+    ``previous``, the mixture of all but the batch's last window, is
+    extended by that window: it lends its components, and the weights are
+    renormalized from all the responses.
     """
+    sigma = default_sigma(space)
     if previous is not None:
         if len(previous) != len(batch) - 1:
             raise ValueError("previous must be the mixture of all but the last window")
         w, response = batch[-1]
-        means = np.concatenate([previous.means, [[w.x], [w.y], [w.s]]], axis=1)
-        responses = np.append(previous.responses, response)
-    else:
-        windows = [w for w, _ in batch]
-        means = np.array([[w.x for w in windows], [w.y for w in windows], [w.s for w in windows]], dtype=np.int64)
-        responses = np.array([resp for _, resp in batch], dtype=float)
+        return previous._grown(w, response, sigma, book)
+    windows = [w for w, _ in batch]
+    means = np.array([[w.x for w in windows], [w.y for w in windows], [w.s for w in windows]], dtype=np.int64)
+    responses = np.array([resp for _, resp in batch], dtype=float)
     weights = normalize_weights(responses) if batch else np.zeros(0)
-    sigma = default_sigma(space)
-    mixture = DentedGaussianMixture(means, weights, sigma, book, space)
-    mixture.responses = responses  # what the next extension renormalizes
-    return mixture
+    return DentedGaussianMixture(means, weights, sigma, book, space, responses)
 
 
 def run_mpw(

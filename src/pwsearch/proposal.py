@@ -24,7 +24,11 @@ Mixture components are centered on previously drawn windows and share one
 spread: one eighth of the template extent in grid cells per spatial axis and
 one pyramid step on the scale axis.  Each mixture, however it grew, tables
 its components' centres on every scale from the space's ``centre`` and
-``grid_at``, and every Gaussian draw reads that table.
+``grid_at``, one row per component, next to its scale means and spreads.
+An ``ipw`` extension shares these arrays with the mixture it extends, whose
+capacity doubles when full, so adding a component fills one row; only the
+cumulative weights are renormalized over all components.  A Gaussian draw
+reads the tables as they are, a few gathers per group of proposals.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import RegionBook, RegionKind
+from .scoring import normalize_weights
 from .space import SearchSpace, Window
 
 
@@ -115,15 +120,47 @@ class DentedUniform:
         return self.book.free_cell(int(rng.integers(free_count)))
 
 
+class _Components:
+    """Per-component arrays shared along a line of mixtures, each one the
+    last extended by a component: row ``i`` holds component ``i``, and rows
+    from ``fill`` on are spare capacity.  Only a mixture of ``fill``
+    components, the latest of its line, writes the next row in place; the
+    earlier ones never read past their own size."""
+
+    __slots__ = ("means", "responses", "mean_s", "spread", "centres", "fill")
+
+    def __init__(self, capacity: int, scale_count: int):
+        self.means = np.empty((3, capacity), dtype=np.int64)  # rows x, y, s
+        self.responses = np.empty(capacity)
+        self.mean_s = np.empty(capacity)  # the s row as floats
+        self.spread = np.empty((capacity, 3))  # (sx, sy, ss)
+        self.centres = np.empty((capacity, scale_count, 2))  # the mean's centre on each scale's grid
+        self.fill = 0
+
+    def copy(self, size: int, capacity: int) -> _Components:
+        """The first ``size`` rows in new arrays with room for ``capacity``."""
+        new = _Components(capacity, self.centres.shape[1])
+        new.means[:, :size] = self.means[:, :size]
+        new.responses[:size] = self.responses[:size]
+        new.mean_s[:size] = self.mean_s[:size]
+        new.spread[:size] = self.spread[:size]
+        new.centres[:size] = self.centres[:size]
+        new.fill = size
+        return new
+
+
 class DentedGaussianMixture:
     """Weighted Gaussians around ambiguity windows, zeroed on claimed cells.
 
     Built from ``(3, n)`` integer means (rows x, y, s), ``n`` nonnegative
-    weights, and sigmas (x, y, s) per component ``(3, n)`` or shared
-    ``(3,)``.  Components live in arrays: cumulative weights, means, sigmas
-    and a ``(scale_count, n)`` table per axis of each mean's original-image
-    centre carried onto every scale's grid by ``grid_at``.  With ``n = 0``
-    the mixture is a valid zero density; sampling from it is a caller bug.
+    weights, sigmas (x, y, s) per component ``(3, n)`` or shared ``(3,)``,
+    finite and positive, and optionally the ``n`` responses the weights were
+    normalized from, which an extension renormalizes (``responses`` is None
+    without them).  Components live in arrays: cumulative weights, means,
+    spreads and a ``(n, scale_count, 2)`` table of each mean's
+    original-image centre carried onto every scale's grid by ``grid_at``.
+    With ``n = 0`` the mixture is a valid zero density; sampling from it is
+    a caller bug.
     """
 
     def __init__(
@@ -133,25 +170,84 @@ class DentedGaussianMixture:
         sigma: np.ndarray,
         book: RegionBook,
         space: SearchSpace,
+        responses: np.ndarray | None = None,
     ):
+        n = means.shape[1]
+        if np.shape(weights) != (n,):
+            raise ValueError(f"{n} components need {n} weights, got shape {np.shape(weights)}")
+        sigma = np.asarray(sigma, dtype=float).reshape(3, -1)
+        if not ((sigma > 0.0) & (sigma < math.inf)).all():
+            raise ValueError("every spread must be finite and positive")
+        cumulative = np.zeros(0)
+        if n:
+            if np.any(weights < 0.0):
+                raise ValueError("component weights must be nonnegative")
+            total = weights.sum()
+            if total <= 0.0:
+                raise ValueError("component weights must not all be zero")
+            cumulative = np.cumsum(weights / total)
+        parts = _Components(n, space.scale_count)
+        parts.fill = n
+        parts.means[:] = means
+        parts.mean_s[:] = means[2]
+        parts.spread[:] = sigma.T
+        gx, gy = space.grid_at(*space.centre(*means), space._scales[:, None])  # (scale_count, n): the faster order
+        parts.centres[:, :, 0], parts.centres[:, :, 1] = gx.T, gy.T
+        if responses is not None:
+            parts.responses[:] = responses
+        self._attach(parts, n, cumulative, responses is not None, book, space)
+
+    def _attach(
+        self,
+        parts: _Components,
+        n: int,
+        cumulative: np.ndarray,
+        has_responses: bool,
+        book: RegionBook,
+        space: SearchSpace,
+    ) -> None:
+        """Take the first ``n`` rows of ``parts`` as this mixture's
+        components and build the tables every search reads."""
         self.book = book
         self.space = space
-        self.means = means
+        self._parts = parts
+        self._size = n
+        self.means = parts.means[:, :n]
+        self.responses = parts.responses[:n] if has_responses else None
+        self._cumulative = cumulative
         self._free_mass = (-1, 0.0)  # (book.free_count, table mass on free cells)
         self._missed = False  # this mixture's last search came up empty (read by _incremental_step)
-        self._size = means.shape[1]
-        if not self._size:
-            return
-        if np.any(weights < 0.0):
-            raise ValueError("component weights must be nonnegative")
-        total = weights.sum()
-        if total <= 0.0:
-            raise ValueError("component weights must not all be zero")
-        self._cumulative = np.cumsum(weights / total)
-        self._mean_s = means[2].astype(float)
-        sigma = np.asarray(sigma, dtype=float).reshape(3, -1)
-        self._sx, self._sy, self._ss = np.broadcast_to(sigma, means.shape)  # read-only views, not copies
-        self._gx, self._gy = space.grid_at(*space.centre(*means), np.arange(space.scale_count)[:, None])
+        # The search's tables: component indices never reach n, so the
+        # buffers are read whole, whatever a later extension writes past n.
+        self._inner = cumulative[:-1]
+        self._mean_s = parts.mean_s
+        self._spread = parts.spread
+        self._centres = parts.centres.reshape(-1, 2)  # row comp * scale_count + s
+
+    def _grown(self, w: Window, response: float, sigma, book: RegionBook) -> DentedGaussianMixture:
+        """This mixture plus a component at ``w`` with spread ``sigma``, all
+        weights renormalized from the responses by ``normalize_weights``.
+
+        The latest mixture of its line fills the next row of the shared
+        arrays, doubling their capacity when full; any other copies its rows
+        first, so an earlier mixture extended twice stays what it was."""
+        if self.responses is None:
+            raise ValueError("a mixture built without responses cannot be extended")
+        space = self.space
+        n = self._size
+        parts = self._parts
+        if parts.fill != n or n == parts.means.shape[1]:
+            parts = parts.copy(n, max(2 * n, 16))
+        parts.fill = n + 1
+        parts.means[:, n] = w.x, w.y, w.s
+        parts.responses[n] = response
+        parts.mean_s[n] = w.s
+        parts.spread[n] = sigma
+        parts.centres[n, :, 0], parts.centres[n, :, 1] = space.grid_at(*space.centre(w.x, w.y, w.s), space._scales)
+        weights = normalize_weights(parts.responses[: n + 1])
+        grown = DentedGaussianMixture.__new__(DentedGaussianMixture)
+        grown._attach(parts, n + 1, np.cumsum(weights / weights.sum()), True, book, space)
+        return grown
 
     def __len__(self) -> int:
         return self._size
@@ -160,13 +256,16 @@ class DentedGaussianMixture:
     def _table(self) -> np.ndarray:
         """Probability that one undented proposal lands on each cell, in
         dense index order; it sums to 1."""
-        on_scale = _rounded_normal_mass(self._mean_s, self._ss, self.space.scale_count)
+        n = self._size
+        spread = self._spread[:n]
+        centres = self._parts.centres
+        on_scale = _rounded_normal_mass(self._mean_s[:n], spread[:, 2], self.space.scale_count)
         on_scale *= np.diff(self._cumulative, prepend=0.0)
         parts = []
         for s in range(self.space.scale_count):
             nx, ny = self.space.grid_size(s)
-            px = _rounded_normal_mass(self._gx[s], self._sx, nx)
-            py = _rounded_normal_mass(self._gy[s], self._sy, ny)
+            px = _rounded_normal_mass(centres[:n, s, 0], spread[:, 0], nx)
+            py = _rounded_normal_mass(centres[:n, s, 1], spread[:, 1], ny)
             parts.append(((py * on_scale[s]) @ px.T).ravel())
         return np.concatenate(parts)
 
@@ -183,55 +282,40 @@ class DentedGaussianMixture:
             self._free_mass = (self.book.free_count, mass)
         return float(table[self.space.index_of(w)] / mass) if mass > 0.0 else 0.0
 
-    def _proposer(self, rng: np.random.Generator):
-        """``propose(count) -> (x, y, s, index)``: ``count`` undented
-        proposals in one pass.  ``rng.random(count)`` picks each proposal's
-        component and the row of ``rng.standard_normal((count, 3))`` (x, y, s)
-        is quantized around its mean, the scale first, then the position in
-        that scale's grid, each rounded and clamped."""
-        if not len(self):
+    def _propose(self, rng: np.random.Generator, count: int):
+        """``(x, y, s, index)``: ``count`` undented proposals in one pass.
+        ``rng.random(count)`` picks each proposal's component and the row of
+        ``rng.standard_normal((count, 3))`` (x, y, s) is quantized around its
+        mean, the scale first, then the position in that scale's grid, each
+        rounded and clamped."""
+        if not self._size:
             raise ValueError("cannot sample from an empty mixture")
         space = self.space
-        n = len(self)
-        top = space.scale_count - 1
-        nx_table = space._nx_table
-        x_hi = nx_table - 1
-        y_hi = space._ny_table - 1
-        gx = self._gx.ravel()
-        gy = self._gy.ravel()
-
-        def propose(count: int):
-            comp = self._cumulative.searchsorted(rng.random(count), side="right")
-            z = rng.standard_normal((count, 3))
-            np.minimum(comp, n - 1, out=comp)
-            s = np.rint(self._mean_s.take(comp) + z[:, 2] * self._ss.take(comp)).astype(np.int64)
-            np.maximum(s, 0, out=s)
-            np.minimum(s, top, out=s)
-            cell = s * n + comp
-            x = np.rint(gx.take(cell) + z[:, 0] * self._sx.take(comp)).astype(np.int64)
-            y = np.rint(gy.take(cell) + z[:, 1] * self._sy.take(comp)).astype(np.int64)
-            np.maximum(x, 0, out=x)
-            np.minimum(x, x_hi.take(s), out=x)
-            np.maximum(y, 0, out=y)
-            np.minimum(y, y_hi.take(s), out=y)
-            return x, y, s, space._offsets.take(s) + y * nx_table.take(s) + x
-
-        return propose
+        # searchsorted over all but the last cumulative weight never passes n - 1
+        comp = self._inner.searchsorted(rng.random(count), side="right")
+        z = rng.standard_normal((count, 3))
+        z *= self._spread.take(comp, axis=0)
+        s = np.rint(self._mean_s.take(comp) + z[:, 2]).astype(np.int64)
+        s = space._scales.take(s, mode="clip")  # clamped to the pyramid
+        xy = np.rint(self._centres.take(comp * space.scale_count + s, axis=0) + z[:, :2]).astype(np.int64)
+        np.maximum(xy, 0, out=xy)
+        np.minimum(xy, space._grid_last.take(s, axis=0), out=xy)
+        x, y = xy.T
+        return x, y, s, space._offsets.take(s) + y * space._nx_table.take(s) + x
 
     def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
         """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.
 
-        Proposals come from :meth:`_proposer`, as in
+        Proposals come from :meth:`_propose`, as in
         :func:`draw_gaussian_window`, in groups of ``_BATCH``, then twice as
         many each time up to ``_GROUP_CAP``, and the first free one wins.
         ``_missed`` records whether this search came up empty.
         """
-        propose = self._proposer(rng)
         flat = self.book.flat
         start, size = 0, _BATCH
         while start < n_max:
             count = min(size, n_max - start)
-            x, y, s, index = propose(count)
+            x, y, s, index = self._propose(rng, count)
             free = flat.take(index) == 0
             j = int(free.argmax())
             if free[j]:
@@ -249,7 +333,7 @@ def draw_gaussian_window(
     count: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` draws from the mixture's undented proposal law, as
-    ``(x, y, s)`` arrays, in one pass of :meth:`DentedGaussianMixture._proposer`;
+    ``(x, y, s)`` arrays, in one pass of :meth:`DentedGaussianMixture._propose`;
     on a book never marked, the law ``density_at`` reports."""
-    x, y, s, _ = mixture._proposer(rng)(count)
+    x, y, s, _ = mixture._propose(rng, count)
     return x, y, s

@@ -110,6 +110,17 @@ class SearchSpace:
         return np.array([ny for _, ny in self._per_scale], dtype=np.int64)
 
     @cached_property
+    def _grid_last(self) -> np.ndarray:
+        """``(scale_count, 2)``: the last x and y cell of every scale's grid."""
+        return np.array(self._per_scale, dtype=np.int64) - 1
+
+    @cached_property
+    def _scales(self) -> np.ndarray:
+        """Every scale index: maps one point onto all scales at once, and its
+        ``take(..., mode="clip")`` clamps an array of scales onto the pyramid."""
+        return np.arange(self.scale_count)
+
+    @cached_property
     def _zoom_table(self) -> np.ndarray:
         """``zoom(s)`` for every scale, by Python's power, so equal to it bit for bit."""
         return np.array([self.zoom(s) for s in range(self.scale_count)])

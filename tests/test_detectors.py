@@ -1,6 +1,7 @@
 """Detector loops: full scan, staged mixture, and the incremental pair."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from pwsearch import (
     run_sw,
 )
 from pwsearch import detectors
+from pwsearch.config import load_config
 from pwsearch.detectors import TraceRecord, detections_from_trace, schedule_for_budget
-from pwsearch.harness import build_scorer, run_detector
+from pwsearch.harness import build_scorer, derive_seed, run_cell, run_detector
 from pwsearch.proposal import default_sigma, draw_gaussian_window, mixture_weights
 from pwsearch.scoring import normalize_weights
 
@@ -500,3 +502,35 @@ def test_detector_config_validation(table):
 def test_acceptance_radii_floor_to_cells(bench_space, table):
     config = make_detector("ipw", 100, table)
     assert config.acceptance_radii(bench_space) == (3, 7)  # 0.16 * (24, 48)
+
+
+def test_ipw_grows_its_mixture_only_inside_the_rebuild(monkeypatch):
+    """The bench times ``ipw``'s mixture growth by wrapping
+    ``_mixture_from_batch``.  Over one ``ipw`` run of ``configs/synthetic.json``
+    it is entered once for the empty mixture and then once per ABPW record,
+    and every extension of a mixture happens inside it."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "synthetic.json")
+    ipw = next(d for d in cfg.detectors if d.algorithm == "ipw")
+    calls = {"build": 0, "grown": 0, "inside": False}
+    build, grown = detectors._mixture_from_batch, DentedGaussianMixture._grown
+
+    def counting_build(*args, **kwargs):
+        calls["build"] += 1
+        calls["inside"] = True
+        try:
+            return build(*args, **kwargs)
+        finally:
+            calls["inside"] = False
+
+    def checked_grown(self, *args, **kwargs):
+        assert calls["inside"], "a mixture grew outside _mixture_from_batch"
+        calls["grown"] += 1
+        return grown(self, *args, **kwargs)
+
+    monkeypatch.setattr(detectors, "_mixture_from_batch", counting_build)
+    monkeypatch.setattr(DentedGaussianMixture, "_grown", checked_grown)
+    trace, _, _ = run_cell(cfg, cfg.load_scenes()[0], ipw, derive_seed(cfg.seed, 0))
+    ambiguous = sum(r.kind == "ABPW" for r in trace.records)
+    assert ambiguous > 10
+    assert calls["build"] == 1 + ambiguous
+    assert calls["grown"] == ambiguous

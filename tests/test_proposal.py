@@ -529,3 +529,75 @@ def test_grown_mixture_equals_a_fresh_build():
     assert r1.bit_generator.state == r2.bit_generator.state
     with pytest.raises(ValueError):
         _mixture_from_batch(batch, book, space, _mixture_from_batch(batch[:-2], book, space))
+
+
+def draws(mixture, seed):
+    """30 searches of up to 40 proposals each, and the generator state after them."""
+    rng = np.random.default_rng(seed)
+    return [mixture.sample(rng, 40) for _ in range(30)], rng.bit_generator.state
+
+
+def assert_equals_a_fresh_build(mixture, batch, book, space):
+    fresh = _mixture_from_batch(batch, book, space)
+    assert np.array_equal(mixture.means, fresh.means)
+    assert np.array_equal(mixture.responses, fresh.responses)
+    assert [mixture.density_at(v) for v in space.windows()] == [fresh.density_at(v) for v in space.windows()]
+    assert draws(mixture, len(batch)) == draws(fresh, len(batch))
+
+
+def test_extending_one_mixture_twice_keeps_both_children():
+    """Extensions share their components' arrays, and only the latest mixture
+    of a line writes into them.  Extending one mixture twice with different
+    windows gives two children that each equal a fresh build, and the second
+    extension leaves the first child's draws as they were.  A line grown 70
+    times, through several doublings of its arrays, equals a fresh build of
+    its batch, as a ``sipw`` rebuild makes it, and so does every mixture on
+    the way."""
+    space = PYRAMID
+    book = RegionBook(space)
+    setup = np.random.default_rng(21)
+    mark_cells(book, space, setup.choice(space.window_count, size=200, replace=False))
+    windows = [space.window_at(int(i)) for i in setup.choice(np.flatnonzero(book.flat == 0), 72, replace=False)]
+    batch = list(zip(windows, setup.uniform(-1.5, 0.5, size=72).tolist()))
+
+    line = [_mixture_from_batch([], book, space)]
+    for k in range(1, 71):
+        line.append(_mixture_from_batch(batch[:k], book, space, line[-1]))
+    assert len({id(mixture._parts) for mixture in line}) >= 4  # grown in place between doublings
+    for k in (1, 16, 17, 33, 70):
+        assert_equals_a_fresh_build(line[k], batch[:k], book, space)
+
+    previous = _mixture_from_batch([], book, space)
+    for k in range(1, 6):
+        previous = _mixture_from_batch(batch[:k], book, space, previous)
+    first = _mixture_from_batch(batch[:6], book, space, previous)
+    assert first._parts is previous._parts  # the latest of its line, so filled in place
+    before = draws(first, 3)
+    other = batch[:5] + [batch[71]]
+    second = _mixture_from_batch(other, book, space, previous)
+    assert second._parts is not first._parts
+    assert draws(first, 3) == before
+    assert_equals_a_fresh_build(first, batch[:6], book, space)
+    assert_equals_a_fresh_build(second, other, book, space)
+    assert_equals_a_fresh_build(previous, batch[:5], book, space)
+    # an earlier mixture of the long line, extended again, leaves the line as it was
+    assert_equals_a_fresh_build(_mixture_from_batch(other, book, space, line[5]), other, book, space)
+    assert_equals_a_fresh_build(line[6], batch[:6], book, space)
+
+
+def test_mixture_refuses_what_it_cannot_draw(flat_space):
+    """One weight per component, and every spread finite and positive: the
+    constructor refuses anything else instead of drawing through it."""
+    book = RegionBook(flat_space)
+    means = np.array([[5, 34], [12, 12], [0, 0]])
+    sigma = default_sigma(flat_space)
+    with pytest.raises(ValueError, match="2 components need 2 weights"):
+        DentedGaussianMixture(means, np.array([0.5, 0.3, 0.2]), sigma, book, flat_space)
+    with pytest.raises(ValueError, match="2 components need 2 weights"):
+        DentedGaussianMixture(means, np.array([1.0]), sigma, book, flat_space)
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DentedGaussianMixture(means, np.array([0.5, 0.5]), (1.0, bad, 1.0), book, flat_space)
+    with pytest.raises(ValueError, match="finite and positive"):
+        DentedGaussianMixture(means, np.array([0.5, 0.5]), [[1.0, 1.0], [1.0, -2.0], [1.0, 1.0]], book, flat_space)
+    assert len(DentedGaussianMixture(means, np.array([0.5, 0.5]), sigma, book, flat_space)) == 2
