@@ -93,6 +93,8 @@ class DetectorConfig:
             raise ValueError("mpw_stage_count must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.n_c_star_init is not None and self.n_c_star_init < 1:
+            raise ValueError("n_c_star_init must be >= 1")
         if self.algorithm in ("ipw", "sipw") and self.radius_table is None:
             raise ValueError(f"{self.algorithm} requires a radius_table")
         if self.r_a_x_ratio < 0 or self.r_a_y_ratio < 0:
@@ -249,16 +251,16 @@ def _mixture_from_batch(
     weighted by its normalized response, with the default spread.  An empty
     batch gives the empty mixture.
 
-    ``previous``, the mixture of all but the batch's last window, is
-    extended by that window: it lends its components, and the weights are
+    ``previous``, the mixture of all but the batch's last window on this
+    book, grows by that window in place and is returned; the weights are
     renormalized from all the responses.
     """
     sigma = default_sigma(space)
     if previous is not None:
-        if len(previous) != len(batch) - 1:
-            raise ValueError("previous must be the mixture of all but the last window")
-        w, response = batch[-1]
-        return previous._grown(w, response, sigma, book)
+        if len(previous) != len(batch) - 1 or previous.book is not book:
+            raise ValueError("previous must be the mixture of all but the last window, on this book")
+        previous._add(*batch[-1], sigma)
+        return previous
     windows = [w for w, _ in batch]
     means = np.array([[w.x for w in windows], [w.y for w in windows], [w.s for w in windows]], dtype=np.int64)
     responses = np.array([resp for _, resp in batch], dtype=float)
@@ -281,11 +283,11 @@ def run_mpw(
     trace = RunTrace(config.name, "mpw", seed, space.window_count)
     schedule = schedule_for_budget(config.budget, config.gamma, config.mpw_stage_count)
     book = RegionBook(space)
-    stage: list[tuple[Window, float]] = []
+    sigma = default_sigma(space)
     n_ab = 0
-    for n_draw in schedule:
+    for stage, n_draw in enumerate(schedule):
         if stage:
-            mixture = _mixture_from_batch(stage, book, space)
+            mixture = DentedGaussianMixture(np.stack((x, y, s)), normalize_weights(responses), sigma, book, space)
             x, y, s = draw_gaussian_window(mixture, rng, n_draw)
             source = SOURCE_GAUSSIAN
         else:
@@ -294,7 +296,6 @@ def run_mpw(
         responses, stages = scorer.score_many(space, x, y, s)
         windows = list(map(Window, x.tolist(), y.tolist(), s.tolist()))
         n_ab = _record_batch(trace, config, windows, source, responses, stages, n_ab)
-        stage = list(zip(windows, responses.tolist()))
     return trace
 
 

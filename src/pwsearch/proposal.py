@@ -22,13 +22,13 @@ windows.
 
 Mixture components are centered on previously drawn windows and share one
 spread: one eighth of the template extent in grid cells per spatial axis and
-one pyramid step on the scale axis.  Each mixture, however it grew, tables
-its components' centres on every scale from the space's ``centre`` and
-``grid_at``, one row per component, next to its scale means and spreads.
-An ``ipw`` extension shares these arrays with the mixture it extends, whose
-capacity doubles when full, so adding a component fills one row; only the
-cumulative weights are renormalized over all components.  A Gaussian draw
-reads the tables as they are, a few gathers per group of proposals.
+one pyramid step on the scale axis.  A mixture owns its component arrays,
+one row per component: means, scale means, spreads and each component's
+centre on every scale from the space's ``centre`` and ``grid_at``.  ``ipw``
+keeps one mixture and grows it in place: a new component fills the next
+row, the arrays double their capacity when full, and only the cumulative
+weights are renormalized over all components.  A Gaussian draw reads the
+arrays as they are, a few gathers per group of proposals.
 """
 
 from __future__ import annotations
@@ -120,33 +120,11 @@ class DentedUniform:
         return self.book.free_cell(int(rng.integers(free_count)))
 
 
-class _Components:
-    """Per-component arrays shared along a line of mixtures, each one the
-    last extended by a component: row ``i`` holds component ``i``, and rows
-    from ``fill`` on are spare capacity.  Only a mixture of ``fill``
-    components, the latest of its line, writes the next row in place; the
-    earlier ones never read past their own size."""
-
-    __slots__ = ("means", "responses", "mean_s", "spread", "centres", "fill")
-
-    def __init__(self, capacity: int, scale_count: int):
-        self.means = np.empty((3, capacity), dtype=np.int64)  # rows x, y, s
-        self.responses = np.empty(capacity)
-        self.mean_s = np.empty(capacity)  # the s row as floats
-        self.spread = np.empty((capacity, 3))  # (sx, sy, ss)
-        self.centres = np.empty((capacity, scale_count, 2))  # the mean's centre on each scale's grid
-        self.fill = 0
-
-    def copy(self, size: int, capacity: int) -> _Components:
-        """The first ``size`` rows in new arrays with room for ``capacity``."""
-        new = _Components(capacity, self.centres.shape[1])
-        new.means[:, :size] = self.means[:, :size]
-        new.responses[:size] = self.responses[:size]
-        new.mean_s[:size] = self.mean_s[:size]
-        new.spread[:size] = self.spread[:size]
-        new.centres[:size] = self.centres[:size]
-        new.fill = size
-        return new
+def _with_room(a: np.ndarray, capacity: int) -> np.ndarray:
+    """``a`` copied into a new array of ``capacity`` rows; the rows past it are unset."""
+    room = np.empty((capacity,) + a.shape[1:], dtype=a.dtype)
+    room[: len(a)] = a
+    return room
 
 
 class DentedGaussianMixture:
@@ -155,12 +133,12 @@ class DentedGaussianMixture:
     Built from ``(3, n)`` integer means (rows x, y, s), ``n`` nonnegative
     weights, sigmas (x, y, s) per component ``(3, n)`` or shared ``(3,)``,
     finite and positive, and optionally the ``n`` responses the weights were
-    normalized from, which an extension renormalizes (``responses`` is None
-    without them).  Components live in arrays: cumulative weights, means,
-    spreads and a ``(n, scale_count, 2)`` table of each mean's
-    original-image centre carried onto every scale's grid by ``grid_at``.
-    With ``n = 0`` the mixture is a valid zero density; sampling from it is
-    a caller bug.
+    normalized from, which growth renormalizes (``responses`` is None
+    without them).  Components live in arrays, one row per component:
+    means, float scale means, spreads and a ``(n, scale_count, 2)`` table of
+    each mean's original-image centre carried onto every scale's grid by
+    ``grid_at``, next to the cumulative weights.  With ``n = 0`` the mixture
+    is a valid zero density; sampling from it is a caller bug.
     """
 
     def __init__(
@@ -175,6 +153,8 @@ class DentedGaussianMixture:
         n = means.shape[1]
         if np.shape(weights) != (n,):
             raise ValueError(f"{n} components need {n} weights, got shape {np.shape(weights)}")
+        if responses is not None and np.shape(responses) != (n,):
+            raise ValueError(f"{n} components need {n} responses, got shape {np.shape(responses)}")
         sigma = np.asarray(sigma, dtype=float).reshape(3, -1)
         if not ((sigma > 0.0) & (sigma < math.inf)).all():
             raise ValueError("every spread must be finite and positive")
@@ -186,68 +166,66 @@ class DentedGaussianMixture:
             if total <= 0.0:
                 raise ValueError("component weights must not all be zero")
             cumulative = np.cumsum(weights / total)
-        parts = _Components(n, space.scale_count)
-        parts.fill = n
-        parts.means[:] = means
-        parts.mean_s[:] = means[2]
-        parts.spread[:] = sigma.T
-        gx, gy = space.grid_at(*space.centre(*means), space._scales[:, None])  # (scale_count, n): the faster order
-        parts.centres[:, :, 0], parts.centres[:, :, 1] = gx.T, gy.T
-        if responses is not None:
-            parts.responses[:] = responses
-        self._attach(parts, n, cumulative, responses is not None, book, space)
-
-    def _attach(
-        self,
-        parts: _Components,
-        n: int,
-        cumulative: np.ndarray,
-        has_responses: bool,
-        book: RegionBook,
-        space: SearchSpace,
-    ) -> None:
-        """Take the first ``n`` rows of ``parts`` as this mixture's
-        components and build the tables every search reads."""
         self.book = book
         self.space = space
-        self._parts = parts
         self._size = n
-        self.means = parts.means[:, :n]
-        self.responses = parts.responses[:n] if has_responses else None
         self._cumulative = cumulative
+        self._inner = cumulative[:-1]
+        # The arrays hold exactly n rows, so the first _add moves them to new
+        # ones and the caller's means and responses are never written.
+        self._means = np.asarray(means, dtype=np.int64).T  # row i: component i's (x, y, s)
+        self._responses = None if responses is None else np.asarray(responses, dtype=float)
+        self._mean_s = self._means[:, 2].astype(float)
+        self._spread = np.broadcast_to(sigma.T, (n, 3)).copy()  # row i: (sx, sy, ss)
+        gx, gy = space.grid_at(*space.centre(*means), space._scales[:, None])  # (scale_count, n): the faster order
+        self._centre_table = np.stack((gx.T, gy.T), axis=-1)  # (n, scale_count, 2)
+        self._centres = self._centre_table.reshape(-1, 2)  # row comp * scale_count + s
         self._free_mass = (-1, 0.0)  # (book.free_count, table mass on free cells)
         self._missed = False  # this mixture's last search came up empty (read by _incremental_step)
-        # The search's tables: component indices never reach n, so the
-        # buffers are read whole, whatever a later extension writes past n.
-        self._inner = cumulative[:-1]
-        self._mean_s = parts.mean_s
-        self._spread = parts.spread
-        self._centres = parts.centres.reshape(-1, 2)  # row comp * scale_count + s
 
-    def _grown(self, w: Window, response: float, sigma, book: RegionBook) -> DentedGaussianMixture:
-        """This mixture plus a component at ``w`` with spread ``sigma``, all
-        weights renormalized from the responses by ``normalize_weights``.
+    @property
+    def means(self) -> np.ndarray:
+        """``(3, n)``: the components' means, rows x, y, s."""
+        return self._means[: self._size].T
 
-        The latest mixture of its line fills the next row of the shared
-        arrays, doubling their capacity when full; any other copies its rows
-        first, so an earlier mixture extended twice stays what it was."""
-        if self.responses is None:
-            raise ValueError("a mixture built without responses cannot be extended")
+    @property
+    def responses(self) -> np.ndarray | None:
+        return None if self._responses is None else self._responses[: self._size]
+
+    def _add(self, w: Window, response: float, sigma) -> None:
+        """Grow by a component at ``w`` with spread ``sigma``, all weights
+        renormalized from the responses by ``normalize_weights``.
+
+        The component fills the next row of the arrays, whose capacity
+        doubles when full; a search reads them whole, since it never draws a
+        component index past the size.  The tables built from the old
+        components and the record of the last search go with them."""
+        if self._responses is None:
+            raise ValueError("a mixture built without responses cannot grow")
         space = self.space
         n = self._size
-        parts = self._parts
-        if parts.fill != n or n == parts.means.shape[1]:
-            parts = parts.copy(n, max(2 * n, 16))
-        parts.fill = n + 1
-        parts.means[:, n] = w.x, w.y, w.s
-        parts.responses[n] = response
-        parts.mean_s[n] = w.s
-        parts.spread[n] = sigma
-        parts.centres[n, :, 0], parts.centres[n, :, 1] = space.grid_at(*space.centre(w.x, w.y, w.s), space._scales)
-        weights = normalize_weights(parts.responses[: n + 1])
-        grown = DentedGaussianMixture.__new__(DentedGaussianMixture)
-        grown._attach(parts, n + 1, np.cumsum(weights / weights.sum()), True, book, space)
-        return grown
+        if n == len(self._responses):
+            capacity = max(2 * n, 16)
+            self._means = _with_room(self._means, capacity)
+            self._responses = _with_room(self._responses, capacity)
+            self._mean_s = _with_room(self._mean_s, capacity)
+            self._spread = _with_room(self._spread, capacity)
+            self._centre_table = _with_room(self._centre_table, capacity)
+            self._centres = self._centre_table.reshape(-1, 2)
+        self._means[n] = w.x, w.y, w.s
+        self._responses[n] = response
+        self._mean_s[n] = w.s
+        self._spread[n] = sigma
+        self._centre_table[n, :, 0], self._centre_table[n, :, 1] = space.grid_at(
+            *space.centre(w.x, w.y, w.s), space._scales
+        )
+        self._size = n + 1
+        weights = normalize_weights(self.responses)
+        self._cumulative = np.cumsum(weights / weights.sum())
+        self._inner = self._cumulative[:-1]
+        self.__dict__.pop("_table", None)
+        self._free_mass = (-1, 0.0)
+        self._missed = False
 
     def __len__(self) -> int:
         return self._size
@@ -258,7 +236,7 @@ class DentedGaussianMixture:
         dense index order; it sums to 1."""
         n = self._size
         spread = self._spread[:n]
-        centres = self._parts.centres
+        centres = self._centre_table
         on_scale = _rounded_normal_mass(self._mean_s[:n], spread[:, 2], self.space.scale_count)
         on_scale *= np.diff(self._cumulative, prepend=0.0)
         parts = []
@@ -298,10 +276,11 @@ class DentedGaussianMixture:
         s = np.rint(self._mean_s.take(comp) + z[:, 2]).astype(np.int64)
         s = space._scales.take(s, mode="clip")  # clamped to the pyramid
         xy = np.rint(self._centres.take(comp * space.scale_count + s, axis=0) + z[:, :2]).astype(np.int64)
+        size = space._grid_sizes.take(s, axis=0)
         np.maximum(xy, 0, out=xy)
-        np.minimum(xy, space._grid_last.take(s, axis=0), out=xy)
+        np.minimum(xy, size - 1, out=xy)
         x, y = xy.T
-        return x, y, s, space._offsets.take(s) + y * space._nx_table.take(s) + x
+        return x, y, s, space._offsets.take(s) + y * size[:, 0] + x
 
     def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
         """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.

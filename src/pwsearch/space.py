@@ -102,17 +102,9 @@ class SearchSpace:
         return np.concatenate(([0], np.cumsum(counts)))
 
     @cached_property
-    def _nx_table(self) -> np.ndarray:
-        return np.array([nx for nx, _ in self._per_scale], dtype=np.int64)
-
-    @cached_property
-    def _ny_table(self) -> np.ndarray:
-        return np.array([ny for _, ny in self._per_scale], dtype=np.int64)
-
-    @cached_property
-    def _grid_last(self) -> np.ndarray:
-        """``(scale_count, 2)``: the last x and y cell of every scale's grid."""
-        return np.array(self._per_scale, dtype=np.int64) - 1
+    def _grid_sizes(self) -> np.ndarray:
+        """``(scale_count, 2)``: ``grid_size(s)`` of every scale, (nx, ny) per row."""
+        return np.array(self._per_scale, dtype=np.int64)
 
     @cached_property
     def _scales(self) -> np.ndarray:
@@ -154,14 +146,14 @@ class SearchSpace:
     def coordinates_at(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`window_at` for an integer array of valid dense indices: (x, y, s) arrays."""
         s = np.searchsorted(self._offsets, index, side="right") - 1
-        y, x = np.divmod(index - self._offsets[s], self._nx_table[s])
+        y, x = np.divmod(index - self._offsets[s], self._grid_sizes[s, 0])
         return x, y, s
 
     def contains_many(self, x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
         """:meth:`contains` for equal-length integer coordinate arrays: one flag per window."""
         inside = (s >= 0) & (s < self.scale_count)
-        scale = np.where(inside, s, 0)
-        return inside & (x >= 0) & (x < self._nx_table[scale]) & (y >= 0) & (y < self._ny_table[scale])
+        nx, ny = self._grid_sizes[np.where(inside, s, 0)].T
+        return inside & (x >= 0) & (x < nx) & (y >= 0) & (y < ny)
 
     def grid_coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, y, s) arrays of every window, in the order of :meth:`windows`."""

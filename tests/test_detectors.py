@@ -497,6 +497,9 @@ def test_detector_config_validation(table):
         make_detector("ipw", 100, table, gamma=0.0)
     with pytest.raises(ValueError):
         make_detector("ipw", 100, table, r_a_x_ratio=-0.1)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="n_c_star_init"):
+            make_detector("sipw", 100, table, n_c_star_init=bad)
 
 
 def test_acceptance_radii_floor_to_cells(bench_space, table):
@@ -508,11 +511,11 @@ def test_ipw_grows_its_mixture_only_inside_the_rebuild(monkeypatch):
     """The bench times ``ipw``'s mixture growth by wrapping
     ``_mixture_from_batch``.  Over one ``ipw`` run of ``configs/synthetic.json``
     it is entered once for the empty mixture and then once per ABPW record,
-    and every extension of a mixture happens inside it."""
+    and every growth of the mixture happens inside it."""
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "synthetic.json")
     ipw = next(d for d in cfg.detectors if d.algorithm == "ipw")
-    calls = {"build": 0, "grown": 0, "inside": False}
-    build, grown = detectors._mixture_from_batch, DentedGaussianMixture._grown
+    calls = {"build": 0, "add": 0, "inside": False}
+    build, add = detectors._mixture_from_batch, DentedGaussianMixture._add
 
     def counting_build(*args, **kwargs):
         calls["build"] += 1
@@ -522,15 +525,36 @@ def test_ipw_grows_its_mixture_only_inside_the_rebuild(monkeypatch):
         finally:
             calls["inside"] = False
 
-    def checked_grown(self, *args, **kwargs):
+    def checked_add(self, *args, **kwargs):
         assert calls["inside"], "a mixture grew outside _mixture_from_batch"
-        calls["grown"] += 1
-        return grown(self, *args, **kwargs)
+        calls["add"] += 1
+        return add(self, *args, **kwargs)
 
     monkeypatch.setattr(detectors, "_mixture_from_batch", counting_build)
-    monkeypatch.setattr(DentedGaussianMixture, "_grown", checked_grown)
+    monkeypatch.setattr(DentedGaussianMixture, "_add", checked_add)
     trace, _, _ = run_cell(cfg, cfg.load_scenes()[0], ipw, derive_seed(cfg.seed, 0))
     ambiguous = sum(r.kind == "ABPW" for r in trace.records)
     assert ambiguous > 10
     assert calls["build"] == 1 + ambiguous
-    assert calls["grown"] == ambiguous
+    assert calls["add"] == ambiguous
+
+
+def test_mpw_builds_each_later_stage_through_the_constructor(monkeypatch):
+    """The bench times ``mpw``'s stage builds by wrapping
+    ``DentedGaussianMixture.__init__``.  Over one ``mpw`` run of
+    ``configs/synthetic.json`` it is entered once per stage after the first."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "synthetic.json")
+    mpw = next(d for d in cfg.detectors if d.algorithm == "mpw")
+    sizes = []
+    init = DentedGaussianMixture.__init__
+
+    def counting_init(self, means, *args, **kwargs):
+        sizes.append(means.shape[1])
+        init(self, means, *args, **kwargs)
+
+    monkeypatch.setattr(DentedGaussianMixture, "__init__", counting_init)
+    trace, _, _ = run_cell(cfg, cfg.load_scenes()[0], mpw, derive_seed(cfg.seed, 0))
+    schedule = schedule_for_budget(mpw.budget, mpw.gamma, mpw.mpw_stage_count)
+    assert len(schedule) > 2
+    assert sizes == schedule[:-1]  # each stage's mixture has a component per window of the stage before
+    assert sum(r.source == "GAUSSIAN" for r in trace.records) == sum(schedule[1:])

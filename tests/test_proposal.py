@@ -490,9 +490,9 @@ def test_uniform_free_set_follows_the_book(space):
 
 
 def test_grown_mixture_equals_a_fresh_build():
-    """Extending the mixture by each new ambiguous window equals building it
+    """Growing the mixture by each new ambiguous window equals building it
     from the whole batch: size, density on every cell, draws and generator
-    state, after every one of 30 extensions, and after extending a mixture
+    state, after every one of 30 extensions, and after growing a mixture
     whose last search came up empty."""
     space = PYRAMID
     book = RegionBook(space)
@@ -508,7 +508,7 @@ def test_grown_mixture_equals_a_fresh_build():
         w = space.window_at(int(setup.choice(np.flatnonzero(book.flat == 0))))
         batch.append((w, float(response)))
         book.claim_cell(w)  # as the incremental loop does
-        if len(grown):  # fill the previous mixture's caches for the book as it now is
+        if len(grown):  # fill the mixture's caches for the book as it now is
             grown.density_at(space.window_at(int(np.flatnonzero(book.flat == 0)[0])))
         grown = _mixture_from_batch(batch, book, space, grown)
         fresh = _mixture_from_batch(batch, book, space)
@@ -517,18 +517,24 @@ def test_grown_mixture_equals_a_fresh_build():
         r1, r2 = np.random.default_rng(len(batch)), np.random.default_rng(len(batch))
         assert [grown.sample(r1, 40) for _ in range(30)] == [fresh.sample(r2, 40) for _ in range(30)]
         assert r1.bit_generator.state == r2.bit_generator.state
-    # Every proposal of the previous mixture misses on a book with every cell claimed.
-    full = RegionBook(space)
-    mark_cells(full, space, range(space.window_count))
-    previous = _mixture_from_batch(batch[:-1], full, space)
-    assert previous.sample(np.random.default_rng(0)) is None
+    # Searches of one proposal each, until one lands on a claimed cell.
+    previous = _mixture_from_batch(batch[:-1], book, space)
+    rng = np.random.default_rng(0)
+    assert any(previous.sample(rng, 1) is None for _ in range(1000))
+    assert previous._missed
     grown = _mixture_from_batch(batch, book, space, previous)
+    assert grown is previous and not grown._missed
     fresh = _mixture_from_batch(batch, book, space)
     r1, r2 = np.random.default_rng(0), np.random.default_rng(0)
     assert [grown.sample(r1) for _ in range(30)] == [fresh.sample(r2) for _ in range(30)]
     assert r1.bit_generator.state == r2.bit_generator.state
     with pytest.raises(ValueError):
         _mixture_from_batch(batch, book, space, _mixture_from_batch(batch[:-2], book, space))
+    with pytest.raises(ValueError, match="on this book"):
+        _mixture_from_batch(batch, RegionBook(space), space, _mixture_from_batch(batch[:-1], book, space))
+    bare = DentedGaussianMixture(np.zeros((3, 0), dtype=np.int64), np.zeros(0), default_sigma(space), book, space)
+    with pytest.raises(ValueError, match="without responses"):
+        _mixture_from_batch(batch[:1], book, space, bare)
 
 
 def draws(mixture, seed):
@@ -545,14 +551,10 @@ def assert_equals_a_fresh_build(mixture, batch, book, space):
     assert draws(mixture, len(batch)) == draws(fresh, len(batch))
 
 
-def test_extending_one_mixture_twice_keeps_both_children():
-    """Extensions share their components' arrays, and only the latest mixture
-    of a line writes into them.  Extending one mixture twice with different
-    windows gives two children that each equal a fresh build, and the second
-    extension leaves the first child's draws as they were.  A line grown 70
-    times, through several doublings of its arrays, equals a fresh build of
-    its batch, as a ``sipw`` rebuild makes it, and so does every mixture on
-    the way."""
+def test_a_mixture_grown_through_capacity_doublings_equals_fresh_builds():
+    """A mixture grown 70 times, through several doublings of its arrays,
+    equals a fresh build of its batch, as a ``sipw`` rebuild makes it, on
+    either side of each doubling."""
     space = PYRAMID
     book = RegionBook(space)
     setup = np.random.default_rng(21)
@@ -560,34 +562,17 @@ def test_extending_one_mixture_twice_keeps_both_children():
     windows = [space.window_at(int(i)) for i in setup.choice(np.flatnonzero(book.flat == 0), 72, replace=False)]
     batch = list(zip(windows, setup.uniform(-1.5, 0.5, size=72).tolist()))
 
-    line = [_mixture_from_batch([], book, space)]
+    mixture = _mixture_from_batch([], book, space)
     for k in range(1, 71):
-        line.append(_mixture_from_batch(batch[:k], book, space, line[-1]))
-    assert len({id(mixture._parts) for mixture in line}) >= 4  # grown in place between doublings
-    for k in (1, 16, 17, 33, 70):
-        assert_equals_a_fresh_build(line[k], batch[:k], book, space)
-
-    previous = _mixture_from_batch([], book, space)
-    for k in range(1, 6):
-        previous = _mixture_from_batch(batch[:k], book, space, previous)
-    first = _mixture_from_batch(batch[:6], book, space, previous)
-    assert first._parts is previous._parts  # the latest of its line, so filled in place
-    before = draws(first, 3)
-    other = batch[:5] + [batch[71]]
-    second = _mixture_from_batch(other, book, space, previous)
-    assert second._parts is not first._parts
-    assert draws(first, 3) == before
-    assert_equals_a_fresh_build(first, batch[:6], book, space)
-    assert_equals_a_fresh_build(second, other, book, space)
-    assert_equals_a_fresh_build(previous, batch[:5], book, space)
-    # an earlier mixture of the long line, extended again, leaves the line as it was
-    assert_equals_a_fresh_build(_mixture_from_batch(other, book, space, line[5]), other, book, space)
-    assert_equals_a_fresh_build(line[6], batch[:6], book, space)
+        mixture = _mixture_from_batch(batch[:k], book, space, mixture)
+        if k in (1, 16, 17, 33, 70):
+            assert_equals_a_fresh_build(mixture, batch[:k], book, space)
 
 
 def test_mixture_refuses_what_it_cannot_draw(flat_space):
-    """One weight per component, and every spread finite and positive: the
-    constructor refuses anything else instead of drawing through it."""
+    """One weight per component, one response if any, and every spread
+    finite and positive: the constructor refuses anything else instead of
+    drawing through it."""
     book = RegionBook(flat_space)
     means = np.array([[5, 34], [12, 12], [0, 0]])
     sigma = default_sigma(flat_space)
@@ -600,4 +585,6 @@ def test_mixture_refuses_what_it_cannot_draw(flat_space):
             DentedGaussianMixture(means, np.array([0.5, 0.5]), (1.0, bad, 1.0), book, flat_space)
     with pytest.raises(ValueError, match="finite and positive"):
         DentedGaussianMixture(means, np.array([0.5, 0.5]), [[1.0, 1.0], [1.0, -2.0], [1.0, 1.0]], book, flat_space)
+    with pytest.raises(ValueError, match="2 components need 2 responses"):
+        DentedGaussianMixture(means, np.array([0.5, 0.5]), sigma, book, flat_space, np.array([1.0, 2.0, 3.0]))
     assert len(DentedGaussianMixture(means, np.array([0.5, 0.5]), sigma, book, flat_space)) == 2
