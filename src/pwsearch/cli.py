@@ -112,11 +112,12 @@ def _pick_detector(cfg: LoadedConfig, name: str | None):
 def cmd_run(args) -> int:
     cfg = _load(args)
     detector = _pick_detector(cfg, args.detector)
-    scenes = cfg.load_scenes()
-    if not 0 <= args.scene < len(scenes):
-        raise ConfigError("--scene", f"scene index {args.scene} outside 0..{len(scenes) - 1}")
+    count = len(cfg.scene_files) or cfg.scene_count
+    if not 0 <= args.scene < count:
+        raise ConfigError("--scene", f"scene index {args.scene} outside 0..{count - 1}")
+    [scene] = cfg.load_scenes(only=args.scene)  # the other scenes are neither built nor checked
     seed = derive_seed(cfg.seed, args.scene)
-    trace, detections, metrics = run_cell(cfg, scenes[args.scene], detector, seed)
+    trace, detections, metrics = run_cell(cfg, scene, detector, seed)
 
     out = _outdir(args)
     write_trace_jsonl(out / "trace.jsonl", trace)

@@ -304,14 +304,16 @@ class LoadedConfig:
     cascade_stages: int
     cost_model: CostModel
 
-    def load_scenes(self) -> list[SyntheticScene]:
+    def load_scenes(self, only: int | None = None) -> list[SyntheticScene]:
         """The config's scenes: its files, checked as the module docstring
-        lists, or else freshly generated."""
+        lists, or else freshly generated.  With ``only``, a valid scene
+        index, just that scene: no other file is read and no other scene built."""
         if self.scene_files:
-            return [self._load_scene_file(path) for path in self.scene_files]
+            paths = self.scene_files if only is None else self.scene_files[only : only + 1]
+            return [self._load_scene_file(path) for path in paths]
         assert self.scene_params is not None
         try:
-            return generate_scenes(self.scene_params, self.scene_seed, self.scene_count)
+            return generate_scenes(self.scene_params, self.scene_seed, self.scene_count, only)
         except SceneGenerationError as exc:
             raise ConfigError("scenes.params", str(exc)) from exc
 

@@ -10,10 +10,11 @@ Each output row is defined once: a ``trace.jsonl`` line by ``TRACE_KEYS``,
 derived from ``TraceRecord``'s fields and used by writer and reader alike; a
 ``curves.csv`` row by ``extract_curves``, written by :func:`write_csv` like
 every table; the per-(budget, detector) means of ``compare`` and ``sweep`` by
-``cell_means``.  The writer formats every record line with one ``%`` template,
-built at import from ``TRACE_KEYS`` and the declared types of ``TraceRecord``'s
-and ``Window``'s fields, so a new trace field changes only ``TraceRecord``;
-each line equals ``json.dumps`` of :func:`trace_record_to_dict`.
+``cell_means``.  A record's fields are its line's keys, in line order.  The
+writer formats every record line with one ``%`` template, built at import from
+``TRACE_KEYS`` and the declared types of ``TraceRecord``'s fields, so a new
+trace field changes only ``TraceRecord``; each line equals ``json.dumps`` of
+:func:`trace_record_to_dict`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .detectors import (
     run_sw,
 )
 from .scoring import CascadeScorer, Scorer, SyntheticScene, SyntheticScorer
-from .space import Box, SearchSpace, Window, overlap
+from .space import Box, SearchSpace, overlap
 
 if TYPE_CHECKING:  # config imports this module
     from .config import LoadedConfig
@@ -187,12 +188,13 @@ def _place_target(
     )
 
 
-def generate_scenes(params: SceneParams, master_seed: int, count: int) -> list[SyntheticScene]:
-    """``count`` scenes, each from its own child stream of ``master_seed``."""
+def generate_scenes(params: SceneParams, master_seed: int, count: int, only: int | None = None) -> list[SyntheticScene]:
+    """``count`` scenes, each from its own child stream of ``master_seed``;
+    with ``only``, just the scene of that index (IndexError past ``count``)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     scenes = []
-    for index in range(count):
+    for index in range(count) if only is None else [range(count)[only]]:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, index])))
         placed: list[Box] = []
         objects = []
@@ -434,15 +436,10 @@ def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: li
 # --- serialization -----------------------------------------------------------
 
 
-# A trace line's keys, in file order: ``TraceRecord``'s fields with the window
-# spelled out as its axes, built once so that no record pays for ``fields()``.
-_WINDOW_AXES = tuple(f.name for f in fields(Window))
-_RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
-_WINDOW_AT = _RECORD_FIELDS.index("window")
-_WINDOW_END = _WINDOW_AT + len(_WINDOW_AXES)
-_BEFORE, _AFTER = _RECORD_FIELDS[:_WINDOW_AT], _RECORD_FIELDS[_WINDOW_AT + 1 :]
-TRACE_KEYS = (*_BEFORE, *_WINDOW_AXES, *_AFTER)
-_record_values = attrgetter(*_BEFORE, *(f"window.{axis}" for axis in _WINDOW_AXES), *_AFTER)
+# A trace line's keys, in file order: ``TraceRecord``'s fields, built once so
+# that no record pays for ``fields()``.
+TRACE_KEYS = tuple(f.name for f in fields(TraceRecord))
+_record_values = attrgetter(*TRACE_KEYS)
 _line_values = itemgetter(*TRACE_KEYS)
 _HEADER_KEYS = ("detector", "algorithm", "seed", "window_count")
 
@@ -462,10 +459,9 @@ def _conversion(kind) -> str:
     raise TypeError(f"no trace line conversion for a field of type {kind}")
 
 
-_hints = {**get_type_hints(TraceRecord), **get_type_hints(Window)}
-_kinds = (*map(_hints.get, _BEFORE), *map(_hints.get, _WINDOW_AXES), *map(_hints.get, _AFTER))
+_hints = get_type_hints(TraceRecord)
 # One trace line: the record's values in TRACE_KEYS order, formatted in one pass.
-_LINE = "{" + ", ".join(f'"{key}": {_conversion(kind)}' for key, kind in zip(TRACE_KEYS, _kinds)) + "}\n"
+_LINE = "{" + ", ".join(f'"{key}": {_conversion(_hints[key])}' for key in TRACE_KEYS) + "}\n"
 # ``repr``'s spellings of a None, NaN or infinite value, and JSON's.  In a
 # record line only values follow ": " unquoted, so a replace touches nothing else.
 _JSON_SPELLINGS = ((": None", ": null"), (": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity"))
@@ -478,9 +474,7 @@ def trace_record_to_dict(rec: TraceRecord) -> dict:
 
 
 def _record_from_line(line: str) -> TraceRecord:
-    values = _line_values(json.loads(line))
-    window = Window(*values[_WINDOW_AT:_WINDOW_END])
-    return TraceRecord(*values[:_WINDOW_AT], window, *values[_WINDOW_END:])
+    return TraceRecord(*_line_values(json.loads(line)))
 
 
 def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
@@ -493,15 +487,8 @@ def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
     records = "".join(map(_LINE.__mod__, map(_record_values, trace.records)))
     for python, spelled in _JSON_SPELLINGS:
         records = records.replace(python, spelled)
-    footer = json.dumps(
-        {
-            "complete": trace.complete,
-            "accepted": [
-                {"x": w.x, "y": w.y, "s": w.s, "response": r} for w, r in trace.accepted
-            ],
-            "rebuilds": trace.rebuilds,
-        }
-    )
+    accepted = [{"x": w.x, "y": w.y, "s": w.s, "response": r} for w, r in trace.accepted]
+    footer = json.dumps({"complete": trace.complete, "accepted": accepted, "rebuilds": trace.rebuilds})
     Path(path).write_text(f"{header}\n{records}{footer}\n")
 
 

@@ -202,6 +202,8 @@ class DentedGaussianMixture:
         components and the record of the last search go with them."""
         if self._responses is None:
             raise ValueError("a mixture built without responses cannot grow")
+        if not math.isfinite(response):  # refused before any row is written
+            raise ValueError("responses must be finite")
         space = self.space
         n = self._size
         if n == len(self._responses):

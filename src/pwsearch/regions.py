@@ -253,7 +253,7 @@ def mark_rejection(
     claim nothing.  Raises :class:`ContractViolation` unless
     ``response < t_l``.
     """
-    if response >= t_l:
+    if not response < t_l:
         raise ContractViolation(f"mark_rejection needs response < {t_l}, got {response}")
     radii = table.lookup(response, space.template_w, space.template_h)
     if radii is None:
@@ -279,7 +279,7 @@ def mark_acceptance(
     Returns the number of newly claimed cells.  Raises
     :class:`ContractViolation` unless ``response >= t_h``.
     """
-    if response < t_h:
+    if not response >= t_h:
         raise ContractViolation(f"mark_acceptance needs response >= {t_h}, got {response}")
     if r_a_x < 0 or r_a_y < 0:
         raise ValueError("acceptance radii must be nonnegative")

@@ -732,6 +732,28 @@ def test_scene_files_are_read_relative_to_the_config(tmp_path, monkeypatch):
     assert load_config("cfgs/c/cfg.json").load_scenes() == [scene]
 
 
+def test_run_reads_only_its_own_scene_file(tmp_path):
+    """``run`` reads and checks only the scene it runs; ``validate-config``,
+    ``compare`` and ``sweep`` check every scene, and refuse a config whose
+    second scene's floor lies above ``t_l``."""
+    from pwsearch import Box, SyntheticScene
+
+    for name, floor in (("ok.json", -5.0), ("high_floor.json", -1.0)):
+        scene = SyntheticScene(80, 60, ((Box(40.0, 30.0, 16.0, 24.0), 2.0),), (), floor=floor, sharpness=3.0)
+        scene.save(tmp_path / name)
+    cfg = tiny_config()
+    cfg["scenes"] = {"files": ["ok.json", "high_floor.json"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    run = ["run", "--config", str(path), "--quiet", "--out", str(tmp_path / "out")]
+    assert main([*run, "--scene", "0"]) == EXIT_OK
+    assert main([*run, "--scene", "1"]) == EXIT_CONFIG
+    assert main([*run, "--scene", "2"]) == EXIT_CONFIG
+    assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+    for command in ("compare", "sweep"):
+        assert main([command, "--config", str(path), "--quiet", "--out", str(tmp_path / command)]) == EXIT_CONFIG
+
+
 def test_config_file_not_mutated(config_path, tmp_path):
     before = config_path.read_bytes()
     main(["compare", "--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet"])

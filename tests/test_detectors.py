@@ -220,7 +220,7 @@ def reference_mpw(space, scorer, config, seed):
             n_ab += kind == "ABPW"
             stage.append((w, response))
             i = len(records) + 1
-            records.append(TraceRecord(i, w, response, kind, source, 0, 0, n_ab, None, n_stages))
+            records.append(TraceRecord(i, w.x, w.y, w.s, response, kind, source, 0, 0, n_ab, None, n_stages))
     return records, accepted, rng
 
 
@@ -466,7 +466,7 @@ def test_detections_from_trace_applies_suppression(bench_space):
     w3 = Window(60, 30, 0)
     trace = RunTrace("t", "ipw", 0, bench_space.window_count)
     for i, (w, response) in enumerate([(w1, 1.2), (w2, 2.0), (w3, 0.8)], start=1):
-        trace.records.append(TraceRecord(i, w, response, "APW", "UNIFORM", 0, i, 0, 1.0, 0))
+        trace.records.append(TraceRecord(i, w.x, w.y, w.s, response, "APW", "UNIFORM", 0, i, 0, 1.0, 0))
     got = detections_from_trace(bench_space, trace, nms_threshold=0.5)
     assert got == (
         (bench_space.to_box(w2), 2.0),

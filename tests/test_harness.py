@@ -5,7 +5,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -95,7 +95,7 @@ def test_hit_probability_agrees_with_simulation(rng):
 def flat_trace(n, stages=0):
     trace = RunTrace("t", "ipw", 0, 1000)
     trace.records = [
-        TraceRecord(i + 1, Window(0, 0, 0), -3.0, "RPW", "UNIFORM", i, 0, 0, 0.2, stages)
+        TraceRecord(i + 1, 0, 0, 0, -3.0, "RPW", "UNIFORM", i, 0, 0, 0.2, stages)
         for i in range(n)
     ]
     return trace
@@ -198,6 +198,15 @@ def test_generate_scenes_deterministic(params):
     assert a == b
     c = generate_scenes(params, master_seed=6, count=6)
     assert a != c
+
+
+def test_one_generated_scene_is_built_alone_from_its_stream(params):
+    """``only`` builds just that scene, equal to the same index of the full set."""
+    scenes = generate_scenes(params, master_seed=5, count=6)
+    for index in range(6):
+        assert generate_scenes(params, master_seed=5, count=6, only=index) == [scenes[index]]
+    with pytest.raises(IndexError):
+        generate_scenes(params, master_seed=5, count=6, only=6)
 
 
 def test_generate_scenes_counts_and_peaks(params):
@@ -396,9 +405,13 @@ def test_summaries_shape():
 def test_trace_jsonl_round_trip(run, tmp_path, bench_space, bench_scenes, bench_table):
     """Every detector's trace comes back equal: ``sw`` and ``mpw`` with a
     ``null`` ``p_uniform``, ``sipw`` with its rebuilds.  The budget is
-    ``configs/synthetic.json``'s, at which every sampler here accepts."""
+    ``configs/synthetic.json``'s, at which every sampler here accepts.  Every
+    record holds its window as Python ints, from which ``window`` is built."""
     config = make_detector(run.__name__.removeprefix("run_"), 410, bench_table)
     trace = run(bench_space, build_scorer(bench_scenes[1]), config, seed=31)
+    for rec in trace.records:
+        assert type(rec.x) is type(rec.y) is type(rec.s) is int
+        assert rec.window == Window(rec.x, rec.y, rec.s)
     assert (trace.records[0].p_uniform is None) == (config.algorithm in ("sw", "mpw"))
     assert bool(trace.rebuilds) == (config.algorithm == "sipw")
     assert trace.accepted or config.algorithm == "mpw"
@@ -424,6 +437,17 @@ def test_trace_jsonl_round_trip(run, tmp_path, bench_space, bench_scenes, bench_
     assert back == trace
 
 
+def test_a_record_is_its_trace_line():
+    """A record's fields are its trace line's keys, in line order, and
+    ``replace(rec, window=w)`` moves the record and keeps every other field."""
+    assert [f.name for f in fields(TraceRecord)] == list(harness.TRACE_KEYS)
+    rec = TraceRecord(4, 1, 2, 0, -0.5, KIND_AMBIGUOUS, SOURCE_GAUSSIAN, 7, 3, 2, 0.25, 0)
+    moved = replace(rec, window=Window(9, 8, 1))
+    assert moved == TraceRecord(4, 9, 8, 1, -0.5, KIND_AMBIGUOUS, SOURCE_GAUSSIAN, 7, 3, 2, 0.25, 0)
+    assert moved.window == Window(9, 8, 1)
+    assert replace(moved, window=rec.window) == rec
+
+
 def _write_records(path, records) -> list[str]:
     """The record lines ``write_trace_jsonl`` writes for ``records``."""
     write_trace_jsonl(path, RunTrace("probe", "ipw", 2**40, 2**33, records, complete=True, rebuilds=[3]))
@@ -440,7 +464,9 @@ def test_trace_lines_are_json_dumps_of_their_records(tmp_path):
     records = [
         TraceRecord(
             2**31 + i,
-            Window(i, 2**32 + i, i % 3),
+            i,
+            2**32 + i,
+            i % 3,
             response,
             kind,
             source,
@@ -464,7 +490,7 @@ def test_trace_lines_spell_non_finite_responses_as_json_does(tmp_path):
     reads back as the same value."""
     responses = [math.nan, math.inf, -math.inf]
     records = [
-        TraceRecord(i + 1, Window(i, 0, 0), r, KIND_REJECTED, SOURCE_UNIFORM, 0, 0, 0, 0.5, 0)
+        TraceRecord(i + 1, i, 0, 0, r, KIND_REJECTED, SOURCE_UNIFORM, 0, 0, 0, 0.5, 0)
         for i, r in enumerate(responses)
     ]
     path = tmp_path / "trace.jsonl"

@@ -569,6 +569,24 @@ def test_a_mixture_grown_through_capacity_doublings_equals_fresh_builds():
             assert_equals_a_fresh_build(mixture, batch[:k], book, space)
 
 
+def test_a_refused_extension_leaves_the_mixture_as_it_was():
+    """``_add`` refuses a non-finite response before it writes a row: the
+    size, means, responses, densities and a seeded draw stay as they were,
+    also when the arrays are full and the next row would double them."""
+    space = PYRAMID
+    book = RegionBook(space)
+    batch = [(Window(3, 4, 0), -0.5), (Window(10, 2, 1), -1.5)]
+    mixture = _mixture_from_batch(batch, book, space)
+    sigma = default_sigma(space)
+    before = [mixture.density_at(v) for v in space.windows()], draws(mixture, 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mixture._add(Window(6, 6, 1), bad, sigma)
+        assert len(mixture) == 2
+        assert_equals_a_fresh_build(mixture, batch, book, space)
+        assert ([mixture.density_at(v) for v in space.windows()], draws(mixture, 5)) == before
+
+
 def test_mixture_refuses_what_it_cannot_draw(flat_space):
     """One weight per component, one response if any, and every spread
     finite and positive: the constructor refuses anything else instead of

@@ -216,12 +216,14 @@ def test_row_free_counts_match_a_recount(rng):
 
 
 def test_mark_rejection_needs_low_response(pyramid):
+    """NaN fails every comparison, so it is refused too, and claims nothing;
+    it would otherwise fall into interval 0, the widest radius."""
     book = RegionBook(pyramid)
     table = table_from([(NEG_INF, 0.25, 0.25)], active=1)
-    with pytest.raises(ContractViolation):
-        mark_rejection(book, pyramid, Window(6, 6, 1), -2.0, table, t_l=-2.0)
-    with pytest.raises(ContractViolation):
-        mark_rejection(book, pyramid, Window(6, 6, 1), 1.0, table, t_l=-2.0)
+    for response in (-2.0, 1.0, float("nan")):
+        with pytest.raises(ContractViolation):
+            mark_rejection(book, pyramid, Window(6, 6, 1), response, table, t_l=-2.0)
+    assert book.n_rejected == 0 and not book.flat.any()
 
 
 def test_mark_rejection_own_scale_extent(pyramid):
@@ -280,8 +282,10 @@ def test_subtract_interval_shortens_the_reach(pyramid):
 
 def test_mark_acceptance_contract_and_extent(pyramid):
     book = RegionBook(pyramid)
-    with pytest.raises(ContractViolation):
-        mark_acceptance(book, pyramid, Window(6, 6, 1), -0.5, 2, 2, t_h=0.0)
+    for response in (-0.5, float("nan")):
+        with pytest.raises(ContractViolation):
+            mark_acceptance(book, pyramid, Window(6, 6, 1), response, 2, 2, t_h=0.0)
+    assert book.n_accepted == 0 and not book.flat.any()
     n = mark_acceptance(book, pyramid, Window(6, 6, 1), 1.5, 2, 2, t_h=0.0)
     assert n == 25
     assert book.n_accepted == 25
