@@ -4,6 +4,7 @@ from .detectors import (
     DetectorConfig,
     RunTrace,
     TraceRecord,
+    TraceRecords,
     mpw_schedule,
     nms,
     run_ipw,
@@ -66,6 +67,7 @@ __all__ = [
     "SyntheticScene",
     "SyntheticScorer",
     "TraceRecord",
+    "TraceRecords",
     "Window",
     "cost_estimate",
     "evaluate",

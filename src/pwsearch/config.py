@@ -25,6 +25,8 @@ image size, the scene's own rules (every peak above the floor) and, under the
 synthetic scorer, every detector's ``t_l`` (the floor must lie below it, as
 for generated scenes).  Under the cascade scorer every response lies in
 [0, 1], so each detector's ``t_l`` must exceed 0 and its ``t_h`` be at most 1.
+An ``ipw`` or ``sipw`` radius interval must lie below the detector's ``t_l``,
+the only responses that are rejected and read the table.
 Each ``sweep_t_h`` point loads as the detector ``sweep`` runs for it, the
 first detector with that ``t_h``, and is checked by the same rules as every
 detector: above ``t_l`` and, under the cascade scorer, at most 1.

@@ -21,12 +21,20 @@ Four detectors share a trace format:
 
 Classification against (t_l, t_h) splits draws into rejected / ambiguous /
 accepted trace kinds (RPW / ABPW / APW).
+
+A trace holds its records as columns, one list per :class:`TraceRecord` field
+(:class:`TraceRecords`).  ``sw`` and ``mpw`` classify a scored batch in numpy
+and extend each column by one list, and the incremental detectors append one
+value per column per step, so no run builds a ``TraceRecord``; indexing or
+iterating the records builds them for a reader that wants rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -95,8 +103,15 @@ class DetectorConfig:
             raise ValueError("n_max must be >= 1")
         if self.n_c_star_init is not None and self.n_c_star_init < 1:
             raise ValueError("n_c_star_init must be >= 1")
-        if self.algorithm in ("ipw", "sipw") and self.radius_table is None:
-            raise ValueError(f"{self.algorithm} requires a radius_table")
+        if self.algorithm in ("ipw", "sipw"):
+            if self.radius_table is None:
+                raise ValueError(f"{self.algorithm} requires a radius_table")
+            for k, iv in enumerate(self.radius_table.intervals):
+                if iv.lower >= self.t_l:  # only a response below t_l is rejected and reads the table
+                    raise ValueError(
+                        f"radius_table.intervals[{k}].lower = {iv.lower} is not below t_l = {self.t_l}, "
+                        "so no rejection reads that interval"
+                    )
         if self.r_a_x_ratio < 0 or self.r_a_y_ratio < 0:
             raise ValueError("acceptance ratios must be nonnegative")
 
@@ -145,22 +160,95 @@ class TraceRecord:
         return Window(self.x, self.y, self.s)
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
+# A record's values, or a TraceRecords' columns, in field order.
+_field_values = operator.attrgetter(*_RECORD_FIELDS)
+
+
+class TraceRecords(Sequence):
+    """A run's records as columns: one list per :class:`TraceRecord` field,
+    an attribute of the field's name.  Indexing or iterating builds a
+    ``TraceRecord`` on demand, slicing gives a ``TraceRecords`` of sliced
+    columns, and ``records[k] = rec`` and ``append`` write a record's values
+    into the columns.  The detectors extend the columns directly, so a run
+    builds no ``TraceRecord``.  Equal to another ``TraceRecords`` or to a list
+    of the same records."""
+
+    __slots__ = _RECORD_FIELDS
+
+    def __init__(self, rows: Iterable[TraceRecord] = ()):
+        for name in _RECORD_FIELDS:
+            setattr(self, name, [])
+        for rec in rows:
+            self.append(rec)
+
+    @classmethod
+    def from_columns(cls, columns: Iterable[list]) -> TraceRecords:
+        """Records over ``columns``, one list per field in field order; the lists are not copied."""
+        records = cls.__new__(cls)
+        for name, column in zip(_RECORD_FIELDS, columns, strict=True):
+            setattr(records, name, column)
+        return records
+
+    columns = property(_field_values, doc="The column lists, in field order.")
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return TraceRecords.from_columns([column[k] for column in self.columns])
+        return TraceRecord(*[column[k] for column in self.columns])
+
+    def __setitem__(self, k: int, rec: TraceRecord) -> None:
+        k = operator.index(k)
+        for column, value in zip(self.columns, _field_values(rec)):
+            column[k] = value
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(TraceRecord, *self.columns)
+
+    def append(self, rec: TraceRecord) -> None:
+        for column, value in zip(self.columns, _field_values(rec)):
+            column.append(value)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TraceRecords):
+            return self.columns == other.columns
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TraceRecords({list(self)!r})"
+
+
 @dataclass
 class RunTrace:
-    """Everything one detector run produced, in draw order."""
+    """Everything one detector run produced, in draw order.  ``records`` given
+    as a list of records is stored as :class:`TraceRecords`."""
 
     detector: str
     algorithm: str
     seed: int | None
     window_count: int
-    records: list[TraceRecord] = field(default_factory=list)
+    records: TraceRecords = field(default_factory=TraceRecords)
     complete: bool = False  # free cells ran out before the budget did
     rebuilds: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, TraceRecords):
+            self.records = TraceRecords(self.records)
 
     @property
     def accepted(self) -> list[tuple[Window, float]]:
         """The accepted windows and their responses, in draw order."""
-        return [(r.window, r.response) for r in self.records if r.kind == KIND_ACCEPTED]
+        r = self.records
+        return [
+            (Window(x, y, s), response)
+            for x, y, s, response, kind in zip(r.x, r.y, r.s, r.response, r.kind)
+            if kind == KIND_ACCEPTED
+        ]
 
 
 def nms(candidates: list[tuple[Box, float]], threshold: float = 0.5) -> list[tuple[Box, float]]:
@@ -204,6 +292,11 @@ def schedule_for_budget(budget: int, gamma: float, stages: int) -> list[int]:
     return [n for n in sched if n > 0]
 
 
+# A window's kind by 1 + accepted - rejected: the constants themselves, so a
+# batch's kind column shares them.
+_KINDS = np.array([KIND_REJECTED, KIND_AMBIGUOUS, KIND_ACCEPTED], dtype=object)
+
+
 def _classify(response: float, config: DetectorConfig) -> str:
     if response < config.t_l:
         return KIND_REJECTED
@@ -227,17 +320,29 @@ def _record_batch(
     stages: np.ndarray,
     n_ab: int,
 ) -> int:
-    """Classify a batch scored at the arrays ``x, y, s`` and append its records,
-    which hold the coordinates as ints, after the trace's last one; returns the
-    running count of ambiguous windows.  No cell is marked: counters stay 0."""
-    i = len(trace.records)
-    for wx, wy, ws, response, n_stages in zip(x.tolist(), y.tolist(), s.tolist(), responses.tolist(), stages.tolist()):
-        i += 1
-        kind = _classify(response, config)
-        if kind == KIND_AMBIGUOUS:
-            n_ab += 1
-        trace.records.append(TraceRecord(i, wx, wy, ws, response, kind, source, 0, 0, n_ab, None, n_stages))
-    return n_ab
+    """Classify a batch scored at the arrays ``x, y, s`` and extend the trace's
+    columns by it, the coordinates as ints; returns the running count of
+    ambiguous windows.  Classified as :func:`_classify` does, a NaN response as
+    ambiguous.  No cell is marked: counters stay 0."""
+    n = len(responses)
+    rejected = responses < config.t_l
+    accepted = responses >= config.t_h
+    ambiguous = ~(rejected | accepted)
+    r = trace.records
+    first = len(r) + 1
+    r.i.extend(range(first, first + n))
+    r.x.extend(x.tolist())
+    r.y.extend(y.tolist())
+    r.s.extend(s.tolist())
+    r.response.extend(responses.tolist())
+    r.kind.extend(_KINDS[1 + accepted - rejected].tolist())
+    r.source.extend([source] * n)
+    r.n_rejected.extend([0] * n)
+    r.n_accepted.extend([0] * n)
+    r.n_ambiguous.extend((np.cumsum(ambiguous) + n_ab).tolist())
+    r.p_uniform.extend([None] * n)
+    r.stages_evaluated.extend(stages.tolist())
+    return n_ab + int(np.count_nonzero(ambiguous))
 
 
 def run_sw(
@@ -370,9 +475,10 @@ def _incremental_step(
     else:
         state.ambiguous.append((w, response))
 
-    record = TraceRecord(i, w.x, w.y, w.s, response, kind, source, state.book.n_rejected, state.book.n_accepted,
-                         len(state.ambiguous), p_uniform, n_stages)
-    trace.records.append(record)
+    values = (i, w.x, w.y, w.s, response, kind, source, state.book.n_rejected, state.book.n_accepted,
+              len(state.ambiguous), p_uniform, n_stages)
+    for column, value in zip(trace.records.columns, values):
+        column.append(value)
     return kind == KIND_AMBIGUOUS
 
 

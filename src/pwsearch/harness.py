@@ -10,11 +10,16 @@ Each output row is defined once: a ``trace.jsonl`` line by ``TRACE_KEYS``,
 derived from ``TraceRecord``'s fields and used by writer and reader alike; a
 ``curves.csv`` row by ``extract_curves``, written by :func:`write_csv` like
 every table; the per-(budget, detector) means of ``compare`` and ``sweep`` by
-``cell_means``.  A record's fields are its line's keys, in line order.  The
-writer formats every record line with one ``%`` template, built at import from
-``TRACE_KEYS`` and the declared types of ``TraceRecord``'s fields, so a new
-trace field changes only ``TraceRecord``; each line equals ``json.dumps`` of
-:func:`trace_record_to_dict`.
+``cell_means``.  A record's fields are its line's keys, in line order.  A
+run's records are columns, one list per field (:class:`TraceRecords`), and
+everything here reads the columns: the cost, the curves, the cut at a smaller
+budget, the writer and the reader, so ``run`` and ``compare`` build no
+``TraceRecord``.  The writer formats every record line with one ``%``
+template, built at import from ``TRACE_KEYS`` and the declared types of
+``TraceRecord``'s fields, and fills it with each row of the columns, so a new
+trace field changes only ``TraceRecord`` and the two places that record it
+(``_record_batch`` and ``_incremental_step``); each line equals ``json.dumps``
+of :func:`trace_record_to_dict`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, get_type_hints
 
@@ -36,6 +41,7 @@ from .detectors import (
     DetectorConfig,
     RunTrace,
     TraceRecord,
+    TraceRecords,
     detections_from_trace,
     run_ipw,
     run_mpw,
@@ -83,9 +89,8 @@ class CostModel:
 
 def cost_estimate(trace: RunTrace, model: CostModel = CostModel()) -> float:
     total = model.t_w
-    for rec in trace.records:
-        stages = rec.stages_evaluated if rec.stages_evaluated > 0 else 1
-        total += model.t_f + model.t_c * stages
+    for stages in trace.records.stages_evaluated:
+        total += model.t_f + model.t_c * (stages if stages > 0 else 1)
     return total
 
 
@@ -225,20 +230,23 @@ def extract_curves(trace: RunTrace) -> list[dict]:
     and ``gaussian_draws`` count the draws from each source so far."""
     rows = []
     uniform = gaussian = 0
-    for rec in trace.records:
-        if rec.source == SOURCE_UNIFORM:
+    r = trace.records
+    for i, source, n_rejected, n_accepted, n_ambiguous, p_uniform in zip(
+        r.i, r.source, r.n_rejected, r.n_accepted, r.n_ambiguous, r.p_uniform
+    ):
+        if source == SOURCE_UNIFORM:
             uniform += 1
-        elif rec.source == SOURCE_GAUSSIAN:
+        elif source == SOURCE_GAUSSIAN:
             gaussian += 1
         rows.append(
             {
-                "i": rec.i,
-                "n_rejected": rec.n_rejected,
-                "n_accepted": rec.n_accepted,
-                "n_free": trace.window_count - rec.n_rejected - rec.n_accepted,
-                "n_ambiguous": rec.n_ambiguous,
-                "p_uniform": rec.p_uniform,
-                "p_gaussian": None if rec.p_uniform is None else 1.0 - rec.p_uniform,
+                "i": i,
+                "n_rejected": n_rejected,
+                "n_accepted": n_accepted,
+                "n_free": trace.window_count - n_rejected - n_accepted,
+                "n_ambiguous": n_ambiguous,
+                "p_uniform": p_uniform,
+                "p_gaussian": None if p_uniform is None else 1.0 - p_uniform,
                 "uniform_draws": uniform,
                 "gaussian_draws": gaussian,
             }
@@ -439,7 +447,6 @@ def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: li
 # A trace line's keys, in file order: ``TraceRecord``'s fields, built once so
 # that no record pays for ``fields()``.
 TRACE_KEYS = tuple(f.name for f in fields(TraceRecord))
-_record_values = attrgetter(*TRACE_KEYS)
 _line_values = itemgetter(*TRACE_KEYS)
 _HEADER_KEYS = ("detector", "algorithm", "seed", "window_count")
 
@@ -470,21 +477,17 @@ _JSON_SPELLINGS = ((": None", ": null"), (": nan", ": NaN"), (": inf", ": Infini
 def trace_record_to_dict(rec: TraceRecord) -> dict:
     """A record as the dict its trace line spells; ``json.dumps`` of it is the
     reference that the ``_LINE`` writer is tested against."""
-    return dict(zip(TRACE_KEYS, _record_values(rec)))
-
-
-def _record_from_line(line: str) -> TraceRecord:
-    return TraceRecord(*_line_values(json.loads(line)))
+    return asdict(rec)
 
 
 def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
     """Header line, then one line per draw, then a footer with the outcome.
 
-    Each record line is ``_LINE`` filled with the record's values, and equals
-    ``json.dumps(trace_record_to_dict(rec))``; header and footer are
-    ``json.dumps`` of their dicts."""
+    Each record line is ``_LINE`` filled with one row of the record columns,
+    and equals ``json.dumps(trace_record_to_dict(rec))``; header and footer
+    are ``json.dumps`` of their dicts."""
     header = json.dumps({key: getattr(trace, key) for key in _HEADER_KEYS})
-    records = "".join(map(_LINE.__mod__, map(_record_values, trace.records)))
+    records = "".join(map(_LINE.__mod__, zip(*trace.records.columns)))
     for python, spelled in _JSON_SPELLINGS:
         records = records.replace(python, spelled)
     accepted = [{"x": w.x, "y": w.y, "s": w.s, "response": r} for w, r in trace.accepted]
@@ -516,14 +519,15 @@ def read_trace_jsonl(path: str | Path) -> RunTrace:
         number = 1
         header = json.loads(lines[0])
         fields = {key: header[key] for key in _HEADER_KEYS}
-        records = []
+        rows = []
         for number, line in enumerate(lines[1:-1], start=2):
-            records.append(_record_from_line(line))
+            rows.append(_line_values(json.loads(line)))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         what = "not the footer line; the file was cut short" if number == len(lines) else "not a trace line"
         raise TraceFormatError(f"line {number} is {what} ({type(exc).__name__}: {exc})") from exc
-    if not records:
+    if not rows:
         raise TraceFormatError("trace file has no records")
+    records = TraceRecords.from_columns(map(list, zip(*rows)))
     return RunTrace(**fields, records=records, complete=complete, rebuilds=rebuilds)
 
 

@@ -94,6 +94,20 @@ def test_validate_shipped_configs(capsys):
     assert out.count("ok:") == 3
 
 
+def test_a_radius_interval_no_rejection_reads_is_refused(tmp_path, capsys):
+    """Only a response below ``t_l`` is rejected, so only such a response
+    reads the radius table: an ``ipw`` or ``sipw`` interval whose lower bound
+    is at or above ``t_l`` is refused by name, with exit 2."""
+    for algorithm, t_l, k, lower in (("ipw", -2.5, 6, -2.5), ("sipw", -3.2, 5, -3.0)):
+        cfg = tiny_config()
+        cfg["detectors"][0].update(algorithm=algorithm, t_l=t_l)
+        path = tmp_path / f"{algorithm}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: detectors[0]: radius_table.intervals[{k}].lower = {lower} is not below t_l = {t_l}" in err
+
+
 def test_integral_floats_load_as_integers(tmp_path):
     """A schema-valid ``24.0`` in an integer field runs like ``24``."""
     cfg = json.loads((CONFIGS_DIR / "synthetic.json").read_text())

@@ -1,6 +1,8 @@
 """Detector loops: full scan, staged mixture, and the incremental pair."""
 
+import itertools
 import math
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,8 @@ from pwsearch import (
 )
 from pwsearch import detectors
 from pwsearch.config import load_config
-from pwsearch.detectors import TraceRecord, detections_from_trace, schedule_for_budget
-from pwsearch.harness import build_scorer, derive_seed, run_cell, run_detector
+from pwsearch.detectors import TraceRecord, TraceRecords, detections_from_trace, schedule_for_budget
+from pwsearch.harness import build_scorer, derive_seed, extract_curves, run_cell, run_detector, write_trace_jsonl
 from pwsearch.proposal import default_sigma, draw_gaussian_window, mixture_weights
 from pwsearch.scoring import normalize_weights
 
@@ -479,6 +481,112 @@ def test_detections_from_empty_trace(bench_space):
     assert detections_from_trace(bench_space, trace) == ()
 
 
+# --- trace records ----------------------------------------------------------
+
+
+def test_record_batch_classifies_as_classify_does():
+    """``_record_batch``'s array classification gives ``_classify``'s kind for
+    responses below, at and above ``t_l`` and ``t_h``, for +-inf and for NaN
+    (ambiguous), and its ``n_ambiguous`` runs on across two batches, as it
+    does across ``mpw``'s stages.  The kind column holds the kind constants
+    themselves."""
+    config = DetectorConfig(name="sw", algorithm="sw", t_l=-2.0, t_h=0.0)
+    edges = [-math.inf, -3.0, math.nextafter(-2.0, -math.inf), -2.0, math.nextafter(-2.0, math.inf), -1.0]
+    edges += [math.nextafter(0.0, -math.inf), 0.0, -0.0, 5e-324, 1.0, math.inf, math.nan]
+    batches = [np.array(edges), np.array([math.nan, -1.0, 2.0, -5.0, math.nan, -0.5])]
+    trace = RunTrace("sw", "sw", None, 100)
+    n_ab = 0
+    for responses in batches:
+        n = len(responses)
+        coords = np.arange(n, dtype=np.int64)
+        stages = np.full(n, 3, dtype=np.int64)
+        n_ab = detectors._record_batch(trace, config, coords, coords, coords, "SCAN", responses, stages, n_ab)
+    responses = [r for batch in batches for r in batch.tolist()]
+    kinds = [detectors._classify(r, config) for r in responses]
+    assert kinds[len(edges) - 1] == "ABPW"  # the NaN
+    records = trace.records
+    assert records.kind == kinds
+    constants = (detectors.KIND_REJECTED, detectors.KIND_AMBIGUOUS, detectors.KIND_ACCEPTED)
+    assert all(any(k is c for c in constants) for k in records.kind)
+    running = list(itertools.accumulate(k == "ABPW" for k in kinds))
+    assert records.n_ambiguous == running
+    assert n_ab == running[-1] == kinds.count("ABPW")
+    assert records.i == list(range(1, len(responses) + 1))
+    assert all(type(v) is int for v in records.x + records.n_ambiguous + records.stages_evaluated)
+    assert records.p_uniform == [None] * len(responses)
+
+
+def _records(n=5):
+    return [TraceRecord(i + 1, i, 2 * i, i % 2, -0.5 * i, "RPW", "UNIFORM", i, 0, 0, 0.25, 0) for i in range(n)]
+
+
+def test_trace_records_are_a_sequence_of_records():
+    rows = _records()
+    records = TraceRecords(rows)
+    assert len(records) == 5 and records and not TraceRecords()
+    assert records[0] == rows[0] and records[-1] == rows[-1] and records[2] == rows[2]
+    assert list(records) == rows
+    with pytest.raises(IndexError):
+        records[5]
+    head = records[1:3]
+    assert isinstance(head, TraceRecords) and head == rows[1:3]
+    assert records[::-1] == rows[::-1]
+    assert records == rows and rows == records and records == TraceRecords(rows)
+    assert records != rows[:4] and records != rows[::-1] and records != tuple(rows)
+    assert records.columns == tuple(map(list, zip(*map(astuple, rows))))
+    assert records.response == [r.response for r in rows]
+
+
+def test_trace_records_write_through_to_their_columns():
+    rows = _records()
+    records = TraceRecords(rows)
+    records[1] = replace(records[1], window=records[0].window)
+    assert (records.x[1], records.y[1], records.s[1]) == (rows[0].x, rows[0].y, rows[0].s)
+    assert records[1] == replace(rows[1], window=rows[0].window)
+    records[-1] = replace(records[-1], response=9.0)
+    assert records.response[-1] == 9.0
+    extra = TraceRecord(6, 1, 1, 0, 1.5, "APW", "GAUSSIAN", 9, 1, 0, 0.25, 2)
+    records.append(extra)
+    assert len(records) == 6 and records[5] == extra and records.kind[-1] == "APW"
+    with pytest.raises(TypeError):
+        records[0:2] = rows[:2]
+
+
+def test_a_run_trace_stores_a_list_of_records_as_columns():
+    rows = _records()
+    trace = RunTrace("t", "ipw", 0, 100, rows)
+    assert isinstance(trace.records, TraceRecords) and trace.records == rows
+    cut = replace(trace, records=rows[:2])
+    assert isinstance(cut.records, TraceRecords) and cut.records == rows[:2]
+    assert isinstance(RunTrace("t", "ipw", 0, 100).records, TraceRecords)
+    assert RunTrace("t", "ipw", 0, 100).records is not RunTrace("t", "ipw", 0, 100).records
+
+
+def test_sw_and_mpw_build_no_record_on_the_run_path(monkeypatch, tmp_path):
+    """A run, its trace file and its curves read the columns: ``sw`` and
+    ``mpw`` construct no ``TraceRecord`` in ``run_cell``, ``write_trace_jsonl``
+    or ``extract_curves``."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "synthetic.json")
+    scene = cfg.load_scenes()[0]
+    built = []
+    init = TraceRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecord, "__init__", counting_init)
+    for detector in cfg.detectors:
+        if detector.algorithm not in ("sw", "mpw"):
+            continue
+        trace, detections, metrics = run_cell(cfg, scene, detector, derive_seed(cfg.seed, 0))
+        write_trace_jsonl(tmp_path / f"{detector.name}.jsonl", trace)
+        rows = extract_curves(trace)
+        assert len(rows) == len(trace.records) == metrics.windows_used > 0
+    assert built == []
+    assert TraceRecords(_records(2))[0] and len(built) == 3  # the counter counts
+
+
 # --- config validation ------------------------------------------------------
 
 
@@ -500,6 +608,14 @@ def test_detector_config_validation(table):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="n_c_star_init"):
             make_detector("sipw", 100, table, n_c_star_init=bad)
+    # table bounds -inf, -4.9, ..., -3.0, -2.5: a rejection reads one only below t_l
+    for algorithm in ("ipw", "sipw"):
+        with pytest.raises(ValueError, match=r"intervals\[6\]\.lower = -2.5 is not below t_l = -2.5"):
+            make_detector(algorithm, 100, table, t_l=-2.5)
+        with pytest.raises(ValueError, match=r"intervals\[5\]\.lower = -3.0 is not below t_l = -3.2"):
+            make_detector(algorithm, 100, table, t_l=-3.2)
+        make_detector(algorithm, 100, table, t_l=math.nextafter(-2.5, 0.0))
+    make_detector("mpw", 100, table, t_l=-2.5)  # mpw reads no table
 
 
 def test_acceptance_radii_floor_to_cells(bench_space, table):

@@ -17,6 +17,7 @@ from pwsearch import (
     SearchSpace,
     SyntheticScene,
     TraceRecord,
+    TraceRecords,
     Window,
     cost_estimate,
     evaluate,
@@ -93,12 +94,8 @@ def test_hit_probability_agrees_with_simulation(rng):
 
 
 def flat_trace(n, stages=0):
-    trace = RunTrace("t", "ipw", 0, 1000)
-    trace.records = [
-        TraceRecord(i + 1, 0, 0, 0, -3.0, "RPW", "UNIFORM", i, 0, 0, 0.2, stages)
-        for i in range(n)
-    ]
-    return trace
+    records = [TraceRecord(i + 1, 0, 0, 0, -3.0, "RPW", "UNIFORM", i, 0, 0, 0.2, stages) for i in range(n)]
+    return RunTrace("t", "ipw", 0, 1000, records)
 
 
 def test_cost_flat_scorer():
@@ -428,6 +425,7 @@ def test_trace_jsonl_round_trip(run, tmp_path, bench_space, bench_scenes, bench_
     assert len(footer["accepted"]) == len(trace.accepted)
 
     back = read_trace_jsonl(path)
+    assert isinstance(back.records, TraceRecords)
     assert (back.detector, back.algorithm, back.seed, back.window_count) == (
         trace.detector, trace.algorithm, trace.seed, trace.window_count
     )
