@@ -4,7 +4,8 @@ Subcommands: ``run`` (one detector, one scene, full trace), ``compare``
 (detector grid over shared scenes with paired seeds), ``sweep`` (operating
 points by sweeping the acceptance threshold), ``curves`` (per-iteration
 series from a stored trace), ``validate-config``.  Exit codes: 0 on success,
-2 for configuration problems, 3 for runtime failures.
+2 for configuration problems, 3 for runtime failures; with ``--debug`` a
+failure re-raises its exception instead, traceback and all.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ def _parser() -> argparse.ArgumentParser:
         if name in ("compare", "sweep"):
             cmd.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes for the runs")
         cmd.add_argument("--quiet", action="store_true", help="suppress progress output")
+        cmd.add_argument("--debug", action="store_true", help="re-raise an error with its traceback")
         if name == "run":
             cmd.add_argument("--detector", default=None, help="detector name (default: first)")
             cmd.add_argument("--scene", type=int, default=0, help="scene index (default 0)")
@@ -210,9 +212,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.subcommand](args)
     except ConfigError as exc:
+        if args.debug:
+            raise
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

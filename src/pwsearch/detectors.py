@@ -475,10 +475,19 @@ def _incremental_step(
     else:
         state.ambiguous.append((w, response))
 
-    values = (i, w.x, w.y, w.s, response, kind, source, state.book.n_rejected, state.book.n_accepted,
-              len(state.ambiguous), p_uniform, n_stages)
-    for column, value in zip(trace.records.columns, values):
-        column.append(value)
+    r = trace.records
+    r.i.append(i)
+    r.x.append(w.x)
+    r.y.append(w.y)
+    r.s.append(w.s)
+    r.response.append(response)
+    r.kind.append(kind)
+    r.source.append(source)
+    r.n_rejected.append(state.book.n_rejected)
+    r.n_accepted.append(state.book.n_accepted)
+    r.n_ambiguous.append(len(state.ambiguous))
+    r.p_uniform.append(p_uniform)
+    r.stages_evaluated.append(n_stages)
     return kind == KIND_AMBIGUOUS
 
 

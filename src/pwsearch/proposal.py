@@ -27,8 +27,15 @@ one row per component: means, scale means, spreads and each component's
 centre on every scale from the space's ``centre`` and ``grid_at``.  ``ipw``
 keeps one mixture and grows it in place: a new component fills the next
 row, the arrays double their capacity when full, and only the cumulative
-weights are renormalized over all components.  A Gaussian draw reads the
-arrays as they are, a few gathers per group of proposals.
+weights are renormalized over all components.  The renormalization shifts
+the responses by their running minimum and makes ``normalize_weights``'
+operations in its order, so a grown mixture equals a fresh build bit for
+bit without checking its stored responses again; the constructor refuses
+a non-finite weight or response, so every stored one is finite.  A
+Gaussian draw reads the arrays as they are, a few gathers per group of
+proposals, with each proposal clamped to its scale's last cell from a
+per-scale table on the space.  FREE is 0, so a group's first FREE proposal
+is the first minimum of its cells' states: one ``argmin``.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import RegionBook, RegionKind
-from .scoring import normalize_weights
 from .space import SearchSpace, Window
 
 
@@ -130,14 +136,15 @@ def _with_room(a: np.ndarray, capacity: int) -> np.ndarray:
 class DentedGaussianMixture:
     """Weighted Gaussians around ambiguity windows, zeroed on claimed cells.
 
-    Built from ``(3, n)`` integer means (rows x, y, s), ``n`` nonnegative
-    weights, sigmas (x, y, s) per component ``(3, n)`` or shared ``(3,)``,
-    finite and positive, and optionally the ``n`` responses the weights were
-    normalized from, which growth renormalizes (``responses`` is None
-    without them).  Components live in arrays, one row per component:
-    means, float scale means, spreads and a ``(n, scale_count, 2)`` table of
-    each mean's original-image centre carried onto every scale's grid by
-    ``grid_at``, next to the cumulative weights.  With ``n = 0`` the mixture
+    Built from ``(3, n)`` integer means (rows x, y, s), ``n`` finite,
+    nonnegative weights, sigmas (x, y, s) per component ``(3, n)`` or shared
+    ``(3,)``, finite and positive, and optionally the ``n`` finite responses
+    the weights were normalized from, which growth renormalizes
+    (``responses`` is None without them).  Components live in arrays, one
+    row per component: means, float scale means, spreads and a
+    ``(n, scale_count, 2)`` table of each mean's original-image centre
+    carried onto every scale's grid by ``grid_at``, next to the cumulative
+    weights.  With ``n = 0`` the mixture
     is a valid zero density; sampling from it is a caller bug.
     """
 
@@ -158,10 +165,12 @@ class DentedGaussianMixture:
         sigma = np.asarray(sigma, dtype=float).reshape(3, -1)
         if not ((sigma > 0.0) & (sigma < math.inf)).all():
             raise ValueError("every spread must be finite and positive")
+        if responses is not None and not np.isfinite(responses).all():
+            raise ValueError("responses must be finite")
         cumulative = np.zeros(0)
         if n:
-            if np.any(weights < 0.0):
-                raise ValueError("component weights must be nonnegative")
+            if not ((weights >= 0.0) & (weights < math.inf)).all():
+                raise ValueError("component weights must be finite and nonnegative")
             total = weights.sum()
             if total <= 0.0:
                 raise ValueError("component weights must not all be zero")
@@ -175,6 +184,8 @@ class DentedGaussianMixture:
         # ones and the caller's means and responses are never written.
         self._means = np.asarray(means, dtype=np.int64).T  # row i: component i's (x, y, s)
         self._responses = None if responses is None else np.asarray(responses, dtype=float)
+        # The responses' running minimum, which _add shifts them by.
+        self._low = float(self._responses.min()) if n and responses is not None else math.inf
         self._mean_s = self._means[:, 2].astype(float)
         self._spread = np.broadcast_to(sigma.T, (n, 3)).copy()  # row i: (sx, sy, ss)
         gx, gy = space.grid_at(*space.centre(*means), space._scales[:, None])  # (scale_count, n): the faster order
@@ -194,11 +205,14 @@ class DentedGaussianMixture:
 
     def _add(self, w: Window, response: float, sigma) -> None:
         """Grow by a component at ``w`` with spread ``sigma``, all weights
-        renormalized from the responses by ``normalize_weights``.
+        renormalized from the responses as ``normalize_weights`` does.
 
         The component fills the next row of the arrays, whose capacity
         doubles when full; a search reads them whole, since it never draws a
-        component index past the size.  The tables built from the old
+        component index past the size.  The weights are renormalized in
+        ``normalize_weights``' operations and order, bit for bit, from the
+        running minimum of the responses, which are all finite: the stored
+        ones are never checked again.  The tables built from the old
         components and the record of the last search go with them."""
         if self._responses is None:
             raise ValueError("a mixture built without responses cannot grow")
@@ -218,12 +232,21 @@ class DentedGaussianMixture:
         self._responses[n] = response
         self._mean_s[n] = w.s
         self._spread[n] = sigma
-        self._centre_table[n, :, 0], self._centre_table[n, :, 1] = space.grid_at(
-            *space.centre(w.x, w.y, w.s), space._scales
-        )
-        self._size = n + 1
-        weights = normalize_weights(self.responses)
-        self._cumulative = np.cumsum(weights / weights.sum())
+        # grid_at's operations on every scale, with the zoom table itself as its zooms
+        cx, cy = space.centre(w.x, w.y, w.s)
+        zoom = space._zoom_table
+        row = self._centre_table[n]
+        row[:, 0] = (cx / zoom - space.template_w * 0.5) / space.stride
+        row[:, 1] = (cy / zoom - space.template_h * 0.5) / space.stride
+        self._size = n = n + 1
+        if response < self._low:
+            self._low = response
+        shifted = self._responses[:n]
+        if self._low < 0.0:
+            shifted = shifted - self._low
+        total = shifted.sum()
+        weights = shifted / total if total > 0.0 else np.full(n, 1.0 / n)
+        self._cumulative = (weights / weights.sum()).cumsum()
         self._inner = self._cumulative[:-1]
         self.__dict__.pop("_table", None)
         self._free_mass = (-1, 0.0)
@@ -263,7 +286,8 @@ class DentedGaussianMixture:
         return float(table[self.space.index_of(w)] / mass) if mass > 0.0 else 0.0
 
     def _propose(self, rng: np.random.Generator, count: int):
-        """``(x, y, s, index)``: ``count`` undented proposals in one pass.
+        """``(xy, s, index)``: ``count`` undented proposals in one pass, as a
+        ``(count, 2)`` array of grid cells, their scales and dense indices.
         ``rng.random(count)`` picks each proposal's component and the row of
         ``rng.standard_normal((count, 3))`` (x, y, s) is quantized around its
         mean, the scale first, then the position in that scale's grid, each
@@ -278,30 +302,31 @@ class DentedGaussianMixture:
         s = np.rint(self._mean_s.take(comp) + z[:, 2]).astype(np.int64)
         s = space._scales.take(s, mode="clip")  # clamped to the pyramid
         xy = np.rint(self._centres.take(comp * space.scale_count + s, axis=0) + z[:, :2]).astype(np.int64)
-        size = space._grid_sizes.take(s, axis=0)
         np.maximum(xy, 0, out=xy)
-        np.minimum(xy, size - 1, out=xy)
-        x, y = xy.T
-        return x, y, s, space._offsets.take(s) + y * size[:, 0] + x
+        np.minimum(xy, space._last_cells.take(s, axis=0), out=xy)
+        index = space._offsets.take(s) + xy[:, 1] * space._grid_sizes[:, 0].take(s) + xy[:, 0]
+        return xy, s, index
 
     def sample(self, rng: np.random.Generator, n_max: int = 1000) -> Window | None:
         """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.
 
         Proposals come from :meth:`_propose`, as in
         :func:`draw_gaussian_window`, in groups of ``_BATCH``, then twice as
-        many each time up to ``_GROUP_CAP``, and the first free one wins.
+        many each time up to ``_GROUP_CAP``, and the first free one wins: FREE
+        is 0, so it is the first minimum of the group's cell states.
         ``_missed`` records whether this search came up empty.
         """
         flat = self.book.flat
         start, size = 0, _BATCH
         while start < n_max:
             count = min(size, n_max - start)
-            x, y, s, index = self._propose(rng, count)
-            free = flat.take(index) == 0
-            j = int(free.argmax())
-            if free[j]:
+            xy, s, index = self._propose(rng, count)
+            states = flat.take(index)
+            j = states.argmin()
+            if not states[j]:
                 self._missed = False
-                return Window(int(x[j]), int(y[j]), int(s[j]))
+                x, y = xy[j].tolist()
+                return Window(x, y, int(s[j]))
             start += count
             size = min(2 * size, _GROUP_CAP)
         self._missed = True
@@ -316,5 +341,5 @@ def draw_gaussian_window(
     """``count`` draws from the mixture's undented proposal law, as
     ``(x, y, s)`` arrays, in one pass of :meth:`DentedGaussianMixture._propose`;
     on a book never marked, the law ``density_at`` reports."""
-    x, y, s, _ = mixture._propose(rng, count)
-    return x, y, s
+    xy, s, _ = mixture._propose(rng, count)
+    return xy[:, 0], xy[:, 1], s

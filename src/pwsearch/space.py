@@ -107,6 +107,12 @@ class SearchSpace:
         return np.array(self._per_scale, dtype=np.int64)
 
     @cached_property
+    def _last_cells(self) -> np.ndarray:
+        """``(scale_count, 2)``: the last grid cell ``(nx - 1, ny - 1)`` of every
+        scale, where a proposal's position is clamped."""
+        return self._grid_sizes - 1
+
+    @cached_property
     def _scales(self) -> np.ndarray:
         """Every scale index: maps one point onto all scales at once, and its
         ``take(..., mode="clip")`` clamps an array of scales onto the pyramid."""

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from pwsearch.cli import EXIT_CONFIG, EXIT_OK, main
+from pwsearch.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from pwsearch.config import ConfigError
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -379,6 +380,26 @@ def test_missing_config_file(tmp_path):
         main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path), "--quiet"])
         == EXIT_CONFIG
     )
+
+
+def test_debug_reraises_what_the_exit_codes_report(config_path, tmp_path, capsys):
+    """Without ``--debug`` a failure prints its message and exits 2 or 3;
+    with it, every subcommand re-raises the exception itself."""
+    absent = str(tmp_path / "absent.json")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")  # a file where the output directory should go
+    for argv, code, error in (
+        (["run", "--config", absent], EXIT_CONFIG, ConfigError),
+        (["compare", "--config", absent], EXIT_CONFIG, ConfigError),
+        (["sweep", "--config", absent], EXIT_CONFIG, ConfigError),
+        (["curves", "--trace", absent], EXIT_CONFIG, ConfigError),
+        (["validate-config", "--config", absent], EXIT_CONFIG, ConfigError),
+        (["run", "--config", str(config_path), "--out", str(blocker)], EXIT_RUNTIME, FileExistsError),
+    ):
+        assert main([*argv, "--quiet"]) == code, argv
+        assert "error: " in capsys.readouterr().err
+        with pytest.raises(error):
+            main([*argv, "--quiet", "--debug"])
 
 
 def test_unreadable_config_or_scene_file_is_config_error(tmp_path, capsys):

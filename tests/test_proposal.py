@@ -569,6 +569,34 @@ def test_a_mixture_grown_through_capacity_doublings_equals_fresh_builds():
             assert_equals_a_fresh_build(mixture, batch[:k], book, space)
 
 
+@pytest.mark.parametrize(
+    "responses",
+    [
+        [-1.5] * 20,  # the shift leaves a zero total, so the weights go uniform
+        [0.0] * 20,  # nothing to shift and a zero total: uniform again
+        [0.5, 0.0, 0.2, 0.9, -0.3, 0.4, 0.1, -2.0, 0.7, 0.0],  # the minimum drops below zero, then lower
+        [-0.7],  # a single component
+    ],
+    ids=["equal-negative", "all-zero", "nonnegative-prefix", "single"],
+)
+def test_a_mixture_grown_through_degenerate_batches_equals_fresh_builds(responses):
+    """``_add`` renormalizes from a running minimum without
+    ``normalize_weights``, so it must reproduce that function's branches
+    bit for bit: after every extension the cumulative weights, the density
+    on every cell and the seeded draws equal a fresh build's."""
+    space = PYRAMID
+    book = RegionBook(space)
+    setup = np.random.default_rng(31)
+    windows = [space.window_at(int(i)) for i in setup.choice(space.window_count, len(responses), replace=False)]
+    batch = list(zip(windows, responses))
+    mixture = _mixture_from_batch([], book, space)
+    for k in range(1, len(batch) + 1):
+        mixture = _mixture_from_batch(batch[:k], book, space, mixture)
+        assert len(mixture) == k
+        assert np.array_equal(mixture._cumulative, _mixture_from_batch(batch[:k], book, space)._cumulative)
+        assert_equals_a_fresh_build(mixture, batch[:k], book, space)
+
+
 def test_a_refused_extension_leaves_the_mixture_as_it_was():
     """``_add`` refuses a non-finite response before it writes a row: the
     size, means, responses, densities and a seeded draw stay as they were,
@@ -588,9 +616,9 @@ def test_a_refused_extension_leaves_the_mixture_as_it_was():
 
 
 def test_mixture_refuses_what_it_cannot_draw(flat_space):
-    """One weight per component, one response if any, and every spread
-    finite and positive: the constructor refuses anything else instead of
-    drawing through it."""
+    """One finite, nonnegative weight per component, one finite response
+    each if any, and every spread finite and positive: the constructor
+    refuses anything else instead of drawing through it."""
     book = RegionBook(flat_space)
     means = np.array([[5, 34], [12, 12], [0, 0]])
     sigma = default_sigma(flat_space)
@@ -605,4 +633,13 @@ def test_mixture_refuses_what_it_cannot_draw(flat_space):
         DentedGaussianMixture(means, np.array([0.5, 0.5]), [[1.0, 1.0], [1.0, -2.0], [1.0, 1.0]], book, flat_space)
     with pytest.raises(ValueError, match="2 components need 2 responses"):
         DentedGaussianMixture(means, np.array([0.5, 0.5]), sigma, book, flat_space, np.array([1.0, 2.0, 3.0]))
+    # A NaN weight would draw where density_at reports 0, an infinite one
+    # gives a NaN cumulative table, and a NaN response would let a later
+    # _add write its row and then fail.
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DentedGaussianMixture(means, np.array([0.5, bad]), sigma, book, flat_space)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="responses must be finite"):
+            DentedGaussianMixture(means, np.array([0.5, 0.5]), sigma, book, flat_space, np.array([bad, 2.0]))
     assert len(DentedGaussianMixture(means, np.array([0.5, 0.5]), sigma, book, flat_space)) == 2
