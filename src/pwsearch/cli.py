@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, LoadedConfig, load_config
+from .detectors import KIND_ACCEPTED
 from .harness import (
     TraceFormatError,
     cell_means,
@@ -130,7 +131,7 @@ def cmd_run(args) -> int:
         "scene": args.scene,
         "seed": seed,
         "windows_used": metrics.windows_used,
-        "accepted": len(trace.accepted),
+        "accepted": trace.records.kind.count(KIND_ACCEPTED),
         "detections": len(detections),
         "detection_rate": metrics.detection_rate,
         "fppi": metrics.fppi,
@@ -165,17 +166,14 @@ def cmd_sweep(args) -> int:
     budget = cfg.detectors[0].budget
     results = run_experiment(replace(cfg, detectors=cfg.sweep, budgets=(budget,)), scenes, args.jobs)
     means = cell_means(results)
-    rows = [
-        {
-            "t_h": point.t_h,
-            "detection_rate": means[budget, point.name]["detection_rate"],
-            "fppi": means[budget, point.name]["fppi"],
-        }
-        for point in cfg.sweep
-    ]
+    points = {
+        "t_h": [point.t_h for point in cfg.sweep],
+        "detection_rate": [means[budget, point.name]["detection_rate"] for point in cfg.sweep],
+        "fppi": [means[budget, point.name]["fppi"] for point in cfg.sweep],
+    }
     out = _outdir(args)
-    write_csv(out / "operating_points.csv", rows)
-    _say(args, f"sweep: {len(rows)} operating points for {cfg.detectors[0].name} -> {out}")
+    write_csv(out / "operating_points.csv", points)
+    _say(args, f"sweep: {len(cfg.sweep)} operating points for {cfg.detectors[0].name} -> {out}")
     return EXIT_OK
 
 

@@ -43,7 +43,6 @@ from .proposal import (
     DentedUniform,
     default_sigma,
     draw_gaussian_window,
-    mixture_weights,
 )
 from .regions import (
     NO_PROPAGATION,
@@ -508,8 +507,8 @@ def run_ipw(
     state = _IncrementalState(book, DentedUniform(book, space), _mixture_from_batch([], book, space), [])
 
     for i in range(1, config.budget + 1):
-        weights = mixture_weights(config.alpha, book.n_rejected, book.n_accepted, space.window_count)
-        new_ambiguous = _incremental_step(state, space, scorer, config, rng, i, weights.p_uniform, trace)
+        p_uniform = config.alpha * (1.0 - (book.n_rejected + book.n_accepted) / space.window_count)
+        new_ambiguous = _incremental_step(state, space, scorer, config, rng, i, p_uniform, trace)
         if trace.complete:
             break
         if new_ambiguous:
@@ -543,9 +542,7 @@ def run_sipw(
         if not trace.rebuilds:
             p_uniform = 1.0
         else:
-            p_uniform = mixture_weights(
-                config.alpha, book.n_rejected, book.n_accepted, space.window_count
-            ).p_uniform
+            p_uniform = config.alpha * (1.0 - (book.n_rejected + book.n_accepted) / space.window_count)
         _incremental_step(state, space, scorer, config, rng, i, p_uniform, trace)
         if trace.complete:
             break

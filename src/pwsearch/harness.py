@@ -6,30 +6,33 @@ so differences come from the algorithms alone.  Serialized outputs carry no
 wall-clock or environment state: rerunning a seed reproduces them byte for
 byte.
 
-Each output row is defined once: a ``trace.jsonl`` line by ``TRACE_KEYS``,
-derived from ``TraceRecord``'s fields and used by writer and reader alike; a
-``curves.csv`` row by ``extract_curves``, written by :func:`write_csv` like
-every table; the per-(budget, detector) means of ``compare`` and ``sweep`` by
-``cell_means``.  A record's fields are its line's keys, in line order.  A
-run's records are columns, one list per field (:class:`TraceRecords`), and
-everything here reads the columns: the cost, the curves, the cut at a smaller
-budget, the writer and the reader, so ``run`` and ``compare`` build no
-``TraceRecord``.  The writer formats every record line with one ``%``
+Each output is defined once: a ``trace.jsonl`` line by ``TRACE_KEYS``,
+derived from ``TraceRecord``'s fields and used by writer and reader alike;
+``curves.csv``'s columns by ``extract_curves``; the per-(budget, detector)
+means of ``compare`` and ``sweep`` by ``cell_means``.  A record's fields are
+its line's keys, in line order.  A run's records are columns, one list per
+field (:class:`TraceRecords`), and everything here reads the columns: the
+cost, the curves, the cut at a smaller budget, the writer and the reader, so
+``run`` and ``compare`` build no ``TraceRecord``.  The writer spells each
+float column once, as ``json.dumps`` spells its values, and fills one ``%``
 template, built at import from ``TRACE_KEYS`` and the declared types of
-``TraceRecord``'s fields, and fills it with each row of the columns, so a new
-trace field changes only ``TraceRecord`` and the two places that record it
-(``_record_batch`` and ``_incremental_step``); each line equals ``json.dumps``
-of :func:`trace_record_to_dict`.
+``TraceRecord``'s fields, with each row of the columns, so a new trace field
+changes only ``TraceRecord`` and the two places that record it
+(``_record_batch`` and ``_incremental_step``); each line equals
+``json.dumps`` of :func:`trace_record_to_dict`.  Every table is a dict of
+equal-length columns, which :func:`write_csv` writes row by row.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, truediv
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, get_type_hints
 
@@ -225,33 +228,24 @@ def generate_scenes(params: SceneParams, master_seed: int, count: int, only: int
     return scenes
 
 
-def extract_curves(trace: RunTrace) -> list[dict]:
-    """The rows of ``curves.csv``, one per iteration of a trace; ``uniform_draws``
-    and ``gaussian_draws`` count the draws from each source so far."""
-    rows = []
-    uniform = gaussian = 0
+def extract_curves(trace: RunTrace) -> dict[str, list]:
+    """``curves.csv``'s columns, one value per iteration of a trace;
+    ``uniform_draws`` and ``gaussian_draws`` count the draws from each source
+    so far.  The columns copied from the trace are its own lists."""
     r = trace.records
-    for i, source, n_rejected, n_accepted, n_ambiguous, p_uniform in zip(
-        r.i, r.source, r.n_rejected, r.n_accepted, r.n_ambiguous, r.p_uniform
-    ):
-        if source == SOURCE_UNIFORM:
-            uniform += 1
-        elif source == SOURCE_GAUSSIAN:
-            gaussian += 1
-        rows.append(
-            {
-                "i": i,
-                "n_rejected": n_rejected,
-                "n_accepted": n_accepted,
-                "n_free": trace.window_count - n_rejected - n_accepted,
-                "n_ambiguous": n_ambiguous,
-                "p_uniform": p_uniform,
-                "p_gaussian": None if p_uniform is None else 1.0 - p_uniform,
-                "uniform_draws": uniform,
-                "gaussian_draws": gaussian,
-            }
-        )
-    return rows
+    count = trace.window_count
+    return {
+        "i": r.i,
+        "n_rejected": r.n_rejected,
+        "n_accepted": r.n_accepted,
+        "n_free": [count - rejected - accepted for rejected, accepted in zip(r.n_rejected, r.n_accepted)],
+        "n_ambiguous": r.n_ambiguous,
+        "p_uniform": r.p_uniform,
+        "p_gaussian": [None if p is None else 1.0 - p for p in r.p_uniform],
+        # initial=0 keeps the counts ints: a bare accumulate would start with a bool
+        "uniform_draws": list(accumulate(map(SOURCE_UNIFORM.__eq__, r.source), initial=0))[1:],
+        "gaussian_draws": list(accumulate(map(SOURCE_GAUSSIAN.__eq__, r.source), initial=0))[1:],
+    }
 
 
 # --- scorers and single runs -------------------------------------------------
@@ -418,27 +412,26 @@ def cell_means(results: list[RunResult]) -> dict[tuple[int, str], dict[str, floa
     }
 
 
-def summarize_rates(results: list[RunResult], detectors: list[str], budgets: list[int]) -> list[dict]:
-    """Mean detection rate per (budget, detector), one row per budget."""
+def summarize_rates(results: list[RunResult], detectors: list[str], budgets: list[int]) -> dict[str, list]:
+    """Mean detection rate per (budget, detector): a budget column, then one column per detector."""
     means = cell_means(results)
-    return [{"budget": b, **{name: means[b, name]["detection_rate"] for name in detectors}} for b in budgets]
+    rates = {name: [means[b, name]["detection_rate"] for b in budgets] for name in detectors}
+    return {"budget": list(budgets), **rates}
 
 
-def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: list[int]) -> list[dict]:
-    """Mean windows/cost per detector plus ratios against the first detector."""
+def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: list[int]) -> dict[str, list]:
+    """Mean windows/cost per detector plus ratios against the first detector,
+    one column each, one value per budget."""
     means = cell_means(results)
     base = detectors[0]
-    rows = []
-    for budget in budgets:
-        row: dict = {"budget": budget}
-        for name in detectors:
-            row[f"windows:{name}"] = means[budget, name]["windows_used"]
-            row[f"cost:{name}"] = means[budget, name]["cost"]
-        for name in detectors[1:]:
-            row[f"windows_ratio:{name}/{base}"] = row[f"windows:{name}"] / row[f"windows:{base}"]
-            row[f"cost_ratio:{name}/{base}"] = row[f"cost:{name}"] / row[f"cost:{base}"]
-        rows.append(row)
-    return rows
+    table: dict[str, list] = {"budget": list(budgets)}
+    for name in detectors:
+        table[f"windows:{name}"] = [means[b, name]["windows_used"] for b in budgets]
+        table[f"cost:{name}"] = [means[b, name]["cost"] for b in budgets]
+    for name in detectors[1:]:
+        table[f"windows_ratio:{name}/{base}"] = list(map(truediv, table[f"windows:{name}"], table[f"windows:{base}"]))
+        table[f"cost_ratio:{name}/{base}"] = list(map(truediv, table[f"cost:{name}"], table[f"cost:{base}"]))
+    return table
 
 
 # --- serialization -----------------------------------------------------------
@@ -449,29 +442,39 @@ def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: li
 TRACE_KEYS = tuple(f.name for f in fields(TraceRecord))
 _line_values = itemgetter(*TRACE_KEYS)
 _HEADER_KEYS = ("detector", "algorithm", "seed", "window_count")
+_FLOAT_KINDS = (float, float | None)
 
 
 def _conversion(kind) -> str:
     """The ``%`` conversion that writes a field of declared type ``kind`` as
-    ``json.dumps`` does: ``repr`` is ``float.__repr__`` for a float, and
-    ``_JSON_SPELLINGS`` turns the few values that ``repr`` spells otherwise
-    into JSON.  The kind and source strings are plain ASCII constants, so
-    quoting them is all the escaping they need."""
-    if kind is int:
-        return "%d"
+    ``json.dumps`` does.  ``str`` of an int is its JSON spelling, and a float
+    field's column comes spelled by :func:`_spell_floats`.  The kind and
+    source strings are plain ASCII constants, so quoting them is all the
+    escaping they need."""
     if kind is str:
         return '"%s"'
-    if kind in (float, float | None):
-        return "%r"
+    if kind is int or kind in _FLOAT_KINDS:
+        return "%s"
     raise TypeError(f"no trace line conversion for a field of type {kind}")
 
 
 _hints = get_type_hints(TraceRecord)
 # One trace line: the record's values in TRACE_KEYS order, formatted in one pass.
 _LINE = "{" + ", ".join(f'"{key}": {_conversion(_hints[key])}' for key in TRACE_KEYS) + "}\n"
-# ``repr``'s spellings of a None, NaN or infinite value, and JSON's.  In a
-# record line only values follow ": " unquoted, so a replace touches nothing else.
-_JSON_SPELLINGS = ((": None", ": null"), (": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity"))
+_FLOAT_FIELDS = frozenset(key for key in TRACE_KEYS if _hints[key] in _FLOAT_KINDS)
+
+
+def _spell_floats(column: list) -> list[str]:
+    """Each value of a float column as ``json.dumps`` spells it: by
+    ``float.__repr__`` when every value is a finite float, ``null`` for a
+    column of ``None``, and value by value otherwise (NaN, an infinity, a
+    ``None`` among floats, an int or a bool).  A finite column whose sum
+    overflows is spelled value by value too, which spells it the same."""
+    try:
+        spelled = list(map(float.__repr__, column))  # TypeError: a None, an int or a bool
+    except TypeError:
+        return ["null"] * len(column) if column.count(None) == len(column) else list(map(json.dumps, column))
+    return spelled if math.isfinite(sum(column)) else list(map(json.dumps, column))
 
 
 def trace_record_to_dict(rec: TraceRecord) -> dict:
@@ -484,12 +487,15 @@ def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
     """Header line, then one line per draw, then a footer with the outcome.
 
     Each record line is ``_LINE`` filled with one row of the record columns,
-    and equals ``json.dumps(trace_record_to_dict(rec))``; header and footer
-    are ``json.dumps`` of their dicts."""
+    the float columns spelled once each by :func:`_spell_floats`, and equals
+    ``json.dumps(trace_record_to_dict(rec))``; header and footer are
+    ``json.dumps`` of their dicts."""
     header = json.dumps({key: getattr(trace, key) for key in _HEADER_KEYS})
-    records = "".join(map(_LINE.__mod__, zip(*trace.records.columns)))
-    for python, spelled in _JSON_SPELLINGS:
-        records = records.replace(python, spelled)
+    columns = [
+        _spell_floats(column) if key in _FLOAT_FIELDS else column
+        for key, column in zip(TRACE_KEYS, trace.records.columns)
+    ]
+    records = "".join(map(_LINE.__mod__, zip(*columns)))
     accepted = [{"x": w.x, "y": w.y, "s": w.s, "response": r} for w, r in trace.accepted]
     footer = json.dumps({"complete": trace.complete, "accepted": accepted, "rebuilds": trace.rebuilds})
     Path(path).write_text(f"{header}\n{records}{footer}\n")
@@ -536,24 +542,17 @@ def write_results_jsonl(path: str | Path, results: list[RunResult]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_csv(path: str | Path, rows: list[dict]) -> None:
-    """A header of the first row's keys, then each row's values in that order;
-    an empty file for no rows.  A row whose keys differ from the first row's
-    raises ``ValueError`` before the file is opened."""
-    if not rows:
+def write_csv(path: str | Path, columns: dict[str, Sequence]) -> None:
+    """A header of the column names, then one row per index of the columns,
+    which must all be of one length (``ValueError`` before the file is
+    opened); an empty file for no columns."""
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns of unequal lengths: {lengths}")
+    if not columns:
         Path(path).write_text("")
         return
-    fieldnames = tuple(rows[0])
-    try:
-        if any(len(row) != len(fieldnames) for row in rows):
-            raise KeyError  # a row with a key the header lacks
-        table = list(map(itemgetter(*fieldnames), rows))  # KeyError: a row lacks one of them
-    except KeyError:
-        index = next(i for i, row in enumerate(rows) if row.keys() != rows[0].keys())
-        raise ValueError(f"row {index} has keys {list(rows[index])}, not the header's {list(fieldnames)}") from None
-    if len(fieldnames) == 1:  # itemgetter of one key gives the value, not a 1-tuple
-        table = [(value,) for value in table]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(fieldnames)
-        writer.writerows(table)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))

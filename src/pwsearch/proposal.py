@@ -100,6 +100,7 @@ def _rounded_normal_mass(centre: np.ndarray, sigma: np.ndarray, size: int) -> np
 
 _BATCH = 64  # proposals in a search's first group
 _GROUP_CAP = 16 * _BATCH  # proposals drawn in one pass at most
+_ZERO = np.zeros((), dtype=np.int64)  # a proposal's lowest cell; a Python 0 is converted on every call
 
 
 class DentedUniform:
@@ -232,12 +233,11 @@ class DentedGaussianMixture:
         self._responses[n] = response
         self._mean_s[n] = w.s
         self._spread[n] = sigma
-        # grid_at's operations on every scale, with the zoom table itself as its zooms
-        cx, cy = space.centre(w.x, w.y, w.s)
-        zoom = space._zoom_table
+        # grid_at's operations on every scale, in place over the contiguous row
         row = self._centre_table[n]
-        row[:, 0] = (cx / zoom - space.template_w * 0.5) / space.stride
-        row[:, 1] = (cy / zoom - space.template_h * 0.5) / space.stride
+        np.divide(space.centre(w.x, w.y, w.s), space._zoom_column, out=row)
+        np.subtract(row, space._half_template, out=row)
+        np.divide(row, space.stride, out=row)
         self._size = n = n + 1
         if response < self._low:
             self._low = response
@@ -302,7 +302,7 @@ class DentedGaussianMixture:
         s = np.rint(self._mean_s.take(comp) + z[:, 2]).astype(np.int64)
         s = space._scales.take(s, mode="clip")  # clamped to the pyramid
         xy = np.rint(self._centres.take(comp * space.scale_count + s, axis=0) + z[:, :2]).astype(np.int64)
-        np.maximum(xy, 0, out=xy)
+        np.maximum(xy, _ZERO, out=xy)
         np.minimum(xy, space._last_cells.take(s, axis=0), out=xy)
         index = space._offsets.take(s) + xy[:, 1] * space._grid_sizes[:, 0].take(s) + xy[:, 0]
         return xy, s, index

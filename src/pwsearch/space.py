@@ -124,6 +124,17 @@ class SearchSpace:
         return np.array([self.zoom(s) for s in range(self.scale_count)])
 
     @cached_property
+    def _zoom_column(self) -> np.ndarray:
+        """``(scale_count, 1)``: the zoom table as a column, which a point's
+        ``(cx, cy)`` broadcasts against to give every scale's row."""
+        return self._zoom_table[:, None]
+
+    @cached_property
+    def _half_template(self) -> np.ndarray:
+        """``(template_w * 0.5, template_h * 0.5)``, as :meth:`grid_at` subtracts them."""
+        return np.array([self.template_w * 0.5, self.template_h * 0.5])
+
+    @cached_property
     def window_count(self) -> int:
         return int(self._offsets[-1])
 

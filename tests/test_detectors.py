@@ -581,8 +581,9 @@ def test_sw_and_mpw_build_no_record_on_the_run_path(monkeypatch, tmp_path):
             continue
         trace, detections, metrics = run_cell(cfg, scene, detector, derive_seed(cfg.seed, 0))
         write_trace_jsonl(tmp_path / f"{detector.name}.jsonl", trace)
-        rows = extract_curves(trace)
-        assert len(rows) == len(trace.records) == metrics.windows_used > 0
+        curves = extract_curves(trace)
+        assert {len(column) for column in curves.values()} == {len(trace.records)}
+        assert len(trace.records) == metrics.windows_used > 0
     assert built == []
     assert TraceRecords(_records(2))[0] and len(built) == 3  # the counter counts
 

@@ -5,10 +5,13 @@ import io
 import itertools
 import json
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pwsearch import (
     Box,
@@ -259,16 +262,30 @@ def test_scene_thresholds_hold_for_generated_scenes(params):
 def test_extract_curves_identities(bench_space, bench_scenes, bench_table):
     config = make_detector("ipw", 200, bench_table)
     trace = run_ipw(bench_space, build_scorer(bench_scenes[0]), config, seed=21)
-    rows = extract_curves(trace)
-    assert [row["i"] for row in rows] == list(range(1, len(trace.records) + 1))
-    assert rows[0]["p_uniform"] == pytest.approx(config.alpha)
-    for j, row in enumerate(rows):
-        assert row["n_free"] == trace.window_count - row["n_rejected"] - row["n_accepted"]
-        assert row["p_gaussian"] == pytest.approx(1.0 - row["p_uniform"])
-        assert row["uniform_draws"] + row["gaussian_draws"] == j + 1
+    curves = extract_curves(trace)
+    n = len(trace.records)
+    assert list(curves) == [
+        "i", "n_rejected", "n_accepted", "n_free", "n_ambiguous",
+        "p_uniform", "p_gaussian", "uniform_draws", "gaussian_draws",
+    ]
+    assert {len(column) for column in curves.values()} == {n}
+    assert curves["i"] == list(range(1, n + 1))
+    assert curves["p_uniform"][0] == pytest.approx(config.alpha)
+    for free, rejected, accepted in zip(curves["n_free"], curves["n_rejected"], curves["n_accepted"]):
+        assert free == trace.window_count - rejected - accepted
+    assert curves["p_gaussian"] == pytest.approx([1.0 - p for p in curves["p_uniform"]])
+    draws = zip(curves["uniform_draws"], curves["gaussian_draws"], trace.records.source)
+    for j, (uniform, gaussian, source) in enumerate(draws):
+        assert uniform + gaussian == j + 1
+        assert (uniform, gaussian) == (
+            trace.records.source[: j + 1].count(SOURCE_UNIFORM),
+            trace.records.source[: j + 1].count(SOURCE_GAUSSIAN),
+        )
     for column in ("uniform_draws", "gaussian_draws"):
-        counts = [row[column] for row in rows]
+        counts = curves[column]
         assert counts == sorted(counts)
+        assert all(type(count) is int for count in counts)  # never a bool, which csv spells True
+    assert 0 < curves["gaussian_draws"][-1] < n
 
 
 # --- experiment grid ---------------------------------------------------------
@@ -383,16 +400,23 @@ def test_derive_seed_is_stable():
 def test_summaries_shape():
     results = run_experiment(*small_experiment())
     rates = summarize_rates(results, ["ipw", "mpw"], [30, 60])
-    assert [row["budget"] for row in rates] == [30, 60]
-    for row in rates:
-        assert 0.0 <= row["ipw"] <= 1.0
-        assert 0.0 <= row["mpw"] <= 1.0
+    assert list(rates) == ["budget", "ipw", "mpw"]
+    assert rates["budget"] == [30, 60]
+    for name in ("ipw", "mpw"):
+        assert len(rates[name]) == 2
+        assert all(0.0 <= rate <= 1.0 for rate in rates[name])
     ratios = summarize_ratios(results, ["ipw", "mpw"], [30, 60])
-    for row in ratios:
-        assert row["windows:ipw"] <= 60
-        assert row["windows_ratio:mpw/ipw"] == pytest.approx(
-            row["windows:mpw"] / row["windows:ipw"]
-        )
+    assert list(ratios) == [
+        "budget", "windows:ipw", "cost:ipw", "windows:mpw", "cost:mpw", "windows_ratio:mpw/ipw", "cost_ratio:mpw/ipw",
+    ]
+    assert {len(column) for column in ratios.values()} == {2}
+    assert all(windows <= 60 for windows in ratios["windows:ipw"])
+    assert ratios["windows_ratio:mpw/ipw"] == pytest.approx(
+        [mpw / ipw for mpw, ipw in zip(ratios["windows:mpw"], ratios["windows:ipw"])]
+    )
+    assert ratios["cost_ratio:mpw/ipw"] == pytest.approx(
+        [mpw / ipw for mpw, ipw in zip(ratios["cost:mpw"], ratios["cost:ipw"])]
+    )
 
 
 # --- serialization ------------------------------------------------------------
@@ -499,6 +523,45 @@ def test_trace_lines_spell_non_finite_responses_as_json_does(tmp_path):
     assert math.isnan(back[0]) and back[1:] == [math.inf, -math.inf]
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _float_columns(n: int):
+    """Columns of ``n`` values for a float field: all finite, finite with a
+    sum that overflows, all None, None among floats, an int or a bool among
+    finite floats, or a non-finite value among them."""
+    def column(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    return st.one_of(
+        column(_FINITE),
+        st.just([sys.float_info.max] * n),
+        st.just([None] * n),
+        column(st.one_of(st.none(), st.floats())),
+        column(st.one_of(_FINITE, st.integers(min_value=-(2**70), max_value=2**70), st.booleans())),
+        column(st.one_of(_FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))),
+    )
+
+
+@st.composite
+def _records_over_float_columns(draw) -> list[TraceRecord]:
+    n = draw(st.integers(min_value=1, max_value=6))
+    responses, p_uniforms = draw(_float_columns(n)), draw(_float_columns(n))
+    return [
+        TraceRecord(i + 1, i, 2 * i, i % 3, response, KIND_REJECTED, SOURCE_UNIFORM, i, 0, 2**40, p_uniform, 0)
+        for i, (response, p_uniform) in enumerate(zip(responses, p_uniforms))
+    ]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_records_over_float_columns())
+def test_trace_lines_are_json_dumps_of_any_float_columns(tmp_path, records):
+    """The writer spells a float column at once or value by value; either
+    way each line is ``json.dumps`` of its record."""
+    lines = _write_records(tmp_path / "trace.jsonl", records)
+    assert lines == [json.dumps(trace_record_to_dict(rec)) for rec in records]
+
+
 def test_results_jsonl_and_csv(tmp_path):
     results = run_experiment(*small_experiment())
     jsonl_path = tmp_path / "results.jsonl"
@@ -506,13 +569,15 @@ def test_results_jsonl_and_csv(tmp_path):
     parsed = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
     assert parsed == [r.to_record() for r in results]
 
-    rows = summarize_rates(results, ["ipw", "mpw"], [30, 60])
+    rates = summarize_rates(results, ["ipw", "mpw"], [30, 60])
     csv_path = tmp_path / "rates.csv"
-    write_csv(csv_path, rows)
+    write_csv(csv_path, rates)
     with open(csv_path) as handle:
         got = list(csv.DictReader(handle))
     assert len(got) == 2
+    assert list(got[0]) == list(rates)
     assert float(got[0]["budget"]) == 30
+    assert [float(row["mpw"]) for row in got] == rates["mpw"]
 
 
 def test_curves_csv(tmp_path, bench_space, bench_scenes, bench_table):
@@ -529,32 +594,67 @@ def test_curves_csv(tmp_path, bench_space, bench_scenes, bench_table):
 
 
 def test_empty_csv(tmp_path):
+    """No columns write an empty file; columns without values, their header."""
     path = tmp_path / "empty.csv"
-    write_csv(path, [])
+    write_csv(path, {})
     assert path.read_text() == ""
+    write_csv(path, {"a": [], "b": []})
+    assert path.read_bytes() == b"a,b\r\n"
+
+
+def _dict_writer_bytes(columns: dict) -> bytes:
+    """What ``csv.DictWriter`` writes for the rows of ``columns``."""
+    expected = io.StringIO(newline="")
+    writer = csv.DictWriter(expected, fieldnames=list(columns))
+    writer.writeheader()
+    writer.writerows(dict(zip(columns, values)) for values in zip(*columns.values()))
+    return expected.getvalue().encode()
 
 
 def test_csv_writes_what_dict_writer_writes(tmp_path):
-    """Header from the first row, every row in its order whatever the order
-    of its own keys, and the values ``csv.DictWriter`` would write: None as
-    an empty cell, floats by ``repr``, quoted text."""
-    rows = [
-        {"budget": 5, "rate": 0.1, "p": None, "name": "a,b"},
-        {"rate": 1e-07, "budget": 2**40, "name": 'say "hi"', "p": math.nan},
-    ]
-    expected = io.StringIO(newline="")
-    writer = csv.DictWriter(expected, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
+    """A header of the column names, then row by row the values
+    ``csv.DictWriter`` would write: None as an empty cell, floats by
+    ``repr``, quoted text."""
+    columns = {"budget": [5, 2**40], "rate": [0.1, 1e-07], "p": [None, math.nan], "name": ["a,b", 'say "hi"']}
     path = tmp_path / "table.csv"
-    write_csv(path, rows)
-    assert path.read_bytes() == expected.getvalue().encode()
+    write_csv(path, columns)
+    assert path.read_bytes() == _dict_writer_bytes(columns)
+    assert path.read_bytes().startswith(b"budget,rate,p,name\r\n5,0.1,,\"a,b\"\r\n")
+
+
+_CSV_TEXT = st.text(alphabet='ab ,"\n\r', max_size=4)
+_CSV_VALUES = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([2**63, 2**64 + 1, True, False, -0.0, 5e-324, math.nan, math.inf, -math.inf, None, ""]),
+    st.floats(),
+    _CSV_TEXT,
+)
+
+
+@st.composite
+def _tables(draw) -> dict:
+    names = draw(st.lists(_CSV_TEXT, min_size=1, max_size=4, unique=True))
+    length = draw(st.integers(min_value=0, max_value=5))
+    return {name: draw(st.lists(_CSV_VALUES, min_size=length, max_size=length)) for name in names}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=_tables())
+def test_csv_writes_what_dict_writer_writes_for_the_transposed_rows(tmp_path, columns):
+    """Any table of one to four equal-length columns: ints above 2**63,
+    bools, ``-0.0``, ``5e-324``, NaN, the infinities, None, empty text and
+    text with a comma, a quote or a line break, in one column or several."""
+    path = tmp_path / "table.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == _dict_writer_bytes(columns)
 
 
 def test_csv_with_one_column(tmp_path):
     path = tmp_path / "one.csv"
-    write_csv(path, [{"label": "xy"}, {"label": 3}])
+    write_csv(path, {"label": ["xy", 3]})
     assert path.read_bytes() == b"label\r\nxy\r\n3\r\n"
+    write_csv(path, {"label": [""]})
+    assert path.read_bytes() == b'label\r\n""\r\n'  # a lone empty cell is quoted, else the row reads as none
 
 
 @pytest.mark.parametrize(
@@ -563,9 +663,13 @@ def test_csv_with_one_column(tmp_path):
     ids=["missing-key", "extra-key", "other-key"],
 )
 def test_csv_refuses_a_row_whose_keys_differ_from_the_header(tmp_path, row):
-    """A later row must have exactly the first row's keys; the file is not
-    written."""
+    """In column form a row that lacks one of the other rows' keys, or has one
+    they lack, leaves its columns of unequal lengths, which ``write_csv``
+    refuses before the file is opened."""
+    rows = [{"a": 1, "b": 2}, {"b": 0, "a": 0}, row]
+    keys = dict.fromkeys(key for r in rows for key in r)
+    columns = {key: [r[key] for r in rows if key in r] for key in keys}
     path = tmp_path / "bad.csv"
-    with pytest.raises(ValueError, match="row 2 has keys"):
-        write_csv(path, [{"a": 1, "b": 2}, {"b": 0, "a": 0}, row])
+    with pytest.raises(ValueError, match="columns of unequal lengths"):
+        write_csv(path, columns)
     assert not path.exists()
