@@ -240,14 +240,23 @@ class RunTrace:
             self.records = TraceRecords(self.records)
 
     @property
+    def accepted_rows(self) -> list[int]:
+        """The positions of the accepted records, in draw order, found by
+        ``list.index`` over the kind column; it compares by equality, so kinds
+        read back from JSON match too."""
+        kinds, rows, k = self.records.kind, [], -1
+        try:
+            while True:
+                k = kinds.index(KIND_ACCEPTED, k + 1)
+                rows.append(k)
+        except ValueError:
+            return rows
+
+    @property
     def accepted(self) -> list[tuple[Window, float]]:
         """The accepted windows and their responses, in draw order."""
         r = self.records
-        return [
-            (Window(x, y, s), response)
-            for x, y, s, response, kind in zip(r.x, r.y, r.s, r.response, r.kind)
-            if kind == KIND_ACCEPTED
-        ]
+        return [(Window(r.x[k], r.y[k], r.s[k]), r.response[k]) for k in self.accepted_rows]
 
 
 def nms(candidates: list[tuple[Box, float]], threshold: float = 0.5) -> list[tuple[Box, float]]:

@@ -91,10 +91,17 @@ class CostModel:
 
 
 def cost_estimate(trace: RunTrace, model: CostModel = CostModel()) -> float:
-    total = model.t_w
-    for stages in trace.records.stages_evaluated:
-        total += model.t_f + model.t_c * (stages if stages > 0 else 1)
-    return total
+    """``t_w`` plus ``t_f + t_c * stages`` per record, a record of no stages
+    paying for one.  The terms are float64 and ``np.add.accumulate`` totals
+    them in record order, one addition at a time, as a Python loop does; a
+    pairwise ``np.sum`` or a compensated ``sum`` would round differently."""
+    stages = trace.records.stages_evaluated
+    terms = np.empty(len(stages) + 1)
+    terms[0] = model.t_w
+    np.maximum(np.fromiter(stages, np.int64, len(stages)), 1, out=terms[1:])
+    terms[1:] *= model.t_c
+    terms[1:] += model.t_f
+    return float(np.add.accumulate(terms, out=terms)[-1])
 
 
 @dataclass(frozen=True)
@@ -496,7 +503,8 @@ def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
         for key, column in zip(TRACE_KEYS, trace.records.columns)
     ]
     records = "".join(map(_LINE.__mod__, zip(*columns)))
-    accepted = [{"x": w.x, "y": w.y, "s": w.s, "response": r} for w, r in trace.accepted]
+    r = trace.records
+    accepted = [{"x": r.x[k], "y": r.y[k], "s": r.s[k], "response": r.response[k]} for k in trace.accepted_rows]
     footer = json.dumps({"complete": trace.complete, "accepted": accepted, "rebuilds": trace.rebuilds})
     Path(path).write_text(f"{header}\n{records}{footer}\n")
 

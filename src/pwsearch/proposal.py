@@ -24,7 +24,9 @@ Mixture components are centered on previously drawn windows and share one
 spread: one eighth of the template extent in grid cells per spatial axis and
 one pyramid step on the scale axis.  A mixture owns its component arrays,
 one row per component: means, scale means, spreads and each component's
-centre on every scale from the space's ``centre`` and ``grid_at``.  ``ipw``
+centre on every scale from the space's ``centre`` and ``grid_at``, which the
+constructor writes in place into one C-ordered table, so that the flat
+(component, scale) rows a draw gathers from are a view of it.  ``ipw``
 keeps one mixture and grows it in place: a new component fills the next
 row, the arrays double their capacity when full, and only the cumulative
 weights are renormalized over all components.  The renormalization shifts
@@ -190,7 +192,8 @@ class DentedGaussianMixture:
         self._mean_s = self._means[:, 2].astype(float)
         self._spread = np.broadcast_to(sigma.T, (n, 3)).copy()  # row i: (sx, sy, ss)
         gx, gy = space.grid_at(*space.centre(*means), space._scales[:, None])  # (scale_count, n): the faster order
-        self._centre_table = np.stack((gx.T, gy.T), axis=-1)  # (n, scale_count, 2)
+        # Written in place into a C-ordered table, so that _centres is a view of it, not a copy.
+        self._centre_table = np.stack((gx.T, gy.T), axis=-1, out=np.empty((n, space.scale_count, 2)))
         self._centres = self._centre_table.reshape(-1, 2)  # row comp * scale_count + s
         self._free_mass = (-1, 0.0)  # (book.free_count, table mass on free cells)
         self._missed = False  # this mixture's last search came up empty (read by _incremental_step)

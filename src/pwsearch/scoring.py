@@ -7,10 +7,12 @@ returns a Python ``float`` and ``int``; it works in Python floats over the
 targets with one ``np.exp`` call on the list of exponents.
 ``score_many(space, x, y, s) -> (responses, stages)`` scores equal-length
 integer coordinate arrays and returns a float64 and an int64 array; it makes
-one numpy pass over a (windows x targets) array.  Both make the same float
-operations in the same order, and both take the exponential from ``np.exp``,
-because ``math.exp`` can differ from it in the last bit; so the results agree
-bit for bit, window by window.  The sliding-window scan and the staged
+one numpy pass per block of at most ``_BLOCK_PAIRS`` (window, target) pairs
+and fills one preallocated output, so that a block's temporaries stay in
+cache however large the batch.  Both make the same float operations in the
+same order, and both take the exponential from ``np.exp``, because
+``math.exp`` can differ from it in the last bit; so the results agree bit for
+bit, window by window.  The sliding-window scan and the staged
 sampler, whose windows do not depend on each other's scores within a scan or
 a stage, score through ``score_many``; the incremental samplers, which update
 their regions between draws, score one window at a time, where numpy's
@@ -63,18 +65,9 @@ class Scorer(Protocol):
     ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
-def _checked_coordinates(
-    space: SearchSpace, x, y, s
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coordinates as int64 arrays; ValueError unless every window lies in the space."""
-    x, y, s = (np.asarray(a, dtype=np.int64) for a in (x, y, s))
-    if x.ndim != 1 or not x.shape == y.shape == s.shape:
-        raise ValueError("x, y and s must be 1-D arrays of one length")
-    inside = space.contains_many(x, y, s)
-    if not inside.all():
-        k = int(np.argmin(inside))
-        raise ValueError(f"window {Window(int(x[k]), int(y[k]), int(s[k]))} outside search space")
-    return x, y, s
+# (window, target) pairs that ``score_many`` scores in one block: 128 KiB per
+# float64 temporary, so a block's temporaries stay in cache and reuse their memory.
+_BLOCK_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -180,8 +173,22 @@ class SyntheticScorer:
         return max((floor + r * e for r, e in zip(self._rise, np.exp(exponents).tolist())), default=floor), 0
 
     def score_many(self, space: SearchSpace, x, y, s) -> tuple[np.ndarray, np.ndarray]:
-        x, y, s = _checked_coordinates(space, x, y, s)
-        responses = self._response(space, x[:, None], y[:, None], s[:, None])
+        """:meth:`_response` block by block into one output, each block at
+        most ``_BLOCK_PAIRS`` (window, target) pairs and checked in order, so
+        the first window outside the space is the one the error names."""
+        x, y, s = (np.asarray(a, dtype=np.int64) for a in (x, y, s))
+        if x.ndim != 1 or not x.shape == y.shape == s.shape:
+            raise ValueError("x, y and s must be 1-D arrays of one length")
+        responses = np.empty(x.size)
+        step = _BLOCK_PAIRS // max(len(self._rise), 1) or 1
+        for start in range(0, x.size, step):
+            block = slice(start, start + step)
+            bx, by, bs = x[block], y[block], s[block]
+            inside = space.contains_many(bx, by, bs)
+            if not inside.all():
+                k = int(np.argmin(inside))
+                raise ValueError(f"window {Window(int(bx[k]), int(by[k]), int(bs[k]))} outside search space")
+            responses[block] = self._response(space, bx[:, None], by[:, None], bs[:, None])
         return responses, np.zeros(x.size, dtype=np.int64)
 
     def _target_scales(self, space: SearchSpace) -> np.ndarray:
@@ -191,10 +198,10 @@ class SyntheticScorer:
     def _response(self, space: SearchSpace, x, y, s):
         """Responses at the windows given as (n, 1) integer columns.
 
-        The columns broadcast against the targets in one (n, targets) pass;
-        ``score_many``'s path.  :meth:`score` makes the same operations in
-        the same order for one window, and both take ``np.exp``, so the two
-        agree bit for bit.
+        The columns broadcast against the targets in one (n, targets) pass,
+        which ``score_many`` makes once per block.  :meth:`score` makes the
+        same operations in the same order for one window, and both take
+        ``np.exp``, so the two agree bit for bit.
         """
         scene = self.scene
         cx, cy = space.centre(x, y, s)

@@ -121,6 +121,68 @@ def test_early_cascade_exits_cost_less():
     )
 
 
+def reference_cost(trace, model):
+    """The record-by-record loop whose float additions ``cost_estimate`` must reproduce."""
+    total = model.t_w
+    for stages in trace.records.stages_evaluated:
+        total += model.t_f + model.t_c * (stages if stages > 0 else 1)
+    return total
+
+
+COSTS = st.sampled_from([0.0, 0.1, 1 / 3, 1.0, 2.5, 7.0]) | st.floats(0.0, 1e6, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 1.0),
+    top=st.integers(1, 12),
+    model=st.tuples(COSTS, COSTS, COSTS).filter(any).map(lambda costs: CostModel(*costs)),
+)
+def test_cost_estimate_adds_as_the_record_loop_does(n, seed, zeros, top, model):
+    """Bit for bit, not approximately: stage lists hold 0s, which pay one
+    stage, and the cost models include values such as 0.1 and 1/3."""
+    rng = np.random.default_rng(seed)
+    stages = np.where(rng.random(n) < zeros, 0, rng.integers(1, top + 1, n)).tolist()
+    trace = flat_trace(n)
+    trace.records.stages_evaluated = stages
+    assert cost_estimate(trace, model) == reference_cost(trace, model)
+
+
+def test_cost_estimate_of_an_empty_trace_is_the_setup_cost():
+    assert cost_estimate(flat_trace(0), CostModel(t_w=7.25)) == 7.25
+
+
+def reference_accepted(trace):
+    return [(rec.window, rec.response) for rec in trace.records if rec.kind == KIND_ACCEPTED]
+
+
+@pytest.mark.parametrize(
+    "accepted_at",
+    [(), (0,), (11,), tuple(range(12)), (0, 3, 4, 11)],
+    ids=["none", "first", "last", "every", "some"],
+)
+def test_accepted_finds_the_accepted_records(accepted_at, tmp_path):
+    """``accepted`` and the trace file's footer list the accepted records in
+    draw order, also on a trace read back from its file, whose kinds are
+    strings equal to the constants."""
+    records = [
+        TraceRecord(i + 1, i, 2 * i, i % 3, 0.25 * i - 1.0, KIND_ACCEPTED if i in accepted_at else kind,
+                    SOURCE_UNIFORM, 0, 0, 0, 0.2, 0)
+        for i, kind in zip(range(12), itertools.cycle([KIND_REJECTED, KIND_AMBIGUOUS]))
+    ]
+    trace = RunTrace("t", "ipw", 0, 1000, records)
+    assert trace.accepted == reference_accepted(trace)
+    assert trace.accepted_rows == list(accepted_at)
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(path, trace)
+    footer = json.loads(path.read_text().splitlines()[-1])
+    assert footer["accepted"] == [{"x": w.x, "y": w.y, "s": w.s, "response": r} for w, r in trace.accepted]
+    back = read_trace_jsonl(path)
+    assert back.accepted == reference_accepted(back) == trace.accepted
+
+
 # --- evaluation -----------------------------------------------------------
 
 

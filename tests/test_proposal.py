@@ -615,6 +615,29 @@ def test_a_refused_extension_leaves_the_mixture_as_it_was():
         assert ([mixture.density_at(v) for v in space.windows()], draws(mixture, 5)) == before
 
 
+def test_a_built_mixture_keeps_its_centres_in_one_c_ordered_table():
+    """The constructor writes every component's centre on every scale into
+    one C-ordered table, so the flat view the draws gather from shares its
+    memory; each entry is ``grid_at`` of the mean's image centre, bit for
+    bit, and an ``_add`` after such a build still equals a fresh build."""
+    space = SearchSpace(96, 96, 12, 12, stride=2, scale_factor=1.2, scale_count=6)  # numpy's power differs at scale 4
+    book = RegionBook(space)
+    setup = np.random.default_rng(41)
+    windows = [space.window_at(int(i)) for i in setup.choice(space.window_count, 40, replace=False)]
+    batch = list(zip(windows, setup.uniform(-1.5, 0.5, size=40).tolist()))
+    mixture = _mixture_from_batch(batch[:-1], book, space)
+    table = mixture._centre_table
+    assert table.shape == (39, space.scale_count, 2) and table.flags.c_contiguous
+    assert np.shares_memory(mixture._centres, table)
+    expected = [[space.grid_at(*space.centre(w.x, w.y, w.s), t) for t in range(space.scale_count)] for w in windows[:-1]]
+    assert table.tolist() == [[list(xy) for xy in row] for row in expected]
+    grown = _mixture_from_batch(batch, book, space, mixture)
+    fresh = _mixture_from_batch(batch, book, space)
+    assert np.array_equal(grown._centre_table[: len(batch)], fresh._centre_table)
+    assert np.array_equal(grown._cumulative, fresh._cumulative)
+    assert_equals_a_fresh_build(grown, batch, book, space)
+
+
 def test_mixture_refuses_what_it_cannot_draw(flat_space):
     """One finite, nonnegative weight per component, one finite response
     each if any, and every spread finite and positive: the constructor

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from pwsearch import (
     normalize_weights,
 )
 from pwsearch.config import load_config
+from pwsearch.scoring import _BLOCK_PAIRS
 
 from conftest import PYRAMID, pyramid_scene
 
@@ -267,6 +269,48 @@ def test_score_many_rejects_windows_outside_the_space(kind):
             scorer.score(PYRAMID, Window(*bad))
     with pytest.raises(ValueError):
         scorer.score_many(PYRAMID, [0, 1], [0], [0])
+
+
+def blocked_case(kind, targets):
+    """A scorer over pedestrian's full space, its block size ``B`` in
+    windows, and ``2B + 3`` windows scattered over the space with ``score``'s
+    pair for each, for a scene with or without targets."""
+    cfg = load_config(PEDESTRIAN)
+    space, scene = cfg.space, cfg.load_scenes()[0]
+    if not targets:
+        scene = scene_with(floor=-3.5, size=(scene.image_w, scene.image_h))
+    scorer = SCORERS[kind](scene)
+    block = _BLOCK_PAIRS // max(len(scene.objects) + len(scene.distractors), 1)
+    chosen = np.random.default_rng(5).choice(space.window_count, 2 * block + 3, replace=False)
+    windows = [space.window_at(int(i)) for i in chosen]
+    x, y, s = (np.array([getattr(w, axis) for w in windows], dtype=np.int64) for axis in "xys")
+    return scorer, space, block, (x, y, s), [scorer.score(space, w) for w in windows]
+
+
+@pytest.mark.parametrize("targets", [True, False], ids=["targets", "no-targets"])
+@pytest.mark.parametrize("kind", sorted(SCORERS))
+def test_score_many_equals_score_across_block_edges(kind, targets):
+    """Batches one window short of a block, a block, one past it and two
+    blocks and three score every window as ``score`` does, bit for bit, and
+    the empty batch gives empty float64 and int64 arrays."""
+    scorer, space, block, (x, y, s), singles = blocked_case(kind, targets)
+    assert block == (_BLOCK_PAIRS // 4 if targets else _BLOCK_PAIRS)
+    for n in (0, block - 1, block, block + 1, 2 * block + 3):
+        responses, stages = scorer.score_many(space, x[:n], y[:n], s[:n])
+        assert responses.dtype == np.float64 and stages.dtype == np.int64
+        assert list(zip(responses.tolist(), stages.tolist())) == singles[:n]
+
+
+@pytest.mark.parametrize("kind", sorted(SCORERS))
+def test_score_many_names_the_first_window_outside_the_space_in_a_later_block(kind):
+    scorer, space, block, (x, y, s), _ = blocked_case(kind, True)
+    x = x.copy()
+    first, later = block + 5, 2 * block + 1  # both in the second block or after it
+    for k in (later, first):
+        x[k] = space.grid_size(int(s[k]))[0]
+    bad = Window(int(x[first]), int(y[first]), int(s[first]))
+    with pytest.raises(ValueError, match=f"^window {re.escape(str(bad))} outside search space$"):
+        scorer.score_many(space, x, y, s)
 
 
 # --- weight normalization ------------------------------------------------
