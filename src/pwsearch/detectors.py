@@ -455,9 +455,13 @@ def _incremental_step(
     mixture whose last search came up empty is not searched again: its
     branch goes straight to the uniform until a new mixture (an ``ipw``
     extension, a ``sipw`` rebuild) replaces it.  The rule reads only the
-    past, so a Gaussian draw still follows the mixture's dented law.  The
-    scored cell is claimed, as REJECTED unless accepted: an ambiguous response
-    lies below t_h, so excluding it cannot lose a detection.
+    past, so a Gaussian draw still follows the mixture's dented law.  A
+    search first scans the proposals the mixture's last search drew and did
+    not reach, against the book as it is now: they are i.i.d. draws that
+    nothing decided since has read, so the law is the same as with fresh
+    ones.  The scored cell is claimed, as REJECTED unless accepted: an
+    ambiguous response lies below t_h, so excluding it cannot lose a
+    detection.
     """
     use_gaussian = len(state.mixture) > 0 and rng.random() >= p_uniform
     w: Window | None = None

@@ -6,8 +6,16 @@ and the book returns the cell of that rank.  The mixture draws by rejection:
 up to ``n_max`` proposals from the undented base distribution, and the first
 FREE one wins, so it never needs the dent's normalizer.  Its proposals are
 drawn in groups, each in one pass of generator calls: 64 proposals, then
-twice as many each time, up to 1024.  The grouping shapes the random stream,
-but not the law of the proposal that wins.
+twice as many each time, up to 1024.  A search resumes where the last one
+stopped: it first scans, against the book as it is now, the proposals that
+the last search with the same generator drew and did not reach, and only
+then draws fresh groups.  A winner is chosen by reading only the proposals
+up to it, so the unscanned ones are i.i.d. draws that nothing decided since
+has read: every search still returns the first FREE cell among at most
+``n_max`` i.i.d. proposals.  The grouping and the resumption shape the
+random stream, but not the law of the proposal that wins.  Growing the
+mixture discards what it kept, which follows the old law, and so does a call
+with another generator, which then draws as from a fresh mixture.
 
 ``density_at`` serves tests and diagnostics, and it is exactly the law that
 ``sample`` draws whenever it returns a window: the undented proposal law on
@@ -103,6 +111,11 @@ def _rounded_normal_mass(centre: np.ndarray, sigma: np.ndarray, size: int) -> np
 _BATCH = 64  # proposals in a search's first group
 _GROUP_CAP = 16 * _BATCH  # proposals drawn in one pass at most
 _ZERO = np.zeros((), dtype=np.int64)  # a proposal's lowest cell; a Python 0 is converted on every call
+_NOTHING = (  # the (xy, s, index) of no proposals, as a mixture keeps when it has none to scan
+    np.zeros((0, 2), dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+)
 
 
 class DentedUniform:
@@ -197,6 +210,9 @@ class DentedGaussianMixture:
         self._centres = self._centre_table.reshape(-1, 2)  # row comp * scale_count + s
         self._free_mass = (-1, 0.0)  # (book.free_count, table mass on free cells)
         self._missed = False  # this mixture's last search came up empty (read by _incremental_step)
+        # The last group's (xy, s, index), the position of its first unscanned
+        # proposal, and the generator that drew it.
+        self._kept, self._next, self._rng = _NOTHING, 0, None
 
     @property
     def means(self) -> np.ndarray:
@@ -217,7 +233,8 @@ class DentedGaussianMixture:
         ``normalize_weights``' operations and order, bit for bit, from the
         running minimum of the responses, which are all finite: the stored
         ones are never checked again.  The tables built from the old
-        components and the record of the last search go with them."""
+        components, the record of the last search and the proposals it kept
+        go with them: the kept ones were drawn from the old law."""
         if self._responses is None:
             raise ValueError("a mixture built without responses cannot grow")
         if not math.isfinite(response):  # refused before any row is written
@@ -254,6 +271,7 @@ class DentedGaussianMixture:
         self.__dict__.pop("_table", None)
         self._free_mass = (-1, 0.0)
         self._missed = False
+        self._kept, self._next = _NOTHING, 0
 
     def __len__(self) -> int:
         return self._size
@@ -314,24 +332,36 @@ class DentedGaussianMixture:
         """Gaussian proposals until a FREE cell or ``n_max``; None when all missed.
 
         Proposals come from :meth:`_propose`, as in
-        :func:`draw_gaussian_window`, in groups of ``_BATCH``, then twice as
-        many each time up to ``_GROUP_CAP``, and the first free one wins: FREE
-        is 0, so it is the first minimum of the group's cell states.
+        :func:`draw_gaussian_window`.  A search first scans what the last
+        search with the same generator left unscanned of its last group,
+        against the book as it is now; then it draws fresh groups for the
+        rest of ``n_max``: ``_BATCH`` proposals, then twice as many each time
+        up to ``_GROUP_CAP``.  The first free one wins: FREE is 0, so it is
+        the first minimum of the scanned cells' states.  The proposals past
+        it are kept for the next search, and an empty search keeps none.
         ``_missed`` records whether this search came up empty.
         """
         flat = self.book.flat
-        start, size = 0, _BATCH
+        if rng is not self._rng:  # another generator's proposals are not this stream's
+            self._rng, self._kept, self._next = rng, _NOTHING, 0
+        xy, s, index = self._kept
+        begin, start, size = self._next, 0, _BATCH
         while start < n_max:
-            count = min(size, n_max - start)
-            xy, s, index = self._propose(rng, count)
-            states = flat.take(index)
-            j = states.argmin()
+            if begin == len(index):  # everything kept is scanned: a fresh group
+                xy, s, index = self._kept = self._propose(rng, min(size, n_max - start))
+                begin, size = 0, min(2 * size, _GROUP_CAP)
+            end = min(len(index), begin + n_max - start)
+            states = flat.take(index[begin:end])
+            j = int(states.argmin())  # a Python int keeps the cursor arithmetic off numpy scalars
             if not states[j]:
+                j += begin
+                self._next = j + 1
                 self._missed = False
                 x, y = xy[j].tolist()
                 return Window(x, y, int(s[j]))
-            start += count
-            size = min(2 * size, _GROUP_CAP)
+            start += end - begin
+            begin = end
+        self._kept, self._next = _NOTHING, 0
         self._missed = True
         return None
 

@@ -21,6 +21,16 @@ by rank, which moved their random stream; the ``sw`` and ``mpw`` digests,
 the ``summary.json`` of ``ipw`` and ``sipw``, face's ``rates.csv`` and both
 ``sweep`` files stayed the same.
 
+They moved again when a mixture search began to resume where the last one
+stopped, scanning the unscanned proposals of its last group before drawing
+a fresh one: the law of each draw is the same, but fewer proposals are
+drawn, so the random stream of ``ipw`` and ``sipw`` moved.  The ``ipw`` and
+``sipw`` digests, their ``curves.csv``, the ``compare`` grids' files that
+hold them and face's ``sweep``, which sweeps ``ipw``, were recomputed then;
+every ``sw`` and ``mpw`` digest, the ``summary.json`` of ``ipw`` and
+``sipw``, face's ``rates.csv`` and the synthetic ``sweep``, which sweeps
+``sw``, stayed the same.
+
 ``GOLDEN_GRID`` pins the files ``compare`` and ``sweep`` write for
 ``configs/synthetic.json`` and ``configs/face.json``: every row of the
 experiment grid, its summaries and the operating points, so a change to how
@@ -43,12 +53,12 @@ from pwsearch.cli import EXIT_OK, main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
-    ("ipw", 0): "f7154308a2cfce64503cc76b5d8cecd4fbd213e8e35995dbf89ab3ca5d7a8d75",
-    ("ipw", 1): "9f8c066a5f4f78d62efe2532337f5292dfaf1340b534d6c456dc63df9dd4b16a",
-    ("ipw", 2): "83d34dabc1e7bf52ee8dca0385834c717e10938d616407e326d588221bbfc25b",
-    ("sipw", 0): "c11cb7896a7c28a81ecec4622405a042a857c0e6afb22323e05886ee6698abc4",
-    ("sipw", 1): "611a6c54f9541d594d87fc91866d63460d88f12c5ffdd6b98bca11d298468394",
-    ("sipw", 2): "57098ba030b6e15f820c3d019eb5aa45c2cd151a70370c2e3c8ed205b6e33958",
+    ("ipw", 0): "d1c261164edf8b448e6a4f400bda67c1047e8bb20c493b729f1d328c767af364",
+    ("ipw", 1): "5edd57a504f257da6fa96710dae8fa2cbfd910171df68c50fbb961b24f9fd524",
+    ("ipw", 2): "5fe6893d966d61d56efcff9b2c4a28128b55536263846f504f0708ff33d78d02",
+    ("sipw", 0): "770798fa8aa36006f3cfc5c590da8bf721235410267c5c6cda93d220824fa9ab",
+    ("sipw", 1): "9de58a21ad143e928b84dd869c46f6406abdb267a88cd25c58e69a5ac62add52",
+    ("sipw", 2): "647605ba79f0ecdd35ed4cc92fe3f6cece2d14a6c4a3d8022ee6b57777dc3193",
     ("mpw", 0): "de8720fb3486cbadb9833d8310756bbe278e4e4925caeb0656f7554ba2ff6d50",
     ("mpw", 1): "348ad97c265557bbd714d0a6ebee7a12884a01c7f2e49a0cc6eadf460c99021f",
     ("mpw", 2): "e16854f275aabccb70ef2a16b19347064dc3027d8df428ab7bab5b6995bad9c7",
@@ -58,17 +68,17 @@ GOLDEN = {
 }
 
 GOLDEN_CASCADE = {
-    ("ipw", 0): "89ef60db7fcad05ea2c67711fee1bdcb799f4b0c6cf49c2aad1317448b0fb999",
-    ("ipw", 1): "b88123e122818131caf7a6478196660b43a76a409cfc5b200347fc68d1497aed",
-    ("ipw", 2): "272fb53a4060ca06e50eefc46a6f6e5eda43861433874bd47cacda74581aa848",
+    ("ipw", 0): "77a180f4651baac7f6a2eb230ee7e32d630f9afd0150213620c57f91098369a4",
+    ("ipw", 1): "e3d12bd752a94b447a1ba0aab9c333bde689b180e6f1dbca333d9291df941cdb",
+    ("ipw", 2): "eb03287db37bc07adfef38ecf4209dd73698eb6a842f40bc3e09ec0b7186dbc0",
     ("mpw", 0): "b4a3ff6b37c85ed884343a7a14bf03d876821cefddc553112d38bf29b92d8a0f",
     ("mpw", 1): "305d24bc42031026e2859f62cb66d616ffbdc03ca1d2fe592fb8f779d04de1a7",
     ("mpw", 2): "7bdc067adad3a71e791f92560af0960f2a3855c3ebcf21f20d8be0ee8db0e739",
 }
 
 GOLDEN_EXHAUSTING = {
-    "ipw": "16acd956405e4d5b4216164261219fb6d0adfc2ad661f67fa8fa83cf4bb30a2e",
-    "sipw": "808ac3ff8182623329603da39a5489f1314b03ea73577435b4503125fa19ea76",
+    "ipw": "927490ba39108d5451bce01d3b66d3d103e1188bade8d8f8b2a9961ab34a8e52",
+    "sipw": "9d8077b053fa86a186f09b556007df0f73af865a1c49117df4ab2ee2aeeec77b",
 }
 
 GOLDEN_RUN_FILES = {
@@ -76,21 +86,21 @@ GOLDEN_RUN_FILES = {
     ("sw", "summary.json"): "9d422f2e4f8feace44db01ff33810bdfd67f7e27b5eb49f88f3a001088db29a7",
     ("mpw", "curves.csv"): "1255054787ddb943b68e48c19f79f5f57a6ba285d17b02568500e369e212493f",
     ("mpw", "summary.json"): "1d889d676b02d85ca92b5387b65d5931a7eb17d22c1545dbf54d168106af33b6",
-    ("ipw", "curves.csv"): "e064c008120be7ceade1c6cf634605851b947405645542c210046e209cc9a8c0",
+    ("ipw", "curves.csv"): "f855a1e5b1530916cc611067d5e411491392bd163988a6d4d77d18998e0f1c38",
     ("ipw", "summary.json"): "1bb647263afe5d536ce9f44c0e9947447e2477ef4f55104c8f247f0710aaef8b",
-    ("sipw", "curves.csv"): "fddf4eafbae8edcbeccb2815c0a90776cd5f2d6ac32f36033aa027d820c8b4be",
+    ("sipw", "curves.csv"): "6e380b9c4d883c33fedf26dd6b686b21db838b8f343dcfda52671d2ba7f3cf41",
     ("sipw", "summary.json"): "acf6b1d6864072691361a0689889c346add85c4b42b37d76d437bb644c208294",
 }
 
 GOLDEN_GRID = {
-    ("synthetic.json", "compare", "results.jsonl"): "bce929b0129eecc54a1f1a6ca592f5ca9eff557c2330c0c43014fd6c4569ebcb",
-    ("synthetic.json", "compare", "rates.csv"): "07bf66cb6c20f9faecbfc887fc8ae597abbd103d0503d48ed33e9dbf512e6551",
-    ("synthetic.json", "compare", "ratios.csv"): "7ecd65d864fa9a9e908c01e28ca9e1516417d0e3651edb88442f0e1a30810828",
+    ("synthetic.json", "compare", "results.jsonl"): "457db777a985c157eb10f7d9547f40f3d52d11da4c4b59a3555049b40c3a38b3",
+    ("synthetic.json", "compare", "rates.csv"): "70a6821e8d80098681ae62e1f4c6cb1f6ad84a10d03036b5c1cf39e91f9e4fdb",
+    ("synthetic.json", "compare", "ratios.csv"): "85592dcec0e3a25dbd3ebd7d638c8aac5659e584e63f3ac1c8b71920b665523c",
     ("synthetic.json", "sweep", "operating_points.csv"): "2fa8dc5cc9a68719efee27831f3b1d42ec5fe5eb47b3904b3b2b592073907b47",
-    ("face.json", "compare", "results.jsonl"): "934d10ce1b8a0653a4dbb4fed6b9d5cb7a27741d98039f2d52d3afe3d22689dc",
+    ("face.json", "compare", "results.jsonl"): "0b9d9e536f1b4d41b92d78d69c54bf4df64a7e05cc98517233ef922307964ab1",
     ("face.json", "compare", "rates.csv"): "9fb9e5589d1f2e38e15fd7e37f3d1b8b9aa458bbf602a841c293df8b32765bc2",
-    ("face.json", "compare", "ratios.csv"): "0349e3e39244ebc1ee1a1fb4c59d54b49dfed1eda69e17d8290670733ecf86ca",
-    ("face.json", "sweep", "operating_points.csv"): "9122d1c7959c7a5e4a49b4df26e00b0aa78700f0fc77faf320be4d4e5e8610a8",
+    ("face.json", "compare", "ratios.csv"): "dc8f71541984a42ff600a435ac5a1a0c9ba5aafbb17894c3ac76f70b27e2949a",
+    ("face.json", "sweep", "operating_points.csv"): "b8eb5ad554e6b147e8fc9fe5f81eac5f16384426009d6dfd09931ab6886b1ef4",
 }
 
 

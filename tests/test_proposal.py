@@ -359,32 +359,53 @@ def reference_uniform(book, space, rng):
     return space.window_at(int(np.flatnonzero(book.flat == 0)[rng.integers(book.free_count)]))
 
 
-def reference_mixture(components, book, space, rng, n_max):
-    """(window, hit): the mixture's draw rule, one group of proposals at a
-    time, one proposal at a time; ``hit`` is the accepted proposal's
-    position, or None when no proposal was free."""
-    weights = np.array([weight for _, weight, _ in components])
-    cumulative = np.cumsum(weights / weights.sum())
-    for start, k in groups(n_max):
-        u = rng.random(k)
-        z = rng.standard_normal((k, 3))
-        for j in range(k):
-            mean, _, (sx, sy, ss) = components[
-                min(int(np.searchsorted(cumulative, u[j], side="right")), len(components) - 1)
-            ]
-            s = min(max(round(mean.s + z[j, 2] * ss), 0), space.scale_count - 1)
-            nx, ny = space.grid_size(s)
-            zoom = space.zoom(mean.s)
-            cx = (mean.x * space.stride + space.template_w * 0.5) * zoom
-            cy = (mean.y * space.stride + space.template_h * 0.5) * zoom
-            gx = (cx / space._zoom_table[s] - space.template_w * 0.5) / space.stride
-            gy = (cy / space._zoom_table[s] - space.template_h * 0.5) / space.stride
-            x = min(max(round(gx + z[j, 0] * sx), 0), nx - 1)
-            y = min(max(round(gy + z[j, 1] * sy), 0), ny - 1)
-            w = Window(x, y, s)
-            if book.state_at(w) == RegionKind.FREE:
-                return w, start + j
-    return None, None
+class ReferenceMixture:
+    """The mixture's draw rule, one group of proposals at a time, one
+    proposal at a time.  ``kept`` holds the unscanned proposals of the last
+    group, which the next search scans first; an empty search keeps none."""
+
+    def __init__(self, components, book, space):
+        self.components, self.book, self.space = components, book, space
+        weights = np.array([weight for _, weight, _ in components])
+        self.cumulative = np.cumsum(weights / weights.sum())
+        self.kept = []
+
+    def proposal(self, u, z):
+        space = self.space
+        mean, _, (sx, sy, ss) = self.components[
+            min(int(np.searchsorted(self.cumulative, u, side="right")), len(self.components) - 1)
+        ]
+        s = min(max(round(mean.s + z[2] * ss), 0), space.scale_count - 1)
+        nx, ny = space.grid_size(s)
+        zoom = space.zoom(mean.s)
+        cx = (mean.x * space.stride + space.template_w * 0.5) * zoom
+        cy = (mean.y * space.stride + space.template_h * 0.5) * zoom
+        gx = (cx / space._zoom_table[s] - space.template_w * 0.5) / space.stride
+        gy = (cy / space._zoom_table[s] - space.template_h * 0.5) / space.stride
+        x = min(max(round(gx + z[0] * sx), 0), nx - 1)
+        y = min(max(round(gy + z[1] * sy), 0), ny - 1)
+        return Window(x, y, s)
+
+    def sample(self, rng, n_max):
+        """(window, hit): ``hit`` is the accepted proposal's position among
+        this search's fresh proposals, or None when a kept proposal won or
+        no proposal was free."""
+        scanned = 0
+        while self.kept and scanned < n_max:
+            w = self.kept.pop(0)
+            scanned += 1
+            if self.book.state_at(w) == RegionKind.FREE:
+                return w, None
+        for start, k in groups(n_max - scanned):
+            u = rng.random(k)
+            z = rng.standard_normal((k, 3))
+            group = [self.proposal(u[j], z[j]) for j in range(k)]
+            for j, w in enumerate(group):
+                if self.book.state_at(w) == RegionKind.FREE:
+                    self.kept = group[j + 1 :]
+                    return w, start + j
+        self.kept = []
+        return None, None
 
 
 FLAT = SearchSpace(84, 54, 6, 6, stride=2, scale_factor=2.0, scale_count=1)
@@ -397,9 +418,11 @@ DENTS = {"none": 0.0, "half": 0.5, "heavy": None}  # heavy: all but three cells 
 def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
     """Same window and same generator state as the references, call after
     call: the mixture against a loop that draws each group of proposals as
-    one batch, also for searches that span several groups or follow an
-    empty one, and the uniform against a rank drawn over a scan of the book."""
-    nones = after_empty = in_remainder = 0
+    one batch and scans the last group's unscanned proposals first in the
+    next search, also for searches that span several groups, follow an
+    empty one or win with a kept proposal, and the uniform against a rank
+    drawn over a scan of the book."""
+    nones = after_empty = in_remainder = resumed = 0
     for seed in range(8):
         setup = np.random.default_rng(1000 + seed)
         book = RegionBook(space)
@@ -414,18 +437,20 @@ def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
         )
         mixture = mixture_of(components, book, space)
         uniform = DentedUniform(book, space)
+        reference = ReferenceMixture(components, book, space)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         empty = False  # whether the mixture's last search came up empty
         for _ in range(4):
             after_empty += empty
             got = mixture.sample(rng, n_max)
-            expected, hit = reference_mixture(components, book, space, ref, n_max)
+            expected, hit = reference.sample(ref, n_max)
             assert got == expected
             assert rng.bit_generator.state == ref.bit_generator.state
             empty = got is None
             assert mixture._missed == empty
             nones += empty
-            in_remainder += hit is not None and hit >= 64  # past the first group
+            in_remainder += hit is not None and hit >= 64  # past the first fresh group
+            resumed += got is not None and hit is None  # a kept proposal won
             assert uniform.sample(rng) == reference_uniform(book, space, ref)
             assert rng.bit_generator.state == ref.bit_generator.state
     if dent == "heavy" and n_max <= 65:
@@ -433,6 +458,93 @@ def test_samplers_match_a_batch_at_a_time_reference(space, dent, n_max):
     if dent == "heavy":
         assert after_empty > 0
         assert in_remainder > 0 or n_max < 1000
+    if dent != "heavy" and n_max > 1:
+        assert resumed > 0
+
+
+def unscanned(mixture):
+    """Dense indices of the proposals the mixture's next search scans first."""
+    _, _, index = mixture._kept
+    return index[mixture._next :]
+
+
+def twin(rng):
+    """A new generator in ``rng``'s state."""
+    copy = np.random.default_rng()
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+RESUME_BATCH = [(Window(3, 4, 0), -0.5), (Window(10, 2, 1), -1.5), (Window(20, 20, 0), -0.2)]
+
+
+def test_kept_proposals_are_checked_against_the_book_as_it_is_now():
+    """With every cell the kept proposals point to claimed, a search
+    returns none of them: it scans them all against the book as it is now,
+    then draws fresh groups for the rest of ``n_max``, window and generator
+    state as a fresh mixture's search of that many proposals."""
+    space = PYRAMID
+    book = RegionBook(space)
+    mixture = _mixture_from_batch(RESUME_BATCH, book, space)
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        w = mixture.sample(rng)
+        book.claim_cell(w)
+        kept = unscanned(mixture)
+        assert len(kept)  # the book is mostly free, so an early proposal won
+        for i in set(kept.tolist()):
+            if book.flat[i] == 0:
+                book.claim_cell(space.window_at(i))
+        fresh, copy = _mixture_from_batch(RESUME_BATCH, book, space), twin(rng)
+        got = mixture.sample(rng)
+        assert got is not None and space.index_of(got) not in kept
+        assert got == fresh.sample(copy, 1000 - len(kept))
+        assert rng.bit_generator.state == copy.bit_generator.state
+        book.claim_cell(got)
+
+
+def test_an_extension_or_another_generator_discards_the_kept_proposals():
+    """After ``_add``, or when called with another generator, a search
+    draws as a fresh build of the mixture would: same window, same
+    generator state."""
+    space = PYRAMID
+    book = RegionBook(space)
+    mixture = _mixture_from_batch(RESUME_BATCH[:-1], book, space)
+    rng = np.random.default_rng(5)
+    mixture.sample(rng)
+    assert len(unscanned(mixture))
+    other = np.random.default_rng(6)
+    fresh, copy = _mixture_from_batch(RESUME_BATCH[:-1], book, space), twin(other)
+    assert mixture.sample(other) == fresh.sample(copy)
+    assert other.bit_generator.state == copy.bit_generator.state
+
+    mixture.sample(rng)  # rng's draws again, after other's
+    assert len(unscanned(mixture))
+    mixture = _mixture_from_batch(RESUME_BATCH, book, space, mixture)
+    assert not len(unscanned(mixture))
+    fresh, copy = _mixture_from_batch(RESUME_BATCH, book, space), twin(rng)
+    assert [mixture.sample(rng) for _ in range(20)] == [fresh.sample(copy) for _ in range(20)]
+    assert rng.bit_generator.state == copy.bit_generator.state
+
+
+@pytest.mark.parametrize("n_max", [10, 1000], ids=["within-the-kept", "past-the-kept"])
+def test_an_exhausted_search_leaves_nothing_to_scan(n_max):
+    """A search that comes up empty sets ``_missed`` and keeps nothing, also
+    when ``n_max`` ends it inside the kept proposals; the next search
+    draws fresh groups only."""
+    space = PYRAMID
+    book = RegionBook(space)
+    mixture = _mixture_from_batch(RESUME_BATCH, book, space)
+    rng = np.random.default_rng(7)
+    assert mixture.sample(rng) is not None and len(unscanned(mixture)) > 10
+    for i in range(space.window_count):
+        book.claim_cell(space.window_at(i))
+    assert mixture.sample(rng, n_max) is None
+    assert mixture._missed
+    assert not len(unscanned(mixture))
+    fresh, copy = _mixture_from_batch(RESUME_BATCH, book, space), twin(rng)
+    assert mixture.sample(rng, 100) is fresh.sample(copy, 100) is None
+    assert rng.bit_generator.state == copy.bit_generator.state
 
 
 def test_mixture_from_batch_matches_the_component_constructor():
