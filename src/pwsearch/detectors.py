@@ -82,10 +82,11 @@ class DetectorConfig:
     radius_table: RadiusTable | None = None
     r_a_x_ratio: float = 0.0
     r_a_y_ratio: float = 0.0
-    reject_propagation: ScalePropagation = NO_PROPAGATION
     accept_propagation: ScalePropagation = NO_PROPAGATION
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("name must be non-empty")
         if self.algorithm not in ("sw", "mpw", "ipw", "sipw"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.t_l >= self.t_h:
@@ -480,7 +481,7 @@ def _incremental_step(
     kind = _classify(response, config)
     state.book.claim_cell(w, RegionKind.ACCEPTED if kind == KIND_ACCEPTED else RegionKind.REJECTED)
     if kind == KIND_REJECTED:
-        mark_rejection(state.book, space, w, response, config.radius_table, config.t_l, config.reject_propagation)
+        mark_rejection(state.book, space, w, response, config.radius_table, config.t_l)
     elif kind == KIND_ACCEPTED:
         r_a_x, r_a_y = config.acceptance_radii(space)
         mark_acceptance(state.book, space, w, response, r_a_x, r_a_y, config.t_h, config.accept_propagation)

@@ -86,6 +86,8 @@ class CostModel:
     t_c: float = 1.0
 
     def __post_init__(self) -> None:
+        if min(self.t_w, self.t_f, self.t_c) < 0.0:
+            raise ValueError("t_w, t_f and t_c must be >= 0")
         if self.t_w == self.t_f == self.t_c == 0.0:
             raise ValueError("t_w, t_f and t_c are all 0, so every cost is 0 and no cost ratio exists")
 
@@ -170,6 +172,18 @@ class SceneParams:
     scale_indices: tuple[int, ...] = (0,)
     max_overlap: float = 0.3
     max_retries: int = 200
+
+    def __post_init__(self) -> None:
+        if self.object_count < 0 or self.distractor_count < 0:
+            raise ValueError("object_count and distractor_count must be >= 0")
+        if self.sharpness <= 0.0:
+            raise ValueError("sharpness must be positive")
+        if not self.scale_indices or min(self.scale_indices) < 0:
+            raise ValueError("scale_indices must be a non-empty list of indices >= 0")
+        if not 0.0 <= self.max_overlap <= 1.0:
+            raise ValueError("max_overlap must be in [0, 1]")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be >= 1")
 
 
 class SceneGenerationError(RuntimeError):

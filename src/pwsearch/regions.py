@@ -14,15 +14,16 @@ numpy's function wrappers.
 Rejection radii come from a :class:`RadiusTable`: the lower a window's
 response, the farther from any object it must be, so the larger the
 neighborhood that can be labeled negative without scoring it.  Only the first
-``active_intervals`` response intervals produce a neighborhood at all.  Marks
-optionally propagate to adjacent pyramid scales with per-step rectangle
-shrinkage (:class:`ScalePropagation`).
+``active_intervals`` response intervals produce a neighborhood at all, and
+only on the window's own scale: a radius sized for one scale, carried onto
+the scale of a nearby object, would swallow it.  Acceptance marks optionally
+propagate to adjacent pyramid scales with per-step rectangle shrinkage
+(:class:`ScalePropagation`).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,9 @@ class RadiusTable:
     Intervals are ordered by strictly increasing lower bound; a response
     falls into the last interval whose bound it reaches (responses below the
     first bound clamp to interval 0, so ``-inf`` is the conventional first
-    bound).  Ratios must be componentwise nonincreasing across the active
-    prefix: less confident rejections never claim more ground.
+    bound).  Every ratio is nonnegative, and ratios must be componentwise
+    nonincreasing across the active prefix: less confident rejections never
+    claim more ground.
     """
 
     intervals: tuple[RadiusInterval, ...]
@@ -71,10 +73,9 @@ class RadiusTable:
         bounds = [iv.lower for iv in self.intervals]
         if any(b0 >= b1 for b0, b1 in zip(bounds, bounds[1:])):
             raise ValueError("interval lower bounds must strictly increase")
+        if any(iv.r_x_ratio < 0 or iv.r_y_ratio < 0 for iv in self.intervals):
+            raise ValueError("ratios must be nonnegative")
         active = self.intervals[: self.active_intervals]
-        for iv in active:
-            if iv.r_x_ratio < 0 or iv.r_y_ratio < 0:
-                raise ValueError("active ratios must be nonnegative")
         for a, b in zip(active, active[1:]):
             if b.r_x_ratio > a.r_x_ratio or b.r_y_ratio > a.r_y_ratio:
                 raise ValueError("active ratios must be nonincreasing")
@@ -99,17 +100,14 @@ class RadiusTable:
 
 @dataclass(frozen=True)
 class ScalePropagation:
-    """Cross-scale marking rule.
+    """Cross-scale rule for acceptance marks.
 
-    ``span`` is the maximum scale-step distance reached; with
-    ``subtract_interval`` the span shrinks by the radius-table interval index
-    (confident rejections reach farther).  Rectangle radii are multiplied by
-    ``shrink ** step`` at each step away from the marking scale.
+    ``span`` is the maximum scale-step distance reached.  Rectangle radii are
+    multiplied by ``shrink ** step`` at each step away from the marking scale.
     """
 
     span: int
     shrink: float
-    subtract_interval: bool = False
 
     def __post_init__(self) -> None:
         if self.span < 0:
@@ -213,33 +211,6 @@ class RegionBook:
         return Window(int((self.grids[s][y] == 0).nonzero()[0][rank]), y, s)
 
 
-def _mark_region(
-    book: RegionBook,
-    space: SearchSpace,
-    w: Window,
-    rx: int,
-    ry: int,
-    kind: RegionKind,
-    propagation: ScalePropagation,
-    span: int,
-) -> int:
-    total = 0
-    lo = max(0, w.s - span)
-    hi = min(space.scale_count - 1, w.s + span)
-    for s2 in range(lo, hi + 1):
-        step = abs(s2 - w.s)
-        factor = propagation.shrink ** step
-        rx2 = int(factor * rx) // space.stride
-        ry2 = int(factor * ry) // space.stride
-        if s2 == w.s:
-            cx, cy = w.x, w.y
-        else:
-            gx, gy = space.grid_at(*space.centre(w.x, w.y, w.s), s2)
-            cx, cy = round(gx), round(gy)
-        total += book.mark_rect(s2, cx, cy, rx2, ry2, kind)
-    return total
-
-
 def mark_rejection(
     book: RegionBook,
     space: SearchSpace,
@@ -247,9 +218,9 @@ def mark_rejection(
     response: float,
     table: RadiusTable,
     t_l: float,
-    propagation: ScalePropagation = NO_PROPAGATION,
 ) -> int:
-    """Label the neighborhood of a confidently negative window as REJECTED.
+    """Label the neighborhood of a confidently negative window, on its own
+    scale, as REJECTED.
 
     Returns the number of newly claimed cells; inactive response intervals
     claim nothing.  Raises :class:`ContractViolation` unless
@@ -260,10 +231,8 @@ def mark_rejection(
     radii = table.lookup(response, space.template_w, space.template_h)
     if radii is None:
         return 0
-    span = propagation.span
-    if propagation.subtract_interval:
-        span = max(0, span - table.interval_index(response))
-    return _mark_region(book, space, w, radii[0], radii[1], RegionKind.REJECTED, propagation, span)
+    stride = space.stride
+    return book.mark_rect(w.s, w.x, w.y, radii[0] // stride, radii[1] // stride, RegionKind.REJECTED)
 
 
 def mark_acceptance(
@@ -276,7 +245,8 @@ def mark_acceptance(
     t_h: float,
     propagation: ScalePropagation = NO_PROPAGATION,
 ) -> int:
-    """Label the neighborhood of a positively classified window as ACCEPTED.
+    """Label the neighborhood of a positively classified window as ACCEPTED,
+    on every scale within ``propagation.span`` steps of its own.
 
     Returns the number of newly claimed cells.  Raises
     :class:`ContractViolation` unless ``response >= t_h``.
@@ -285,4 +255,15 @@ def mark_acceptance(
         raise ContractViolation(f"mark_acceptance needs response >= {t_h}, got {response}")
     if r_a_x < 0 or r_a_y < 0:
         raise ValueError("acceptance radii must be nonnegative")
-    return _mark_region(book, space, w, r_a_x, r_a_y, RegionKind.ACCEPTED, propagation, propagation.span)
+    total = 0
+    for s2 in range(max(0, w.s - propagation.span), min(space.scale_count - 1, w.s + propagation.span) + 1):
+        factor = propagation.shrink ** abs(s2 - w.s)
+        if s2 == w.s:
+            cx, cy = w.x, w.y
+        else:
+            gx, gy = space.grid_at(*space.centre(w.x, w.y, w.s), s2)
+            cx, cy = round(gx), round(gy)
+        total += book.mark_rect(
+            s2, cx, cy, int(factor * r_a_x) // space.stride, int(factor * r_a_y) // space.stride, RegionKind.ACCEPTED
+        )
+    return total

@@ -641,28 +641,27 @@ def test_keys_that_no_code_reads_are_config_errors(tmp_path, capsys):
         cfg["scenes"] = {"files": ["scene.json"], key: tiny_config()["scenes"][key]}
         path.write_text(json.dumps(cfg))
         assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, key
-        assert f"config error: config.json:scenes: Additional properties are not allowed ('{key}' was" in (
-            capsys.readouterr().err
-        )
+        assert f"config error: scenes: unexpected key {key!r}; the keys here are files\n" in capsys.readouterr().err
     for scorer in ({"kind": "synthetic", "stages": 4}, {"stages": 4}):
         cfg = tiny_config(scorer=scorer)
         path.write_text(json.dumps(cfg))
         assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, scorer
-        assert "config error: config.json:scorer: Additional properties are not allowed ('stages' was" in (
-            capsys.readouterr().err
-        )
+        assert "config error: scorer: unexpected key 'stages'; the keys here are kind\n" in capsys.readouterr().err
 
 
-def test_subtract_interval_only_under_reject_propagation(tmp_path, capsys):
-    """Only rejection marks read ``subtract_interval``; an acceptance
-    propagation that sets it would run as if it did not."""
-    for key, code in (("reject_propagation", EXIT_OK), ("accept_propagation", EXIT_CONFIG)):
+def test_cross_scale_rejection_keys_are_config_errors(tmp_path, capsys):
+    """Rejection marks stay on their window's scale: a config that asks for
+    ``reject_propagation``, or ``subtract_interval`` in a propagation, exits 2."""
+    for key, value in (("reject_propagation", {"span": 1, "shrink": 0.8}),
+                       ("accept_propagation", {"span": 1, "shrink": 0.5, "subtract_interval": True})):
         cfg = tiny_config()
-        cfg["detectors"][0][key] = {"span": 1, "shrink": 0.5, "subtract_interval": True}
+        cfg["detectors"][0][key] = value
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(cfg))
-        assert main(["validate-config", "--config", str(path), "--quiet"]) == code
-    assert "detectors.0.accept_propagation" in capsys.readouterr().err
+        assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, key
+    err = capsys.readouterr().err
+    assert "config error: detectors[0]: unexpected key 'reject_propagation'" in err
+    assert "config error: detectors[0].accept_propagation: unexpected key 'subtract_interval'" in err
 
 
 def test_broken_scene_file_is_config_error(tmp_path):

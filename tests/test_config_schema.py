@@ -1,26 +1,29 @@
-"""The config module's schema walker against jsonschema, the reference.
+"""The config loader against the shipped JSON Schemas, the format's documentation.
 
-Every document below is a shipped config or a saved scene file with one
-change.  ``_schema_check`` must accept exactly the documents that
-``jsonschema.Draft202012Validator`` accepts, and for every other one report
-jsonschema's first error: the same field and the same message.
+The loader does not read the schemas: each config section is checked by the
+dataclass it fills.  So the schemas and the loader are kept in agreement
+here, with jsonschema as the reference: on every shipped config and a saved
+scene file with one change, every document that jsonschema refuses must be
+refused with :class:`ConfigError`, and no document may raise anything else.
+The loader refuses more than the schemas, its cross-field rules.
 """
 
 import json
+import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from jsonschema import Draft202012Validator
 
+from pwsearch import CostModel, DetectorConfig, RadiusInterval, RadiusTable, SceneParams, SearchSpace
 from pwsearch import config
-from pwsearch.config import ConfigError, _load_schema, _schema_check, load_config
+from pwsearch.config import ConfigError, load_config
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+SCHEMAS_DIR = Path(config.__file__).resolve().parent / "schemas"
 
 # What replaces each value in turn.
 REPLACEMENTS = ("x", True, None, [], {}, -1, 0, 1.5)
@@ -40,7 +43,7 @@ def _nodes(doc, path=()):
 
 def _replaced(doc, path, change):
     """``doc`` with the node at ``path`` replaced by ``change(node)``; the
-    rest is shared, which is safe since neither validator mutates."""
+    rest is shared, which is safe since neither side mutates."""
     if not path:
         return change(doc)
     new = doc.copy()
@@ -49,9 +52,9 @@ def _replaced(doc, path, change):
 
 
 def _changes(doc):
-    """(path, changed document) for every change the module docstring's
-    reference set makes at every node: delete each key and add an unknown
-    one, replace each value, empty each array and duplicate its first item."""
+    """(path, changed document) for every one-change edit at every node:
+    delete each key and add an unknown one, replace each value by each of
+    ``REPLACEMENTS``, empty each array and duplicate its first item."""
     for path, node in _nodes(doc):
         if path:
             for value in REPLACEMENTS:
@@ -66,10 +69,9 @@ def _changes(doc):
                 yield path, _replaced(doc, path, lambda n: n + n[:1])
 
 
-def _reference_error(validator, doc, changed=()):
-    """jsonschema's first error in ``doc`` as ``ConfigError``'s (field,
-    text) for source ``doc``, or None.  ``doc`` is a valid document whose only
-    change is at path ``changed``.
+def _schema_refuses(validator, doc, changed) -> bool:
+    """Whether jsonschema refuses ``doc``, a valid document whose only change
+    is at path ``changed``.
 
     Below a node whose schema is structural, the node's own errors are those
     of the valid document, none, and so are its unchanged children's; so the
@@ -81,119 +83,69 @@ def _reference_error(validator, doc, changed=()):
         key = changed[len(path)]
         schema = schema["properties"][key] if isinstance(node, dict) else schema["items"]
         node, path = node[key], (*path, key)
-    errors = sorted(validator.evolve(schema=schema).iter_errors(node), key=lambda e: list(e.absolute_path))
-    if not errors:
-        return None
-    field = "doc:" + (".".join(map(str, (*path, *errors[0].absolute_path))) or "<root>")
-    return field, f"{field}: {errors[0].message}"
-
-
-def _walker_error(doc, schema_name):
-    try:
-        _schema_check(doc, schema_name, "doc")
-    except ConfigError as exc:
-        return exc.field, str(exc)
-    return None
+    return not validator.evolve(schema=schema).is_valid(node)
 
 
 def _shipped(source, tmp_path):
+    """The schema, the valid document and the file that each edit of it is
+    written to; ``config.json`` in ``tmp_path`` then loads the edit."""
+    path = tmp_path / "config.json"
     if source != "scene":
-        return "config.schema.json", json.loads((CONFIGS_DIR / f"{source}.json").read_text())
-    path = tmp_path / "scene.json"
-    load_config(CONFIGS_DIR / "synthetic.json").load_scenes()[0].save(path)
-    return "scene.schema.json", json.loads(path.read_text())
+        path.write_text((CONFIGS_DIR / f"{source}.json").read_text())
+        return "config.schema.json", json.loads(path.read_text()), path
+    load_config(CONFIGS_DIR / "synthetic.json").load_scenes()[0].save(tmp_path / "scene.json")
+    cfg = json.loads((CONFIGS_DIR / "synthetic.json").read_text())
+    cfg["scenes"] = {"files": ["scene.json"]}
+    path.write_text(json.dumps(cfg))
+    return "scene.schema.json", json.loads((tmp_path / "scene.json").read_text()), tmp_path / "scene.json"
 
 
 @pytest.mark.parametrize("source", ["face", "synthetic", "pedestrian", "scene"])
 def test_schema_check_matches_jsonschema_on_every_changed_document(source, tmp_path):
-    schema_name, doc = _shipped(source, tmp_path)
-    validator = Draft202012Validator(_load_schema(schema_name))
-    assert not list(validator.iter_errors(doc))
-    assert _walker_error(doc, schema_name) is None
-    mismatches, rejected, count = [], 0, 0
+    schema_name, doc, target = _shipped(source, tmp_path)
+    validator = Draft202012Validator(json.loads((SCHEMAS_DIR / schema_name).read_text()))
+    assert validator.is_valid(doc)
+    load_config(tmp_path / "config.json").load_scenes()
+    loaded, crashed, rejected, count = [], [], 0, 0
     for path, changed in _changes(doc):
-        expected = _reference_error(validator, changed, path)
-        got = _walker_error(changed, schema_name)
-        count, rejected = count + 1, rejected + (expected is not None)
-        if got != expected:
-            mismatches.append((path, expected, got))
-    assert not mismatches, f"{len(mismatches)} of {count} differ, first: {mismatches[:3]}"
+        target.write_text(json.dumps(changed))
+        refuses = _schema_refuses(validator, changed, path)
+        count, rejected = count + 1, rejected + refuses
+        try:
+            load_config(tmp_path / "config.json").load_scenes()
+        except ConfigError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - every failure must be a ConfigError
+            crashed.append((path, repr(exc)))
+            continue
+        if refuses:
+            loaded.append(path)
+    assert not loaded, f"{len(loaded)} of {rejected} documents that jsonschema refuses load, first: {loaded[:3]}"
+    assert not crashed, f"{len(crashed)} of {count} documents raise other than ConfigError, first: {crashed[:3]}"
     assert 0 < rejected < count
 
 
-# Every keyword the walker reads, with unevaluatedProperties beside each
-# applicator that can evaluate a key.
-SUBSET_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "keyword subset",
-    "type": "object",
-    "properties": {
-        "a": {"anyOf": [{"type": "integer", "minimum": 2}, {"const": "two"}]},
-        "b": {"type": ["string", "null"], "minLength": 2, "enum": ["bb", "ccc", None]},
-        "c": {"type": "array", "items": {"type": "number", "maximum": 3, "exclusiveMinimum": 0},
-              "minItems": 1, "maxItems": 2, "uniqueItems": True},
-    },
-    "anyOf": [{"required": ["e"], "properties": {"e": True}}, {"required": ["f"]}],
-    "if": {"required": ["g"], "properties": {"g": {"const": 1}}},
-    "then": {"properties": {"h": True}},
-    "else": {"properties": {"i": True}},
-    "$ref": "#/$defs/j",
-    "unevaluatedProperties": False,
-    "$defs": {"j": {"properties": {"j": {"type": "boolean"}}}},
-}
-
-SUBSET_DOCUMENTS = [
-    {"e": 0},
-    {"f": 0},
-    {},
-    {"a": 2, "e": 0},
-    {"a": 1.0, "e": 0},
-    {"a": 3.0, "e": 0},
-    {"a": "two", "e": 0},
-    {"a": True, "e": 0},
-    {"b": "b", "e": 0},
-    {"b": None, "e": 0},
-    {"b": "dd", "e": 0},
-    {"c": [], "e": 0},
-    {"c": [1, 2, 3], "e": 0},
-    {"c": [1, 1.0], "e": 0},
-    {"c": [0, 4], "e": 0},
-    {"c": [True, 1], "e": 0},
-    {"e": 0, "f": 0, "g": 1, "h": 0},
-    {"e": 0, "g": 1, "i": 0},
-    {"e": 0, "g": 2, "i": 0, "h": 0},
-    {"e": 0, "g": True, "h": 0},
-    {"e": 0, "j": True, "z": 0, "y": 0},
-    {"f": 0, "j": 1},
-    [],
-]
-
-
-def _with_schema(monkeypatch, tmp_path, name, schema):
-    """Make ``name`` load ``schema`` as if it were shipped."""
-    (tmp_path / name).write_text(json.dumps(schema))
-    monkeypatch.setattr(config, "resources", SimpleNamespace(files=lambda package: tmp_path))
-
-
-@pytest.mark.parametrize("doc", SUBSET_DOCUMENTS, ids=lambda doc: json.dumps(doc))
-def test_schema_check_matches_jsonschema_on_the_keyword_subset(doc, monkeypatch, tmp_path):
-    _with_schema(monkeypatch, tmp_path, "subset.schema.json", SUBSET_SCHEMA)
-    assert _walker_error(doc, "subset.schema.json") == _reference_error(Draft202012Validator(SUBSET_SCHEMA), doc)
+SPACE = SearchSpace(80, 60, 16, 24, scale_factor=1.25, scale_count=3)
 
 
 @pytest.mark.parametrize(
-    "rare, unsupported",
+    "build",
     [
-        ({"type": "string", "pattern": "^a"}, "'pattern'"),
-        ({"type": "object", "additionalProperties": {"type": "integer"}}, "'additionalProperties'"),
-        ({"$ref": "#/$defs/missing"}, "'$ref'"),
-        (False, "false schema"),
+        lambda: SceneParams(SPACE, sharpness=-3.0),
+        lambda: SceneParams(SPACE, max_overlap=2.0),
+        lambda: SceneParams(SPACE, object_count=-1),
+        lambda: SceneParams(SPACE, scale_indices=()),
+        lambda: CostModel(t_w=-5.0),
+        lambda: DetectorConfig("", "sw", -2.0, 0.0),
+        lambda: RadiusTable((RadiusInterval(-math.inf, 0.4, 0.4), RadiusInterval(-4.0, -0.1, 0.1)), 1),
     ],
+    ids=["sharpness", "max_overlap", "object_count", "scale_indices", "cost", "name", "inactive_ratio"],
 )
-def test_schema_check_refuses_what_it_does_not_implement(rare, unsupported, monkeypatch, tmp_path):
-    _with_schema(monkeypatch, tmp_path, "rare.schema.json", {"properties": {"rare": rare}})
-    with pytest.raises(NotImplementedError, match=re.escape(unsupported)):
-        _schema_check({}, "rare.schema.json", "doc")  # although no instance reaches it
+def test_each_value_bound_is_the_dataclass_own(build):
+    """The bounds that the schemas document hold without a config: the
+    dataclass refuses the value when it is built, as the loader relies on."""
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_importing_the_cli_leaves_jsonschema_unloaded():

@@ -197,7 +197,7 @@ def test_row_free_counts_match_a_recount(rng):
         if roll < 0.5:
             book.claim_cell(w, RegionKind.REJECTED if roll < 0.4 else RegionKind.ACCEPTED)
         elif roll < 0.8:
-            mark_rejection(book, space, w, float(rng.uniform(-6.0, -2.5)), table, -2.0, spread)
+            mark_rejection(book, space, w, float(rng.uniform(-6.0, -2.5)), table, -2.0)
         else:
             mark_acceptance(book, space, w, 1.0, int(rng.integers(4)), int(rng.integers(4)), 0.0, spread)
         assert [rows.tolist() for rows in book._row_free] == [(grid == 0).sum(axis=1).tolist() for grid in book.grids]
@@ -232,7 +232,7 @@ def test_mark_rejection_own_scale_extent(pyramid):
     n = mark_rejection(book, pyramid, Window(6, 6, 1), -9.0, table, t_l=-2.0)
     assert n == 9 * 9
     assert book.state_at(Window(6, 6, 1)) is RegionKind.REJECTED
-    assert book.state_at(Window(6, 6, 0)) is RegionKind.FREE  # no propagation by default
+    assert book.state_at(Window(6, 6, 0)) is RegionKind.FREE  # rejections stay on their own scale
 
 
 def test_mark_rejection_inactive_interval_claims_nothing(pyramid):
@@ -240,21 +240,6 @@ def test_mark_rejection_inactive_interval_claims_nothing(pyramid):
     table = table_from([(NEG_INF, 0.25, 0.25), (-4.0, 0.1, 0.1)], active=1)
     assert mark_rejection(book, pyramid, Window(6, 6, 1), -3.0, table, t_l=-2.0) == 0
     assert book.free_count == pyramid.window_count
-
-
-def test_mark_rejection_propagates_with_shrinking_radii(pyramid):
-    book = RegionBook(pyramid)
-    table = table_from([(NEG_INF, 1 / 3, 1 / 3)], active=1)
-    n = mark_rejection(
-        book, pyramid, Window(6, 6, 1), -9.0, table, t_l=-2.0,
-        propagation=ScalePropagation(span=1, shrink=0.5),
-    )
-    # 9x9 at the marking scale, 5x5 around the projected center one level
-    # down, and the single clipped cell at the 1x1 top scale
-    assert n == 81 + 25 + 1
-    assert book.state_at(Window(18, 18, 0)) is RegionKind.REJECTED
-    assert book.state_at(Window(18 + 3, 18, 0)) is RegionKind.FREE
-    assert book.state_at(Window(0, 0, 2)) is RegionKind.REJECTED
 
 
 def test_cross_scale_mark_centres_on_grid_at_of_the_window_centre():
@@ -266,18 +251,6 @@ def test_cross_scale_mark_centres_on_grid_at_of_the_window_centre():
     assert n == 2  # its own cell and one on scale 1; scale 3's rounds to (-1, -1)
     assert book.state_at(Window(1, 1, 1)) is RegionKind.ACCEPTED
     assert book.state_at(Window(2, 2, 1)) is RegionKind.FREE
-
-
-def test_subtract_interval_shortens_the_reach(pyramid):
-    table = table_from([(NEG_INF, 1 / 3, 1 / 3), (-5.0, 1 / 6, 1 / 6)], active=2)
-    prop = ScalePropagation(span=1, shrink=0.5, subtract_interval=True)
-    book = RegionBook(pyramid)
-    # interval 1: span drops to zero, only the marking scale is touched
-    n = mark_rejection(book, pyramid, Window(6, 6, 1), -4.0, table, t_l=-2.0, propagation=prop)
-    assert n == 5 * 5
-    book2 = RegionBook(pyramid)
-    n2 = mark_rejection(book2, pyramid, Window(6, 6, 1), -9.0, table, t_l=-2.0, propagation=prop)
-    assert n2 == 81 + 25 + 1  # interval 0 keeps the full span
 
 
 def test_mark_acceptance_contract_and_extent(pyramid):
@@ -298,8 +271,12 @@ def test_mark_acceptance_propagates(pyramid):
         book, pyramid, Window(6, 6, 1), 1.5, 4, 4, t_h=0.0,
         propagation=ScalePropagation(span=1, shrink=0.5),
     )
+    # 9x9 at the marking scale, 5x5 around the projected center one level
+    # down, and the single clipped cell at the 1x1 top scale
     assert n == 81 + 25 + 1
     assert book.state_at(Window(18, 18, 0)) is RegionKind.ACCEPTED
+    assert book.state_at(Window(18 + 3, 18, 0)) is RegionKind.FREE
+    assert book.state_at(Window(0, 0, 2)) is RegionKind.ACCEPTED
 
 
 def test_propagation_validation():
