@@ -115,9 +115,8 @@ def _pick_detector(cfg: LoadedConfig, name: str | None):
 def cmd_run(args) -> int:
     cfg = _load(args)
     detector = _pick_detector(cfg, args.detector)
-    count = len(cfg.scene_files) or cfg.scene_count
-    if not 0 <= args.scene < count:
-        raise ConfigError("--scene", f"scene index {args.scene} outside 0..{count - 1}")
+    if not 0 <= args.scene < cfg.scene_count:
+        raise ConfigError("--scene", f"scene index {args.scene} outside 0..{cfg.scene_count - 1}")
     [scene] = cfg.load_scenes(only=args.scene)  # the other scenes are neither built nor checked
     seed = derive_seed(cfg.seed, args.scene)
     trace, detections, metrics = run_cell(cfg, scene, detector, seed)

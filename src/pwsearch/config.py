@@ -71,7 +71,7 @@ class LoadedConfig:
     detectors: tuple[DetectorConfig, ...]
     scene_params: SceneParams | None
     scene_files: tuple[Path, ...]  # resolved against the config file's directory
-    scene_count: int
+    scene_count: int  # the scene files, or else the scenes to generate
     scene_seed: int
     budgets: tuple[int, ...]
     seed: int
@@ -84,10 +84,11 @@ class LoadedConfig:
 
     def load_scenes(self, only: int | None = None) -> list[SyntheticScene]:
         """The config's scenes: its files, checked as the module docstring
-        lists, or else freshly generated.  With ``only``, a valid scene
-        index, just that scene: no other file is read and no other scene built."""
+        lists, or else freshly generated.  With ``only``, just the scene of
+        that index (IndexError past ``scene_count``): no other file is read
+        and no other scene built."""
         if self.scene_files:
-            paths = self.scene_files if only is None else self.scene_files[only : only + 1]
+            paths = self.scene_files if only is None else [self.scene_files[only]]
             return [self._load_scene_file(path) for path in paths]
         assert self.scene_params is not None
         try:
@@ -149,18 +150,6 @@ def _check_floor(floor: float, detectors: tuple[DetectorConfig, ...], field: str
                 field or f"detectors[{i}].t_l",
                 f"scene floor {floor} must lie below detectors[{i}].t_l = {det.t_l}",
             )
-
-
-def _check_scene_params(params: SceneParams) -> None:
-    """Raise unless each peak range is ordered above the floor and each scale
-    index is in the pyramid, whose every scale holds windows."""
-    for key in ("object_peak", "distractor_peak"):
-        low, high = getattr(params, key)
-        if not params.floor < low <= high:
-            raise ConfigError(f"scenes.params.{key}", f"[{low}, {high}] is not ordered above floor {params.floor}")
-    for idx in params.scale_indices:
-        if idx >= params.space.scale_count:
-            raise ConfigError("scenes.params.scale_indices", f"scale index {idx} outside the pyramid")
 
 
 def _check_cascade_thresholds(detectors: tuple[DetectorConfig, ...], field: str | None = None) -> None:
@@ -343,7 +332,6 @@ def load_config(path: str | Path) -> LoadedConfig:
         scene_files = tuple(path.parent / _string(f, _at("scenes.files", k)) for k, f in enumerate(files))
     else:
         scene_params = _build(SceneParams, scenes.get("params", {}), "scenes.params", space=space)
-        _check_scene_params(scene_params)
 
     keys = ("budgets", "seed", "match_iou", "nms_iou", "sweep_t_h")
     experiment = _object(data["experiment"], "experiment", keys, ("budgets", "seed"))
@@ -376,7 +364,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         detectors=detectors,
         scene_params=scene_params,
         scene_files=scene_files,
-        scene_count=_integer(scenes.get("count", 1), "scenes.count", 1),
+        scene_count=len(scene_files) or _integer(scenes.get("count", 1), "scenes.count", 1),
         scene_seed=_integer(scenes.get("master_seed", 0), "scenes.master_seed", 0),
         budgets=budgets,
         seed=_integer(experiment["seed"], "experiment.seed", 0),

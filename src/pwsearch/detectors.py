@@ -160,9 +160,10 @@ class TraceRecord:
         return Window(self.x, self.y, self.s)
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
+# A trace line's keys, in file order: ``TraceRecord``'s fields, listed once for every module.
+TRACE_KEYS = tuple(f.name for f in fields(TraceRecord))
 # A record's values, or a TraceRecords' columns, in field order.
-_field_values = operator.attrgetter(*_RECORD_FIELDS)
+_field_values = operator.attrgetter(*TRACE_KEYS)
 
 
 class TraceRecords(Sequence):
@@ -174,10 +175,10 @@ class TraceRecords(Sequence):
     builds no ``TraceRecord``.  Equal to another ``TraceRecords`` or to a list
     of the same records."""
 
-    __slots__ = _RECORD_FIELDS
+    __slots__ = TRACE_KEYS
 
     def __init__(self, rows: Iterable[TraceRecord] = ()):
-        for name in _RECORD_FIELDS:
+        for name in TRACE_KEYS:
             setattr(self, name, [])
         for rec in rows:
             self.append(rec)
@@ -186,7 +187,7 @@ class TraceRecords(Sequence):
     def from_columns(cls, columns: Iterable[list]) -> TraceRecords:
         """Records over ``columns``, one list per field in field order; the lists are not copied."""
         records = cls.__new__(cls)
-        for name, column in zip(_RECORD_FIELDS, columns, strict=True):
+        for name, column in zip(TRACE_KEYS, columns, strict=True):
             setattr(records, name, column)
         return records
 
@@ -327,17 +328,17 @@ def _record_batch(
     source: str,
     responses: np.ndarray,
     stages: np.ndarray,
-    n_ab: int,
-) -> int:
+) -> None:
     """Classify a batch scored at the arrays ``x, y, s`` and extend the trace's
-    columns by it, the coordinates as ints; returns the running count of
-    ambiguous windows.  Classified as :func:`_classify` does, a NaN response as
-    ambiguous.  No cell is marked: counters stay 0."""
+    columns by it, the coordinates as ints; the running count of ambiguous
+    windows goes on from the trace's last.  Classified as :func:`_classify`
+    does, a NaN response as ambiguous.  No cell is marked: counters stay 0."""
     n = len(responses)
     rejected = responses < config.t_l
     accepted = responses >= config.t_h
     ambiguous = ~(rejected | accepted)
     r = trace.records
+    n_ab = r.n_ambiguous[-1] if r.n_ambiguous else 0
     first = len(r) + 1
     r.i.extend(range(first, first + n))
     r.x.extend(x.tolist())
@@ -351,7 +352,6 @@ def _record_batch(
     r.n_ambiguous.extend((np.cumsum(ambiguous) + n_ab).tolist())
     r.p_uniform.extend([None] * n)
     r.stages_evaluated.extend(stages.tolist())
-    return n_ab + int(np.count_nonzero(ambiguous))
 
 
 def run_sw(
@@ -367,7 +367,7 @@ def run_sw(
     trace = RunTrace(config.name, "sw", None, space.window_count)
     x, y, s = space.grid_coordinates()
     responses, stages = scorer.score_many(space, x, y, s)
-    _record_batch(trace, config, x, y, s, SOURCE_SCAN, responses, stages, 0)
+    _record_batch(trace, config, x, y, s, SOURCE_SCAN, responses, stages)
     trace.complete = True
     return trace
 
@@ -415,7 +415,6 @@ def run_mpw(
     schedule = schedule_for_budget(config.budget, config.gamma, config.mpw_stage_count)
     book = RegionBook(space)
     sigma = default_sigma(space)
-    n_ab = 0
     for stage, n_draw in enumerate(schedule):
         if stage:
             mixture = DentedGaussianMixture(np.stack((x, y, s)), normalize_weights(responses), sigma, book, space)
@@ -425,7 +424,7 @@ def run_mpw(
             x, y, s = space.coordinates_at(rng.integers(space.window_count, size=n_draw))
             source = SOURCE_UNIFORM
         responses, stages = scorer.score_many(space, x, y, s)
-        n_ab = _record_batch(trace, config, x, y, s, source, responses, stages, n_ab)
+        _record_batch(trace, config, x, y, s, source, responses, stages)
     return trace
 
 
@@ -449,7 +448,8 @@ def _incremental_step(
     p_uniform: float,
     trace: RunTrace,
 ) -> bool:
-    """Draw, score, classify, and mark one window; False when the space is exhausted.
+    """Draw, score, classify, and mark one window; True if its response was
+    ambiguous.  An exhausted space scores nothing, sets ``trace.complete`` and gives False.
 
     The Gaussian branch falls back to the dented uniform in the same
     iteration when the mixture is empty or its rejection loop exhausts.  A

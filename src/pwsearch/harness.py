@@ -7,7 +7,7 @@ wall-clock or environment state: rerunning a seed reproduces them byte for
 byte.
 
 Each output is defined once: a ``trace.jsonl`` line by ``TRACE_KEYS``,
-derived from ``TraceRecord``'s fields and used by writer and reader alike;
+``TraceRecord``'s fields as ``detectors`` lists them, for writer and reader;
 ``curves.csv``'s columns by ``extract_curves``; the per-(budget, detector)
 means of ``compare`` and ``sweep`` by ``cell_means``.  A record's fields are
 its line's keys, in line order.  A run's records are columns, one list per
@@ -18,8 +18,8 @@ float column once, as ``json.dumps`` spells its values, and fills one ``%``
 template, built at import from ``TRACE_KEYS`` and the declared types of
 ``TraceRecord``'s fields, with each row of the columns, so a new trace field
 changes only ``TraceRecord`` and the two places that record it
-(``_record_batch`` and ``_incremental_step``); each line equals
-``json.dumps`` of :func:`trace_record_to_dict`.  Every table is a dict of
+(``_record_batch`` and ``_incremental_step``); each line equals the
+reference ``json.dumps(dataclasses.asdict(rec))``.  Every table is a dict of
 equal-length columns, which :func:`write_csv` writes row by row.
 """
 
@@ -41,6 +41,7 @@ import numpy as np
 from .detectors import (
     SOURCE_GAUSSIAN,
     SOURCE_UNIFORM,
+    TRACE_KEYS,
     DetectorConfig,
     RunTrace,
     TraceRecord,
@@ -157,7 +158,8 @@ class SceneParams:
 
     Targets are placed fully inside the image at template-aspect sizes drawn
     from the pyramid's own scale steps, and no two placements may overlap
-    above ``max_overlap``.  Peak ranges should respect the paired detector's
+    above ``max_overlap``.  Each peak range is a ``(low, high)`` pair with
+    ``floor < low <= high``, and should respect the paired detector's
     thresholds (objects at or above t_h, distractors inside [t_l, t_h)).
     ``scale_indices`` must name scales of the pyramid (0 to scale_count - 1).
     """
@@ -178,8 +180,13 @@ class SceneParams:
             raise ValueError("object_count and distractor_count must be >= 0")
         if self.sharpness <= 0.0:
             raise ValueError("sharpness must be positive")
-        if not self.scale_indices or min(self.scale_indices) < 0:
-            raise ValueError("scale_indices must be a non-empty list of indices >= 0")
+        last = self.space.scale_count - 1
+        if not self.scale_indices or not 0 <= min(self.scale_indices) <= max(self.scale_indices) <= last:
+            raise ValueError(f"scale_indices {list(self.scale_indices)} is not a non-empty list of scales 0 to {last}")
+        for key in ("object_peak", "distractor_peak"):
+            low, high = getattr(self, key)
+            if not self.floor < low <= high:
+                raise ValueError(f"{key} [{low}, {high}] is not ordered above floor {self.floor}")
         if not 0.0 <= self.max_overlap <= 1.0:
             raise ValueError("max_overlap must be in [0, 1]")
         if self.max_retries < 1:
@@ -458,9 +465,6 @@ def summarize_ratios(results: list[RunResult], detectors: list[str], budgets: li
 # --- serialization -----------------------------------------------------------
 
 
-# A trace line's keys, in file order: ``TraceRecord``'s fields, built once so
-# that no record pays for ``fields()``.
-TRACE_KEYS = tuple(f.name for f in fields(TraceRecord))
 _line_values = itemgetter(*TRACE_KEYS)
 _HEADER_KEYS = ("detector", "algorithm", "seed", "window_count")
 _FLOAT_KINDS = (float, float | None)
@@ -498,18 +502,12 @@ def _spell_floats(column: list) -> list[str]:
     return spelled if math.isfinite(sum(column)) else list(map(json.dumps, column))
 
 
-def trace_record_to_dict(rec: TraceRecord) -> dict:
-    """A record as the dict its trace line spells; ``json.dumps`` of it is the
-    reference that the ``_LINE`` writer is tested against."""
-    return asdict(rec)
-
-
 def write_trace_jsonl(path: str | Path, trace: RunTrace) -> None:
     """Header line, then one line per draw, then a footer with the outcome.
 
     Each record line is ``_LINE`` filled with one row of the record columns,
     the float columns spelled once each by :func:`_spell_floats`, and equals
-    ``json.dumps(trace_record_to_dict(rec))``; header and footer are
+    ``json.dumps(dataclasses.asdict(rec))``; header and footer are
     ``json.dumps`` of their dicts."""
     header = json.dumps({key: getattr(trace, key) for key in _HEADER_KEYS})
     columns = [

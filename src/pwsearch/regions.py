@@ -255,15 +255,11 @@ def mark_acceptance(
         raise ContractViolation(f"mark_acceptance needs response >= {t_h}, got {response}")
     if r_a_x < 0 or r_a_y < 0:
         raise ValueError("acceptance radii must be nonnegative")
+    centre = space.centre(w.x, w.y, w.s)
     total = 0
     for s2 in range(max(0, w.s - propagation.span), min(space.scale_count - 1, w.s + propagation.span) + 1):
         factor = propagation.shrink ** abs(s2 - w.s)
-        if s2 == w.s:
-            cx, cy = w.x, w.y
-        else:
-            gx, gy = space.grid_at(*space.centre(w.x, w.y, w.s), s2)
-            cx, cy = round(gx), round(gy)
-        total += book.mark_rect(
-            s2, cx, cy, int(factor * r_a_x) // space.stride, int(factor * r_a_y) // space.stride, RegionKind.ACCEPTED
-        )
+        gx, gy = space.grid_at(*centre, s2)  # on w's own scale this rounds back to (w.x, w.y)
+        rx, ry = int(factor * r_a_x) // space.stride, int(factor * r_a_y) // space.stride
+        total += book.mark_rect(s2, round(gx), round(gy), rx, ry, RegionKind.ACCEPTED)
     return total

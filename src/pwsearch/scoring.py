@@ -76,7 +76,8 @@ class SyntheticScene:
 
     Object peaks are meant to sit at or above the paired detector's upper
     threshold, distractor peaks inside the ambiguity band, and ``floor``
-    strictly below the lower threshold.
+    strictly below the lower threshold.  :meth:`save` writes a scene file,
+    which a config's ``scenes.files`` loads back.
     """
 
     image_w: int
@@ -112,23 +113,6 @@ class SyntheticScene:
             "floor": self.floor,
             "sharpness": self.sharpness,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SyntheticScene":
-        def placements(items: list[dict]) -> tuple[Placement, ...]:
-            return tuple(
-                (Box(d["box"]["cx"], d["box"]["cy"], d["box"]["w"], d["box"]["h"]), float(d["peak"]))
-                for d in items
-            )
-
-        return cls(
-            image_w=int(data["image_w"]),
-            image_h=int(data["image_h"]),
-            objects=placements(data["objects"]),
-            distractors=placements(data["distractors"]),
-            floor=float(data["floor"]),
-            sharpness=float(data["sharpness"]),
-        )
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

@@ -510,11 +510,11 @@ def test_semantic_config_errors(tmp_path, capsys):
     # or not above the floor, a scale index past the pyramid or a pyramid
     # past the image, targets that cannot be placed apart
     for name, space, params, field in (
-        ("peak_floor", {}, {"object_peak": [-6.0, -5.5]}, "scenes.params.object_peak"),
-        ("peak_order", {}, {"distractor_peak": [-0.4, -1.2]}, "scenes.params.distractor_peak"),
-        ("past_pyramid", {}, {"scale_indices": [3]}, "scenes.params.scale_indices"),
-        ("unfit_scale", {"scale_count": 8}, {"scale_indices": [7]}, "space"),
-        ("crowded", {}, {"object_count": 40, "max_overlap": 0.0}, "scenes.params"),
+        ("peak_floor", {}, {"object_peak": [-6.0, -5.5]}, "scenes.params: object_peak"),
+        ("peak_order", {}, {"distractor_peak": [-0.4, -1.2]}, "scenes.params: distractor_peak"),
+        ("past_pyramid", {}, {"scale_indices": [3]}, "scenes.params: scale_indices"),
+        ("unfit_scale", {"scale_count": 8}, {"scale_indices": [7]}, "space:"),
+        ("crowded", {}, {"object_count": 40, "max_overlap": 0.0}, "scenes.params:"),
     ):
         cfg = tiny_config()
         cfg["space"].update(space)
@@ -522,7 +522,7 @@ def test_semantic_config_errors(tmp_path, capsys):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG, name
-        assert f"config error: {field}: " in capsys.readouterr().err, name
+        assert f"config error: {field} " in capsys.readouterr().err, name
 
     cfg = tiny_config()
     cfg["scenes"]["params"]["floor"] = -1.0  # not below t_l
@@ -786,6 +786,34 @@ def test_run_reads_only_its_own_scene_file(tmp_path):
     assert main(["validate-config", "--config", str(path), "--quiet"]) == EXIT_CONFIG
     for command in ("compare", "sweep"):
         assert main([command, "--config", str(path), "--quiet", "--out", str(tmp_path / command)]) == EXIT_CONFIG
+
+
+def test_a_file_config_counts_and_indexes_its_files(tmp_path):
+    """A config's scene count is its number of files, and ``load_scenes(only=)``
+    indexes them as it indexes generated scenes: past the count is an IndexError."""
+    from pwsearch import Box, SyntheticScene
+    from pwsearch.config import load_config
+
+    scenes = [SyntheticScene(80, 60, ((Box(cx, 30.0, 16.0, 24.0), 2.0),), (), floor=-5.0, sharpness=3.0)
+              for cx in (20.0, 60.0)]
+    for k, scene in enumerate(scenes):
+        scene.save(tmp_path / f"scene_{k}.json")
+    cfg = tiny_config()
+    cfg["scenes"] = {"files": ["scene_0.json", "scene_1.json"]}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    loaded = load_config(tmp_path / "config.json")
+    assert loaded.scene_count == 2
+    assert loaded.load_scenes() == scenes
+    assert loaded.load_scenes(only=1) == [scenes[1]]
+    with pytest.raises(IndexError):
+        loaded.load_scenes(only=2)
+    cfg = tiny_config()
+    cfg["scenes"]["count"] = 2
+    (tmp_path / "generated.json").write_text(json.dumps(cfg))
+    generated = load_config(tmp_path / "generated.json")
+    assert generated.scene_count == 2
+    with pytest.raises(IndexError):
+        generated.load_scenes(only=2)
 
 
 def test_config_file_not_mutated(config_path, tmp_path):

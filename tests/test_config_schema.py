@@ -135,11 +135,15 @@ SPACE = SearchSpace(80, 60, 16, 24, scale_factor=1.25, scale_count=3)
         lambda: SceneParams(SPACE, max_overlap=2.0),
         lambda: SceneParams(SPACE, object_count=-1),
         lambda: SceneParams(SPACE, scale_indices=()),
+        lambda: SceneParams(SPACE, scale_indices=(3,)),
+        lambda: SceneParams(SPACE, object_peak=(2.5, 1.5)),
+        lambda: SceneParams(SPACE, distractor_peak=(-6.0, -5.5)),
         lambda: CostModel(t_w=-5.0),
         lambda: DetectorConfig("", "sw", -2.0, 0.0),
         lambda: RadiusTable((RadiusInterval(-math.inf, 0.4, 0.4), RadiusInterval(-4.0, -0.1, 0.1)), 1),
     ],
-    ids=["sharpness", "max_overlap", "object_count", "scale_indices", "cost", "name", "inactive_ratio"],
+    ids=["sharpness", "max_overlap", "object_count", "scale_indices", "past_pyramid", "peak_order", "peak_floor",
+         "cost", "name", "inactive_ratio"],
 )
 def test_each_value_bound_is_the_dataclass_own(build):
     """The bounds that the schemas document hold without a config: the

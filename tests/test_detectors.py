@@ -495,12 +495,11 @@ def test_record_batch_classifies_as_classify_does():
     edges += [math.nextafter(0.0, -math.inf), 0.0, -0.0, 5e-324, 1.0, math.inf, math.nan]
     batches = [np.array(edges), np.array([math.nan, -1.0, 2.0, -5.0, math.nan, -0.5])]
     trace = RunTrace("sw", "sw", None, 100)
-    n_ab = 0
     for responses in batches:
         n = len(responses)
         coords = np.arange(n, dtype=np.int64)
         stages = np.full(n, 3, dtype=np.int64)
-        n_ab = detectors._record_batch(trace, config, coords, coords, coords, "SCAN", responses, stages, n_ab)
+        detectors._record_batch(trace, config, coords, coords, coords, "SCAN", responses, stages)
     responses = [r for batch in batches for r in batch.tolist()]
     kinds = [detectors._classify(r, config) for r in responses]
     assert kinds[len(edges) - 1] == "ABPW"  # the NaN
@@ -510,7 +509,7 @@ def test_record_batch_classifies_as_classify_does():
     assert all(any(k is c for c in constants) for k in records.kind)
     running = list(itertools.accumulate(k == "ABPW" for k in kinds))
     assert records.n_ambiguous == running
-    assert n_ab == running[-1] == kinds.count("ABPW")
+    assert records.n_ambiguous[-1] == running[-1] == kinds.count("ABPW")
     assert records.i == list(range(1, len(responses) + 1))
     assert all(type(v) is int for v in records.x + records.n_ambiguous + records.stages_evaluated)
     assert records.p_uniform == [None] * len(responses)

@@ -6,7 +6,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -54,7 +54,6 @@ from pwsearch.harness import (
     summarize_rates,
     summarize_ratios,
     trace_at_budget,
-    trace_record_to_dict,
     write_csv,
     write_results_jsonl,
     write_trace_jsonl,
@@ -506,7 +505,7 @@ def test_trace_jsonl_round_trip(run, tmp_path, bench_space, bench_scenes, bench_
     assert header["seed"] == (None if config.algorithm == "sw" else 31)  # a scan draws nothing
     assert len(body) == len(trace.records)
     got = body[17]
-    assert got == trace_record_to_dict(trace.records[17])
+    assert got == asdict(trace.records[17])
     assert footer["complete"] == trace.complete
     assert len(footer["accepted"]) == len(trace.accepted)
 
@@ -539,7 +538,7 @@ def _write_records(path, records) -> list[str]:
 
 
 def test_trace_lines_are_json_dumps_of_their_records(tmp_path):
-    """Each record line equals ``json.dumps(trace_record_to_dict(rec))`` and
+    """Each record line equals ``json.dumps(asdict(rec))`` and
     reads back equal: every kind and source, ``p_uniform`` None and a float,
     floats that ``json`` writes as ``-0.0``, ``1e-07`` and ``1e+16``, ints
     above 2**31, and cascade records with stages evaluated."""
@@ -564,7 +563,7 @@ def test_trace_lines_are_json_dumps_of_their_records(tmp_path):
     ]
     assert len(records) == 9 and any(rec.stages_evaluated > 0 for rec in records)
     path = tmp_path / "trace.jsonl"
-    assert _write_records(path, records) == [json.dumps(trace_record_to_dict(rec)) for rec in records]
+    assert _write_records(path, records) == [json.dumps(asdict(rec)) for rec in records]
     assert read_trace_jsonl(path).records == records
 
 
@@ -579,7 +578,7 @@ def test_trace_lines_spell_non_finite_responses_as_json_does(tmp_path):
     ]
     path = tmp_path / "trace.jsonl"
     lines = _write_records(path, records)
-    assert lines == [json.dumps(trace_record_to_dict(rec)) for rec in records]
+    assert lines == [json.dumps(asdict(rec)) for rec in records]
     assert [line.split('"response": ')[1].split(",")[0] for line in lines] == ["NaN", "Infinity", "-Infinity"]
     back = [rec.response for rec in read_trace_jsonl(path).records]
     assert math.isnan(back[0]) and back[1:] == [math.inf, -math.inf]
@@ -621,7 +620,7 @@ def test_trace_lines_are_json_dumps_of_any_float_columns(tmp_path, records):
     """The writer spells a float column at once or value by value; either
     way each line is ``json.dumps`` of its record."""
     lines = _write_records(tmp_path / "trace.jsonl", records)
-    assert lines == [json.dumps(trace_record_to_dict(rec)) for rec in records]
+    assert lines == [json.dumps(asdict(rec)) for rec in records]
 
 
 def test_results_jsonl_and_csv(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +118,16 @@ def test_scene_json_round_trip(tmp_path, space):
         floor=-4.5,
         sharpness=2.75,
     )
-    path = tmp_path / "scene.json"
-    scene.save(path)
-    assert SyntheticScene.from_dict(json.loads(path.read_text())) == scene
-    assert SyntheticScene.from_dict(scene.to_dict()) == scene
+    scene.save(tmp_path / "scene.json")
+    config = {
+        "space": asdict(space),
+        "detectors": [{"name": "sw", "algorithm": "sw", "t_l": -2.0, "t_h": 0.0}],
+        "scenes": {"files": ["scene.json"]},
+        "experiment": {"budgets": [10], "seed": 0},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert load_config(tmp_path / "config.json").load_scenes() == [scene]
+    assert json.loads((tmp_path / "scene.json").read_text()) == scene.to_dict()
 
 
 def test_scene_validation():
